@@ -20,18 +20,7 @@ import csv
 import json
 from dataclasses import dataclass, asdict
 
-import numpy as np
-
-from .deltas import (
-    DeltaWeight,
-    DenseDelta,
-    LowRankDelta,
-    QuantizedDelta,
-    SparseDelta,
-    init_lowrank_trainable,
-    init_sparse_trainable,
-    sparse_keep_count,
-)
+from .deltas import init_lowrank_trainable, init_sparse_trainable, sparse_keep_count
 from .errors import ParameterError
 from .moe import DenseBlock, MoELayer, Model, named_parameters
 from .numkern import RngStream, derive_stream_id, dtype_bits
@@ -40,41 +29,6 @@ SCHEMA_VERSION = 1
 
 # Sparse index vectors persist as unsigned 32-bit integers.
 INDEX_BITS = 32
-
-
-# ---------------------------------------------------------------------------
-# Per-container counting primitives
-# ---------------------------------------------------------------------------
-
-
-def delta_stored_values(delta: DeltaWeight) -> int:
-    """Stored value count: floats for dense/sparse/low-rank, codes for quantized."""
-    if isinstance(delta, DenseDelta):
-        return int(delta.mat.size)
-    if isinstance(delta, SparseDelta):
-        return int(delta.value.size)
-    if isinstance(delta, LowRankDelta):
-        return int(delta.a.size + delta.b.size)
-    if isinstance(delta, QuantizedDelta):
-        return int(delta.rows * delta.cols)
-    raise ParameterError(f"unknown delta type {type(delta)!r}")
-
-
-def delta_value_bits(delta: DeltaWeight, bit_width: int) -> int:
-    """Payload bits for the stored values: K per float, k per quantized code."""
-    if isinstance(delta, QuantizedDelta):
-        return int(delta.rows * delta.cols * delta.bit_width)
-    return delta_stored_values(delta) * bit_width
-
-
-def delta_index_entries(delta: DeltaWeight) -> int:
-    """Positions that must be stored alongside the values (sparse only)."""
-    return int(delta.index.size) if isinstance(delta, SparseDelta) else 0
-
-
-def delta_scale_entries(delta: DeltaWeight) -> int:
-    """Per-container scalars: the sparse rescale and the quantizer scale."""
-    return 1 if isinstance(delta, (SparseDelta, QuantizedDelta)) else 0
 
 
 # ---------------------------------------------------------------------------
@@ -114,42 +68,44 @@ class ParamReport:
         return asdict(self)
 
 
-def _moe_layer_count(name: str, layer: MoELayer, bit_width: int) -> LayerCount:
-    out = LayerCount(name=name, kind="moe")
-
-    def add_array(arr: np.ndarray) -> None:
-        out.stored_values += int(arr.size)
-        out.stored_bits += int(arr.size) * bit_width
-
-    add_array(layer.router.w_r)
-    expert_values = 0
-    expert_unit = 0
-    expert_count = 0
+def expert_groups_count(layer: MoELayer, bit_width: int) -> LayerCount:
+    """Storage of a layer's two expert groups: the shared bases at K bits plus
+    every delta's payload, with index and scale overheads and the
+    equivalent-expert ratio (stored values over members × one expert's)."""
+    out = LayerCount(name="experts", kind="moe")
+    unit = 0
     for group in (layer.group_in, layer.group_out):
-        add_array(group.base)
-        expert_values += int(group.base.size)
-        expert_unit += int(group.base.size)
-        expert_count = len(group.deltas)
+        unit += int(group.base.size)
         for delta in group.deltas:
-            values = delta_stored_values(delta)
-            out.stored_values += values
-            out.stored_bits += delta_value_bits(delta, bit_width)
-            out.index_entries += delta_index_entries(delta)
-            out.scale_entries += delta_scale_entries(delta)
-            expert_values += values
+            out.stored_values += delta.stored_values()
+            out.stored_bits += delta.value_bits(bit_width)
+            out.index_entries += delta.index_entries()
+            out.scale_entries += delta.scale_entries()
+    out.stored_values += unit
+    out.stored_bits += unit * bit_width
+    out.index_overhead_bits = out.index_entries * INDEX_BITS
+    out.scale_overhead_bits = out.scale_entries * bit_width
+    members = len(layer.group_in.deltas)
+    if members > 0 and unit > 0:
+        out.equivalent_expert_ratio = out.stored_values / float(members * unit)
+    return out
+
+
+def _moe_layer_count(name: str, layer: MoELayer, bit_width: int) -> LayerCount:
+    out = expert_groups_count(layer, bit_width)
+    out.name = name
+    extra = [layer.router.w_r]
     if layer.universal is not None:
-        add_array(layer.universal.w_in)
-        add_array(layer.universal.w_out)
+        extra += [layer.universal.w_in, layer.universal.w_out]
     for record, live in (
         (layer.init_base_in, layer.group_in.base),
         (layer.init_base_out, layer.group_out.base),
     ):
         if record is not None and record is not live:
-            add_array(record)
-    out.index_overhead_bits = out.index_entries * INDEX_BITS
-    out.scale_overhead_bits = out.scale_entries * bit_width
-    if expert_count > 0 and expert_unit > 0:
-        out.equivalent_expert_ratio = expert_values / float(expert_count * expert_unit)
+            extra.append(record)
+    for arr in extra:
+        out.stored_values += int(arr.size)
+        out.stored_bits += int(arr.size) * bit_width
     return out
 
 
@@ -269,7 +225,7 @@ def formula_check(entries, seed: int = 0) -> list[dict]:
                 delta = init_sparse_trainable(
                     d, d_h, value, RngStream(seed, derive_stream_id("formula", idx, i))
                 )
-                walk += delta_stored_values(delta)
+                walk += delta.stored_values()
         elif kind == "r":
             formula = float(total + n_experts * value * (d + d_h))
             allowed = 0.0
@@ -277,7 +233,7 @@ def formula_check(entries, seed: int = 0) -> list[dict]:
                 delta = init_lowrank_trainable(
                     d, d_h, value, RngStream(seed, derive_stream_id("formula", idx, i))
                 )
-                walk += delta_stored_values(delta)
+                walk += delta.stored_values()
         else:
             raise ParameterError(f"formula_check kind must be 'p' or 'r', got {kind!r}")
         deviation = abs(walk - formula)

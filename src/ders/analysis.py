@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .compress import choose_base
 from .deltas import decompose, synthesize
-from .errors import StateError
-from .moe import MoELayer, Model
+from .moe import Model
 
 SCHEMA_VERSION = 1
 
@@ -114,29 +114,6 @@ class SimilarityReport:
         return out
 
 
-def _require_init_base(block: MoELayer, j: int) -> None:
-    if (
-        block.method != "vanilla"
-        or block.init_base_in is None
-        or block.init_base_out is None
-    ):
-        raise StateError(
-            f"block {j} has no recorded init base: similarity needs a vanilla-upcycled model"
-        )
-
-
-def _moe_layers_with_bases(model: Model):
-    found = []
-    for j, block in enumerate(model.blocks):
-        if not isinstance(block, MoELayer):
-            continue
-        _require_init_base(block, j)
-        found.append((j, block))
-    if not found:
-        raise StateError("model has no MoE layers to analyze")
-    return found
-
-
 def cosine_report(model: Model) -> SimilarityReport:
     """Pairwise cosine similarity among {init, E_1..E_N} per MoE layer.
 
@@ -146,17 +123,15 @@ def cosine_report(model: Model) -> SimilarityReport:
     (undefined wherever either side is undefined).
     """
     layers = []
-    for j, block in _moe_layers_with_bases(model):
+    for j, inits in choose_base(model).items():
+        block = model.blocks[j]
         labels = ["init"] + [f"E{i + 1}" for i in range(len(block.group_in.deltas))]
         cosine: dict[str, np.ndarray] = {}
         undefined: dict[str, np.ndarray] = {}
         delta_norms: dict[str, list[float]] = {}
         base_norms: dict[str, float] = {}
         ratios: dict[str, list[float | None]] = {}
-        for tag, group, init in (
-            ("w_in", block.group_in, block.init_base_in),
-            ("w_out", block.group_out, block.init_base_out),
-        ):
+        for tag, group, init in zip(("w_in", "w_out"), (block.group_in, block.group_out), inits):
             members = [init] + [synthesize(group.base, d) for d in group.deltas]
             cosine[tag], undefined[tag] = pairwise_cosine(members)
             base_norm = _norm(init)
@@ -187,11 +162,9 @@ def cosine_report(model: Model) -> SimilarityReport:
 def delta_stats(model: Model) -> list[dict]:
     """Per-expert delta Frobenius norms and base-norm ratios, per layer/matrix."""
     rows = []
-    for j, block in _moe_layers_with_bases(model):
-        for tag, group, init in (
-            ("w_in", block.group_in, block.init_base_in),
-            ("w_out", block.group_out, block.init_base_out),
-        ):
+    for j, inits in choose_base(model).items():
+        block = model.blocks[j]
+        for tag, group, init in zip(("w_in", "w_out"), (block.group_in, block.group_out), inits):
             base_norm = _norm(init)
             for i, delta in enumerate(group.deltas):
                 norm = _norm(decompose(init, synthesize(group.base, delta)).mat)

@@ -9,14 +9,15 @@ and caller-supplied metadata such as seeds and stage configs — a
 checkpoint loads without any external configuration.
 
 Floats stored on disk keep the model's own width (f8 or f4); sparse index
-vectors persist as u32; quantized payloads as raw bytes. Scalar floats
+vectors persist as u32; quantized payloads as raw bytes. Each delta form
+declares its own header scalars and records (``ders.deltas``). Scalar floats
 (rescales, quantizer scales) live in the JSON header, which round-trips
 them exactly via repr. Vanilla-upcycled layers alias their recorded init
 base to the live group base; the alias (not a second copy) is preserved
 across save/load. Writes are atomic: a temp file in the target directory
 is renamed over the destination. Loading rejects wrong magic, truncation,
-and checksum failures as corruption, and any newer format version
-outright.
+checksum failures and unknown float dtypes as corruption, and any newer
+format version outright.
 """
 
 from __future__ import annotations
@@ -29,21 +30,14 @@ import zlib
 
 import numpy as np
 
-from .deltas import (
-    DenseDelta,
-    ExpertGroup,
-    LowRankDelta,
-    QuantizedDelta,
-    SparseDelta,
-)
-from .errors import CorruptionError, ParameterError, StateError
+from .deltas import DELTA_KINDS, ExpertGroup
+from .errors import CorruptionError, StateError
 from .moe import DenseBlock, FFN, Model, MoELayer, Router
 
 MAGIC = b"DERS"
 FORMAT_VERSION = 1
 
 _FLOAT_TAGS = {"float64": "<f8", "float32": "<f4"}
-_INDEX_DTYPE = "<u4"
 _BYTE_DTYPE = "u1"
 
 
@@ -56,47 +50,6 @@ def _float_tag(model: Model) -> str:
 
 def _canonical(arr: np.ndarray, dtype: str) -> np.ndarray:
     return np.ascontiguousarray(arr.astype(dtype, copy=False))
-
-
-def _delta_descriptor(delta) -> dict:
-    if isinstance(delta, DenseDelta):
-        return {"kind": "dense"}
-    if isinstance(delta, SparseDelta):
-        if delta.index.size and int(delta.index[-1]) >= 2**32:
-            raise StateError("sparse index exceeds the u32 on-disk range")
-        return {
-            "kind": "sparse",
-            "rows": delta.rows,
-            "cols": delta.cols,
-            "rescale": float(delta.rescale),
-        }
-    if isinstance(delta, LowRankDelta):
-        return {"kind": "lowrank"}
-    if isinstance(delta, QuantizedDelta):
-        return {
-            "kind": "quantized",
-            "rows": delta.rows,
-            "cols": delta.cols,
-            "bit_width": delta.bit_width,
-            "scale": float(delta.scale),
-        }
-    raise ParameterError(f"unknown delta type {type(delta)!r}")
-
-
-def _delta_arrays(name: str, delta, float_dtype: str):
-    if isinstance(delta, DenseDelta):
-        return [(f"{name}.mat", _canonical(delta.mat, float_dtype))]
-    if isinstance(delta, SparseDelta):
-        return [
-            (f"{name}.index", _canonical(delta.index, _INDEX_DTYPE)),
-            (f"{name}.value", _canonical(delta.value, float_dtype)),
-        ]
-    if isinstance(delta, LowRankDelta):
-        return [
-            (f"{name}.a", _canonical(delta.a, float_dtype)),
-            (f"{name}.b", _canonical(delta.b, float_dtype)),
-        ]
-    return [(f"{name}.packed", _canonical(delta.packed, _BYTE_DTYPE))]
 
 
 def _walk_model(model: Model):
@@ -123,14 +76,16 @@ def _walk_model(model: Model):
             "universal": None,
             "init_base_in": None,
             "init_base_out": None,
-            "group_in": {"deltas": [_delta_descriptor(d) for d in block.group_in.deltas]},
-            "group_out": {"deltas": [_delta_descriptor(d) for d in block.group_out.deltas]},
+            "group_in": {"deltas": [d.descriptor() for d in block.group_in.deltas]},
+            "group_out": {"deltas": [d.descriptor() for d in block.group_out.deltas]},
         }
         arrays.append((f"{prefix}.router.w_r", _canonical(block.router.w_r, fdt)))
         for tag_g, group in (("group_in", block.group_in), ("group_out", block.group_out)):
             arrays.append((f"{prefix}.{tag_g}.base", _canonical(group.base, fdt)))
             for i, delta in enumerate(group.deltas):
-                arrays.extend(_delta_arrays(f"{prefix}.{tag_g}.delta{i}", delta, fdt))
+                for field, arr, disk in delta.records():
+                    name = f"{prefix}.{tag_g}.delta{i}.{field}"
+                    arrays.append((name, _canonical(arr, disk or fdt)))
         if block.universal is not None:
             desc["universal"] = {"activation": block.universal.activation}
             arrays.append((f"{prefix}.universal.w_in", _canonical(block.universal.w_in, fdt)))
@@ -229,31 +184,15 @@ def _load_float(records: dict, name: str, payload: bytes, dtype) -> np.ndarray:
 
 
 def _load_delta(desc: dict, name: str, records: dict, payload: bytes, dtype):
-    kind = desc["kind"]
-    if kind == "dense":
-        return DenseDelta(_load_float(records, f"{name}.mat", payload, dtype))
-    if kind == "sparse":
-        return SparseDelta(
-            rows=desc["rows"],
-            cols=desc["cols"],
-            index=_take(records, f"{name}.index", payload).astype(np.int64),
-            value=_load_float(records, f"{name}.value", payload, dtype),
-            rescale=desc["rescale"],
-        )
-    if kind == "lowrank":
-        return LowRankDelta(
-            a=_load_float(records, f"{name}.a", payload, dtype),
-            b=_load_float(records, f"{name}.b", payload, dtype),
-        )
-    if kind == "quantized":
-        return QuantizedDelta(
-            rows=desc["rows"],
-            cols=desc["cols"],
-            bit_width=desc["bit_width"],
-            packed=_take(records, f"{name}.packed", payload).astype(np.uint8),
-            scale=desc["scale"],
-        )
-    raise CorruptionError(f"checkpoint names unknown delta kind {kind!r}")
+    cls = DELTA_KINDS.get(desc["kind"])
+    if cls is None:
+        raise CorruptionError(f"checkpoint names unknown delta kind {desc['kind']!r}")
+
+    def read(field: str, disk_dtype: str | None) -> np.ndarray:
+        arr = _take(records, f"{name}.{field}", payload)
+        return arr if disk_dtype else arr.astype(dtype, copy=False)
+
+    return cls.from_records(desc, read)
 
 
 def load_model(path: str) -> tuple[Model, dict]:
@@ -281,7 +220,9 @@ def load_model(path: str) -> tuple[Model, dict]:
     if zlib.crc32(payload) != stored_crc:
         raise CorruptionError(f"{path} failed its payload checksum")
 
-    dtype = np.dtype(np.float64 if header["dtype"] == "float64" else np.float32)
+    if header.get("dtype") not in _FLOAT_TAGS:
+        raise CorruptionError(f"{path} names unknown float dtype {header.get('dtype')!r}")
+    dtype = np.dtype(header["dtype"])
     records = {rec["name"]: rec for rec in header["records"]}
     topo = header["model"]
     blocks = []

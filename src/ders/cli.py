@@ -15,8 +15,7 @@ Subcommands chain through fixed artifact names inside ``--out``:
 The JSON config is validated before any compute: unknown keys are rejected
 with their full field path, and the top-level ``seed`` is mandatory (it is
 the default seed for every stage that does not set its own). Exit codes:
-0 success, 2 config error, 3 state error, 4 numeric error. ``DERS_THREADS``
-caps evaluation batch parallelism; results do not depend on it.
+0 success, 2 config error, 3 state error, 4 numeric error.
 """
 
 from __future__ import annotations
@@ -273,19 +272,6 @@ def _resolve_ckpt(out: str, explicit: str | None) -> str:
     raise StateError(f"no checkpoint found in {out}")
 
 
-def _env_threads() -> int:
-    raw = os.environ.get("DERS_THREADS")
-    if raw is None:
-        return 1
-    try:
-        threads = int(raw)
-    except ValueError:
-        raise ConfigError(f"DERS_THREADS must be a positive integer, got {raw!r}") from None
-    if threads < 1:
-        raise ConfigError(f"DERS_THREADS must be a positive integer, got {raw!r}")
-    return threads
-
-
 def _float_cell(value) -> str:
     return repr(float(value))
 
@@ -385,8 +371,7 @@ def _cmd_eval(args, out: str) -> int:
     task = exp.task()
     path = _resolve_ckpt(out, args.ckpt)
     model, meta = _load_ckpt(path)
-    threads = _env_threads()
-    metric = evaluate(model, task, threads)
+    metric = evaluate(model, task)
     x, _ = task.eval_set()
     _write_text(
         os.path.join(out, "eval.json"),
@@ -447,7 +432,6 @@ def _cmd_sweep(args, out: str) -> int:
             "config section 'sweep' must list at least one of drop_rates/bit_widths/ranks"
         )
     task = exp.task()
-    threads = _env_threads()
     rows = []
 
     if drop_rates or bit_widths:
@@ -457,7 +441,7 @@ def _cmd_sweep(args, out: str) -> int:
             _sweep_row(
                 "baseline",
                 "",
-                evaluate(trained, task, threads),
+                evaluate(trained, task),
                 base.totals.stored_values,
                 base.totals.stored_bits,
                 base.totals.trainable_values,
@@ -474,7 +458,7 @@ def _cmd_sweep(args, out: str) -> int:
                 _sweep_row(
                     "drop_rate",
                     p,
-                    evaluate(compressed, task, threads),
+                    evaluate(compressed, task),
                     totals["stored_values_after"],
                     totals["stored_bits_after"],
                 )
@@ -488,7 +472,7 @@ def _cmd_sweep(args, out: str) -> int:
                 _sweep_row(
                     "bit_width",
                     k,
-                    evaluate(compressed, task, threads),
+                    evaluate(compressed, task),
                     totals["stored_values_after"],
                     totals["stored_bits_after"],
                 )
@@ -506,7 +490,7 @@ def _cmd_sweep(args, out: str) -> int:
                 _sweep_row(
                     "rank",
                     r,
-                    evaluate(result.model, task, threads),
+                    evaluate(result.model, task),
                     report.totals.stored_values,
                     report.totals.stored_bits,
                     report.totals.trainable_values,

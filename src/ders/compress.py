@@ -20,13 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .accounting import (
-    delta_index_entries,
-    delta_scale_entries,
-    delta_stored_values,
-    delta_value_bits,
-    INDEX_BITS,
-)
+from .accounting import expert_groups_count
 from .deltas import (
     SUPPORTED_BIT_WIDTHS,
     DenseDelta,
@@ -163,7 +157,8 @@ def compression_report(
     shared base at K bits plus each compressed delta's payload, with index
     and scale overheads flagged separately. The equivalent-expert ratio is
     stored values after / before; for sparsification the closed-form
-    expectation (1 + n·(1−p))/n is reported alongside it.
+    expectation (1 + n·(1−p))/n is reported alongside it. The "after"
+    figures are ``accounting.expert_groups_count`` of each layer.
     """
     if bit_width is None:
         bit_width = dtype_bits(before.embed.dtype)
@@ -180,18 +175,8 @@ def compression_report(
         if not isinstance(block, MoELayer):
             continue
         n_members = len(block.group_in.deltas)
-        unit = int(block.group_in.base.size + block.group_out.base.size)
-        values_before = n_members * unit
-        values_after = unit
-        bits_after = unit * bit_width
-        index_bits = 0
-        scale_bits = 0
-        for group in (block.group_in, block.group_out):
-            for delta in group.deltas:
-                values_after += delta_stored_values(delta)
-                bits_after += delta_value_bits(delta, bit_width)
-                index_bits += delta_index_entries(delta) * INDEX_BITS
-                scale_bits += delta_scale_entries(delta) * bit_width
+        values_before = n_members * int(block.group_in.base.size + block.group_out.base.size)
+        experts = expert_groups_count(block, bit_width)
         ratio_formula = None
         if spec.technique == "sparsify":
             ratio_formula = (1.0 + n_members * (1.0 - spec.drop_rate)) / n_members
@@ -201,12 +186,12 @@ def compression_report(
             "block": j,
             "n_members": n_members,
             "stored_values_before": values_before,
-            "stored_values_after": values_after,
+            "stored_values_after": experts.stored_values,
             "stored_bits_before": values_before * bit_width,
-            "stored_bits_after": bits_after,
-            "index_overhead_bits": index_bits,
-            "scale_overhead_bits": scale_bits,
-            "equivalent_expert_ratio": values_after / float(values_before),
+            "stored_bits_after": experts.stored_bits,
+            "index_overhead_bits": experts.index_overhead_bits,
+            "scale_overhead_bits": experts.scale_overhead_bits,
+            "equivalent_expert_ratio": experts.equivalent_expert_ratio,
             "equivalent_expert_ratio_formula": ratio_formula,
         }
         layers.append(row)

@@ -16,17 +16,23 @@ in one of four forms:
 representable as a float sum ``base ⊕ d`` — which holds for every matrix this
 toolkit produces, because trained experts are stored as base-plus-delta in the
 first place.
+
+Everything that differs by form lives on the form's class (``DeltaWeight``
+lists it): the checkpoint tag and record layout, the trainable arrays and
+their gradients, the storage counts, and ``materialize``. Checkpoints,
+training, accounting and compression use only that interface, so a new form
+is one new class here, listed in ``DELTA_KINDS``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
+from typing import ClassVar
 
 import numpy as np
 
 from . import numkern
-from .errors import CorruptionError, DimensionError, ParameterError
+from .errors import CorruptionError, DimensionError, ParameterError, StateError
 
 SUPPORTED_BIT_WIDTHS = (1, 2, 4, 8, 16)
 
@@ -36,9 +42,73 @@ SUPPORTED_BIT_WIDTHS = (1, 2, 4, 8, 16)
 # ---------------------------------------------------------------------------
 
 
+class DeltaWeight:
+    """What every delta form defines; the four forms below fill it in.
+
+    ``kind`` tags the form in checkpoints, ``HEADER`` names the scalar fields
+    kept in the checkpoint's JSON header and ``RECORDS`` the array fields
+    stored as payload records, in record order, each with its on-disk dtype
+    (``None``: the model's own float width). ``TRAINABLE`` names the arrays an
+    optimizer updates.
+    """
+
+    kind: ClassVar[str]
+    HEADER: ClassVar[tuple[str, ...]] = ()
+    RECORDS: ClassVar[tuple[tuple[str, str | None], ...]]
+    TRAINABLE: ClassVar[tuple[str, ...]] = ()
+
+    def descriptor(self) -> dict:
+        """Checkpoint header entry: the kind tag plus the header scalars."""
+        return {"kind": self.kind, **{key: getattr(self, key) for key in self.HEADER}}
+
+    def records(self) -> list[tuple[str, np.ndarray, str | None]]:
+        """(field, array, on-disk dtype) for each record, in record order."""
+        return [(name, getattr(self, name), disk) for name, disk in self.RECORDS]
+
+    @classmethod
+    def from_records(cls, desc: dict, read) -> DeltaWeight:
+        """Rebuild from a header entry; ``read(field, on_disk_dtype)`` loads a record."""
+        fields = {key: desc[key] for key in cls.HEADER}
+        fields.update((name, read(name, disk)) for name, disk in cls.RECORDS)
+        return cls(**fields)
+
+    def parameters(self) -> list[tuple[str, np.ndarray]]:
+        """(field, live array) for each trainable field."""
+        return [(name, getattr(self, name)) for name in self.TRAINABLE]
+
+    def weight_grads(self, d_w: np.ndarray) -> list[tuple[str, np.ndarray]]:
+        """(field, gradient) for each trainable field, given dLoss/dW of the
+        synthesized expert weight."""
+        return []
+
+    def stored_values(self) -> int:
+        """Stored value count: floats, or codes for a quantized delta."""
+        raise NotImplementedError
+
+    def value_bits(self, bit_width: int) -> int:
+        """Payload bits of the stored values at ``bit_width`` bits per float."""
+        return self.stored_values() * bit_width
+
+    def index_entries(self) -> int:
+        """Positions stored alongside the values."""
+        return 0
+
+    def scale_entries(self) -> int:
+        """Per-container scalars (sparse rescale, quantizer scale)."""
+        return 0
+
+    def materialize(self, dtype) -> np.ndarray:
+        """The full delta matrix, in ``dtype``."""
+        raise NotImplementedError
+
+
 @dataclass
-class DenseDelta:
+class DenseDelta(DeltaWeight):
     """A full-resolution delta matrix (shape d × d_h)."""
+
+    kind = "dense"
+    RECORDS = (("mat", None),)
+    TRAINABLE = ("mat",)
 
     mat: np.ndarray
 
@@ -50,16 +120,31 @@ class DenseDelta:
     def shape(self) -> tuple[int, int]:
         return self.mat.shape
 
+    def weight_grads(self, d_w):
+        return [("mat", d_w)]
+
+    def stored_values(self) -> int:
+        return int(self.mat.size)
+
+    def materialize(self, dtype) -> np.ndarray:
+        return self.mat.astype(dtype)
+
 
 @dataclass
-class SparseDelta:
+class SparseDelta(DeltaWeight):
     """Index/value storage for a mostly-zero delta.
 
     ``index`` holds flat row-major positions (sorted, distinct, int64 in memory,
-    u32 on disk); ``value`` the matching entries. ``rescale`` multiplies values
-    at materialization: 1/(1−p) for sparsified deltas (unbiased estimator), 1.0
-    for trainable deltas whose values are learned directly.
+    u32 on disk); ``value`` the matching entries, in their own float dtype.
+    ``rescale`` multiplies values at materialization: 1/(1−p) for sparsified
+    deltas (unbiased estimator), 1.0 for trainable deltas whose values are
+    learned directly.
     """
+
+    kind = "sparse"
+    HEADER = ("rows", "cols", "rescale")
+    RECORDS = (("index", "<u4"), ("value", None))
+    TRAINABLE = ("value",)
 
     rows: int
     cols: int
@@ -69,7 +154,8 @@ class SparseDelta:
 
     def __post_init__(self):
         self.index = np.asarray(self.index, dtype=np.int64)
-        self.value = np.asarray(self.value, dtype=numkern.get_default_dtype())
+        self.value = np.asarray(self.value)
+        self.rescale = float(self.rescale)
         if self.index.ndim != 1 or self.value.ndim != 1:
             raise CorruptionError("SparseDelta index/value must be 1-D vectors")
         if len(self.index) != len(self.value):
@@ -86,10 +172,39 @@ class SparseDelta:
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
+    def records(self):
+        if self.index.size and int(self.index[-1]) >= 2**32:
+            raise StateError("sparse index exceeds the u32 on-disk range")
+        return super().records()
+
+    def weight_grads(self, d_w):
+        # Chain rule through the rescale, at the fixed positions only.
+        return [("value", d_w.reshape(-1)[self.index] * self.rescale)]
+
+    def stored_values(self) -> int:
+        return int(self.value.size)
+
+    def index_entries(self) -> int:
+        return int(self.index.size)
+
+    def scale_entries(self) -> int:
+        return 1
+
+    def materialize(self, dtype) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        out = np.zeros(self.rows * self.cols, dtype=dtype)
+        if len(self.index):
+            out[self.index] = self.value * dtype.type(self.rescale)
+        return out.reshape(self.rows, self.cols)
+
 
 @dataclass
-class LowRankDelta:
+class LowRankDelta(DeltaWeight):
     """A delta factored as A·B with inner dimension ``rank``."""
+
+    kind = "lowrank"
+    RECORDS = (("a", None), ("b", None))
+    TRAINABLE = ("a", "b")
 
     a: np.ndarray
     b: np.ndarray
@@ -112,16 +227,29 @@ class LowRankDelta:
     def shape(self) -> tuple[int, int]:
         return (self.a.shape[0], self.b.shape[1])
 
+    def weight_grads(self, d_w):
+        return [("a", numkern.matmul(d_w, self.b.T)), ("b", numkern.matmul(self.a.T, d_w))]
+
+    def stored_values(self) -> int:
+        return int(self.a.size + self.b.size)
+
+    def materialize(self, dtype) -> np.ndarray:
+        return numkern.matmul(self.a, self.b).astype(dtype, copy=False)
+
 
 @dataclass
-class QuantizedDelta:
-    """Bit-packed k-bit codes plus one per-matrix scale.
+class QuantizedDelta(DeltaWeight):
+    """Bit-packed k-bit codes plus one per-matrix scale (not trainable).
 
     Codes are packed little-endian, ``bit_width`` bits each in row-major order
     (the first code occupies the least-significant bits of the first byte).
     For bit_width >= 2 codes are two's-complement integers in
     ±(2^(k−1)−1); for bit_width == 1 the code is a sign bit (1 → +1, 0 → −1).
     """
+
+    kind = "quantized"
+    HEADER = ("rows", "cols", "bit_width", "scale")
+    RECORDS = (("packed", "u1"),)
 
     rows: int
     cols: int
@@ -135,6 +263,7 @@ class QuantizedDelta:
                 f"bit_width must be one of {SUPPORTED_BIT_WIDTHS}, got {self.bit_width}"
             )
         self.packed = np.asarray(self.packed, dtype=np.uint8)
+        self.scale = float(self.scale)
         expected = packed_byte_count(self.rows * self.cols, self.bit_width)
         if self.packed.size != expected:
             raise CorruptionError(
@@ -147,8 +276,22 @@ class QuantizedDelta:
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
+    def stored_values(self) -> int:
+        return int(self.rows * self.cols)
 
-DeltaWeight = Union[DenseDelta, SparseDelta, LowRankDelta, QuantizedDelta]
+    def value_bits(self, bit_width: int) -> int:
+        return int(self.rows * self.cols * self.bit_width)
+
+    def scale_entries(self) -> int:
+        return 1
+
+    def materialize(self, dtype) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        codes = unpack_codes(self.packed, self.bit_width, self.rows * self.cols)
+        return (codes.astype(dtype) * dtype.type(self.scale)).reshape(self.rows, self.cols)
+
+
+DELTA_KINDS = {cls.kind: cls for cls in (DenseDelta, SparseDelta, LowRankDelta, QuantizedDelta)}
 
 
 @dataclass
@@ -268,30 +411,11 @@ def decompose(base: np.ndarray, trained: np.ndarray) -> DenseDelta:
     return DenseDelta(d)
 
 
-def materialize(delta: DeltaWeight) -> np.ndarray:
-    """Expand any delta form to a full dense matrix."""
-    dtype = numkern.get_default_dtype()
-    if isinstance(delta, DenseDelta):
-        return delta.mat.copy()
-    if isinstance(delta, SparseDelta):
-        out = np.zeros(delta.rows * delta.cols, dtype=dtype)
-        if len(delta.index):
-            out[delta.index] = delta.value * dtype.type(delta.rescale)
-        return out.reshape(delta.rows, delta.cols)
-    if isinstance(delta, LowRankDelta):
-        return numkern.matmul(delta.a, delta.b)
-    if isinstance(delta, QuantizedDelta):
-        codes = unpack_codes(delta.packed, delta.bit_width, delta.rows * delta.cols)
-        out = codes.astype(dtype) * dtype.type(delta.scale)
-        return out.reshape(delta.rows, delta.cols)
-    raise ParameterError(f"unknown delta type {type(delta)!r}")
-
-
 def synthesize(base: np.ndarray, delta: DeltaWeight) -> np.ndarray:
-    """Reconstruct an expert weight: base + materialized delta."""
+    """Reconstruct an expert weight: base + the delta materialized in base's dtype."""
     if delta.shape != base.shape:
         raise DimensionError(f"synthesize shape mismatch: base {base.shape}, delta {delta.shape}")
-    return base + materialize(delta)
+    return base + delta.materialize(base.dtype)
 
 
 def sparsify(delta: DenseDelta, drop_rate: float, rng: numkern.RngStream) -> SparseDelta:
@@ -386,16 +510,3 @@ def init_lowrank_trainable(
     a = rng.generator.uniform(-init_scale, init_scale, size=(rows, rank)).astype(dtype)
     b = np.zeros((rank, cols), dtype=dtype)
     return LowRankDelta(a, b)
-
-
-def delta_kind(delta: DeltaWeight) -> str:
-    """Short tag naming the representation ('dense', 'sparse', 'lowrank', 'quantized')."""
-    if isinstance(delta, DenseDelta):
-        return "dense"
-    if isinstance(delta, SparseDelta):
-        return "sparse"
-    if isinstance(delta, LowRankDelta):
-        return "lowrank"
-    if isinstance(delta, QuantizedDelta):
-        return "quantized"
-    raise ParameterError(f"unknown delta type {type(delta)!r}")

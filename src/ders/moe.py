@@ -16,28 +16,15 @@ the stacked single-row results bit-for-bit.
 from __future__ import annotations
 
 import copy
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import numkern
-from .deltas import (
-    DeltaWeight,
-    DenseDelta,
-    ExpertGroup,
-    LowRankDelta,
-    QuantizedDelta,
-    SparseDelta,
-    synthesize,
-)
+from .deltas import ExpertGroup, synthesize
 from .errors import DimensionError, NumericError, ParameterError
 
 ACTIVATIONS = ("gelu", "relu", "tanh", "identity")
-
-# Guards synthesis-counter increments when evaluation chunks run on threads.
-_SYNTH_COUNT_LOCK = threading.Lock()
 
 _GELU_C = 0.7978845608028654  # sqrt(2/pi)
 _GELU_A = 0.044715
@@ -163,8 +150,7 @@ class MoELayer:
         """Materialize expert i's (w_in, w_out), counting the synthesis."""
         w_in = synthesize(self.group_in.base, self.group_in.deltas[i])
         w_out = synthesize(self.group_out.base, self.group_out.deltas[i])
-        with _SYNTH_COUNT_LOCK:
-            self.synthesis_count += 1
+        self.synthesis_count += 1
         return w_in, w_out
 
 
@@ -339,28 +325,6 @@ def forward_tape(model: Model, batch: np.ndarray) -> tuple[np.ndarray, dict]:
     return pred, tape
 
 
-def model_forward_parallel(model: Model, batch: np.ndarray, threads: int = 1) -> np.ndarray:
-    """Forward over row chunks on a thread pool; bit-identical for any thread count.
-
-    Rows are independent and each worker writes a disjoint slice of the output,
-    so the result never depends on scheduling. Parameters are read-only here
-    (single-writer contract with training).
-    """
-    x = np.asarray(batch)
-    if threads <= 1 or x.ndim != 2 or x.shape[0] <= 1:
-        return model_forward(model, x)
-    chunk = (x.shape[0] + threads - 1) // threads
-    spans = [(s, min(s + chunk, x.shape[0])) for s in range(0, x.shape[0], chunk)]
-    out = np.zeros((x.shape[0], model.out_width), dtype=numkern.get_default_dtype())
-
-    def run(span):
-        out[span[0] : span[1]] = model_forward(model, x[span[0] : span[1]])
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(run, spans))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Construction, copying, parameter registry
 # ---------------------------------------------------------------------------
@@ -415,18 +379,6 @@ def reset_synthesis_counters(model: Model) -> None:
             block.synthesis_count = 0
 
 
-def _delta_params(prefix: str, delta: DeltaWeight) -> list[tuple[str, np.ndarray]]:
-    if isinstance(delta, DenseDelta):
-        return [(f"{prefix}.mat", delta.mat)]
-    if isinstance(delta, SparseDelta):
-        return [(f"{prefix}.value", delta.value)]
-    if isinstance(delta, LowRankDelta):
-        return [(f"{prefix}.a", delta.a), (f"{prefix}.b", delta.b)]
-    if isinstance(delta, QuantizedDelta):
-        return []  # packed codes are not trainable
-    raise ParameterError(f"unknown delta type {type(delta)!r}")
-
-
 def named_parameters(model: Model) -> list[tuple[str, np.ndarray]]:
     """Deterministically ordered trainable parameters.
 
@@ -446,7 +398,9 @@ def named_parameters(model: Model) -> list[tuple[str, np.ndarray]]:
             if block.trainable_base:
                 params.append((f"blocks.{j}.{tag}.base", group.base))
             for i, delta in enumerate(group.deltas):
-                params.extend(_delta_params(f"blocks.{j}.{tag}.delta{i}", delta))
+                params.extend(
+                    (f"blocks.{j}.{tag}.delta{i}.{name}", arr) for name, arr in delta.parameters()
+                )
         if block.universal is not None:
             params.append((f"blocks.{j}.universal.w_in", block.universal.w_in))
             params.append((f"blocks.{j}.universal.w_out", block.universal.w_out))

@@ -5,9 +5,10 @@ tape — no autograd. Special cases the MoE stack needs:
 
 * the top-k routing mask is treated as a constant (straight-through): task-loss
   gradient flows only through surviving softmax entries;
-* a SparseDelta's gradient lands only on its value vector at its fixed indices
-  (chain rule through the rescale factor);
-* a LowRankDelta's gradient splits into dA = dW·Bᵀ and dB = Aᵀ·dW;
+* an expert-weight gradient dW lands on the delta's trainable arrays as the
+  delta form says (``DeltaWeight.weight_grads``): a SparseDelta takes it only
+  on its value vector at its fixed indices (chain rule through the rescale
+  factor), a LowRankDelta splits it into dA = dW·Bᵀ and dB = Aᵀ·dW;
 * the shared base receives the sum of all per-expert weight gradients;
 * frozen parameters (vanilla/compressed bases, frozen shared FFNs, quantized
   payloads) get no gradient entry at all.
@@ -19,12 +20,12 @@ disables it.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import numkern
-from .deltas import DenseDelta, LowRankDelta, QuantizedDelta, SparseDelta
 from .errors import ConfigError, NumericError, ParameterError
 from .moe import (
     DenseBlock,
@@ -33,13 +34,17 @@ from .moe import (
     act_grad,
     copy_model,
     forward_tape,
-    model_forward_parallel,
+    model_forward,
     named_parameters,
 )
 
 TASK_KINDS = ("cluster_regression", "modular_classification")
 OPTIMIZERS = ("sgd", "adam")
 SCHEDULES = ("constant", "cosine", "linear")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 # ---------------------------------------------------------------------------
@@ -79,6 +84,8 @@ class SyntheticTask:
             raise ConfigError(f"task kind must be one of {TASK_KINDS}, got {self.kind!r}")
         if self.n_clusters < 1 or self.d < 1:
             raise ConfigError("n_clusters and d must be >= 1")
+        if not _is_int(self.eval_size) or self.eval_size < 1:
+            raise ConfigError(f"eval_size must be an integer >= 1, got {self.eval_size!r}")
         if self.kind == "modular_classification":
             if self.shift != 0.0:
                 raise ConfigError("shift applies to cluster_regression only")
@@ -246,10 +253,9 @@ def eval_metric(pred: np.ndarray, y, kind: str) -> float:
     raise ParameterError(f"unknown task kind {kind!r}")
 
 
-def evaluate(model: Model, task: SyntheticTask, threads: int = 1) -> float:
+def evaluate(model: Model, task: SyntheticTask) -> float:
     x, y = task.eval_set()
-    pred = model_forward_parallel(model, x, threads)
-    return eval_metric(pred, y, task.kind)
+    return eval_metric(model_forward(model, x), y, task.kind)
 
 
 # ---------------------------------------------------------------------------
@@ -259,21 +265,6 @@ def evaluate(model: Model, task: SyntheticTask, threads: int = 1) -> float:
 
 def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return numkern.matmul(a, b)
-
-
-def _delta_grad(grads: dict, prefix: str, delta, d_w: np.ndarray) -> None:
-    """Route an expert-weight gradient into the delta's trainable fields."""
-    if isinstance(delta, DenseDelta):
-        grads[f"{prefix}.mat"] += d_w
-    elif isinstance(delta, SparseDelta):
-        grads[f"{prefix}.value"] += d_w.reshape(-1)[delta.index] * delta.rescale
-    elif isinstance(delta, LowRankDelta):
-        grads[f"{prefix}.a"] += _mm(d_w, delta.b.T)
-        grads[f"{prefix}.b"] += _mm(delta.a.T, d_w)
-    elif isinstance(delta, QuantizedDelta):
-        pass  # packed codes are not trainable
-    else:
-        raise ParameterError(f"unknown delta type {type(delta)!r}")
 
 
 def _expert_backward(
@@ -295,8 +286,9 @@ def _expert_backward(
     if layer.trainable_base:
         grads[f"blocks.{j}.group_in.base"] += d_w_in
         grads[f"blocks.{j}.group_out.base"] += d_w_out
-    _delta_grad(grads, f"blocks.{j}.group_in.delta{i}", layer.group_in.deltas[i], d_w_in)
-    _delta_grad(grads, f"blocks.{j}.group_out.delta{i}", layer.group_out.deltas[i], d_w_out)
+    for tag, d_w in (("group_in", d_w_in), ("group_out", d_w_out)):
+        for name, grad in getattr(layer, tag).deltas[i].weight_grads(d_w):
+            grads[f"blocks.{j}.{tag}.delta{i}.{name}"] += grad
     return d_x
 
 
@@ -420,6 +412,14 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        for name in ("steps", "batch_size", "eval_every", "seed"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name in ("lr", "beta1", "beta2", "eps", "aux_loss_coeff"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be a real number, got {value!r}")
         if self.steps < 1:
             raise ConfigError(f"steps must be >= 1, got {self.steps}")
         if self.batch_size < 1:

@@ -111,36 +111,57 @@ def _dense_stored_values(model: Model) -> int:
     return total
 
 
-def _copy_dense_block(block: DenseBlock) -> DenseBlock:
-    f = block.ffn
-    return DenseBlock(FFN(f.w_in.copy(), f.w_out.copy(), f.activation))
+def _initial_delta(cfg: UpcycleConfig, j: int, mat_tag: str, i: int, shape: tuple[int, int]):
+    """Expert i's delta for matrix ``mat_tag`` of block j, at its upcycle-time value."""
+    if cfg.method == "vanilla":
+        return DenseDelta(np.zeros(shape, dtype=numkern.get_default_dtype()))
+    rng = numkern.RngStream(cfg.seed, numkern.derive_stream_id("delta", j, mat_tag, i))
+    if cfg.method == "ders_sm":
+        return init_sparse_trainable(shape[0], shape[1], cfg.sparse_rate, rng)
+    return init_lowrank_trainable(shape[0], shape[1], cfg.rank, rng)
 
 
-def _zero_dense_deltas(shape: tuple[int, int], n: int) -> list[DenseDelta]:
-    dtype = numkern.get_default_dtype()
-    return [DenseDelta(np.zeros(shape, dtype=dtype)) for _ in range(n)]
+def _moe_layer(dense: Model, cfg: UpcycleConfig, j: int, ffn: FFN) -> MoELayer:
+    n_deltas = cfg.n_experts + (1 if cfg.extended else 0)
+    groups = [
+        ExpertGroup(w.copy(), [_initial_delta(cfg, j, tag, i, w.shape) for i in range(n_deltas)])
+        for tag, w in (("w_in", ffn.w_in), ("w_out", ffn.w_out))
+    ]
+    vanilla = cfg.method == "vanilla"
+    universal = None
+    if cfg.parallel_universal and not cfg.extended:
+        universal = FFN(ffn.w_in.copy(), ffn.w_out.copy(), ffn.activation)
+    return MoELayer(
+        router=_router(dense.d, cfg.n_experts, cfg.topk_count, cfg.seed, j),
+        group_in=groups[0],
+        group_out=groups[1],
+        n_experts=cfg.n_experts,
+        activation=ffn.activation,
+        universal=universal,
+        extended=cfg.extended,
+        trainable_base=not (vanilla or cfg.freeze_shared),
+        method=cfg.method,
+        init_base_in=groups[0].base if vanilla else None,
+        init_base_out=groups[1].base if vanilla else None,
+    )
 
 
 def upcycle(dense: Model, cfg: UpcycleConfig) -> Model:
-    """Dispatch on ``cfg.method``; the input model is never mutated."""
+    """Upcycle the blocks ``cfg.layer_pattern`` selects into MoE layers by
+    ``cfg.method``, copying the rest; the input model is never mutated."""
     cfg.validate()
-    if cfg.method == "vanilla":
-        return vanilla_upcycle(dense, cfg)
-    if cfg.method == "ders_sm":
-        return ders_sm_upcycle(dense, cfg)
-    return ders_lm_upcycle(dense, cfg)
-
-
-def _upcycled_model(dense: Model, cfg: UpcycleConfig, make_layer) -> Model:
-    """Shared scaffolding: copy untouched blocks, transform selected ones."""
+    max_rank = min(dense.d, dense.d_h)
+    if cfg.method == "ders_lm" and cfg.rank > max_rank:
+        raise ConfigError(f"rank={cfg.rank} exceeds min(d, d_h)={max_rank}")
     ancestor = _dense_stored_values(dense)
     picked = set(selected_layers(len(dense.blocks), cfg.layer_pattern))
     blocks: list = []
     for j, block in enumerate(dense.blocks):
+        f = block.ffn
         if j in picked:
-            blocks.append(make_layer(j, block.ffn))
+            blocks.append(_moe_layer(dense, cfg, j, f))
         else:
-            blocks.append(_copy_dense_block(block))
+            blocks.append(DenseBlock(FFN(f.w_in.copy(), f.w_out.copy(), f.activation)))
     return Model(
         d=dense.d,
         d_h=dense.d_h,
@@ -152,106 +173,3 @@ def _upcycled_model(dense: Model, cfg: UpcycleConfig, make_layer) -> Model:
         ancestor_params=ancestor,
         activation=dense.activation,
     )
-
-
-def vanilla_upcycle(dense: Model, cfg: UpcycleConfig) -> Model:
-    """Experts start as exact copies of the dense FFN (base + zero dense delta)."""
-    if cfg.method != "vanilla":
-        raise ConfigError(f"vanilla_upcycle called with method={cfg.method!r}")
-
-    def make_layer(j: int, ffn: FFN) -> MoELayer:
-        base_in = ffn.w_in.copy()
-        base_out = ffn.w_out.copy()
-        universal = None
-        if cfg.parallel_universal:
-            universal = FFN(ffn.w_in.copy(), ffn.w_out.copy(), ffn.activation)
-        return MoELayer(
-            router=_router(dense.d, cfg.n_experts, cfg.topk_count, cfg.seed, j),
-            group_in=ExpertGroup(base_in, _zero_dense_deltas(base_in.shape, cfg.n_experts)),
-            group_out=ExpertGroup(base_out, _zero_dense_deltas(base_out.shape, cfg.n_experts)),
-            n_experts=cfg.n_experts,
-            activation=ffn.activation,
-            universal=universal,
-            extended=False,
-            trainable_base=False,
-            method="vanilla",
-            init_base_in=base_in,
-            init_base_out=base_out,
-        )
-
-    return _upcycled_model(dense, cfg, make_layer)
-
-
-def ders_sm_upcycle(dense: Model, cfg: UpcycleConfig) -> Model:
-    """Shared trainable base + N (or N+1) sparse index/value deltas per matrix."""
-    if cfg.method != "ders_sm":
-        raise ConfigError(f"ders_sm_upcycle called with method={cfg.method!r}")
-    n_deltas = cfg.n_experts + (1 if cfg.extended else 0)
-
-    def make_layer(j: int, ffn: FFN) -> MoELayer:
-        def deltas(mat_tag: str, shape: tuple[int, int]):
-            return [
-                init_sparse_trainable(
-                    shape[0],
-                    shape[1],
-                    cfg.sparse_rate,
-                    numkern.RngStream(cfg.seed, numkern.derive_stream_id("delta", j, mat_tag, i)),
-                )
-                for i in range(n_deltas)
-            ]
-
-        universal = None
-        if cfg.parallel_universal and not cfg.extended:
-            universal = FFN(ffn.w_in.copy(), ffn.w_out.copy(), ffn.activation)
-        return MoELayer(
-            router=_router(dense.d, cfg.n_experts, cfg.topk_count, cfg.seed, j),
-            group_in=ExpertGroup(ffn.w_in.copy(), deltas("w_in", ffn.w_in.shape)),
-            group_out=ExpertGroup(ffn.w_out.copy(), deltas("w_out", ffn.w_out.shape)),
-            n_experts=cfg.n_experts,
-            activation=ffn.activation,
-            universal=universal,
-            extended=cfg.extended,
-            trainable_base=not cfg.freeze_shared,
-            method="ders_sm",
-        )
-
-    return _upcycled_model(dense, cfg, make_layer)
-
-
-def ders_lm_upcycle(dense: Model, cfg: UpcycleConfig) -> Model:
-    """Shared trainable base + N (or N+1) low-rank deltas per matrix."""
-    if cfg.method != "ders_lm":
-        raise ConfigError(f"ders_lm_upcycle called with method={cfg.method!r}")
-    max_rank = min(dense.d, dense.d_h)
-    if cfg.rank > max_rank:
-        raise ConfigError(f"rank={cfg.rank} exceeds min(d, d_h)={max_rank}")
-    n_deltas = cfg.n_experts + (1 if cfg.extended else 0)
-
-    def make_layer(j: int, ffn: FFN) -> MoELayer:
-        def deltas(mat_tag: str, shape: tuple[int, int]):
-            return [
-                init_lowrank_trainable(
-                    shape[0],
-                    shape[1],
-                    cfg.rank,
-                    numkern.RngStream(cfg.seed, numkern.derive_stream_id("delta", j, mat_tag, i)),
-                )
-                for i in range(n_deltas)
-            ]
-
-        universal = None
-        if cfg.parallel_universal and not cfg.extended:
-            universal = FFN(ffn.w_in.copy(), ffn.w_out.copy(), ffn.activation)
-        return MoELayer(
-            router=_router(dense.d, cfg.n_experts, cfg.topk_count, cfg.seed, j),
-            group_in=ExpertGroup(ffn.w_in.copy(), deltas("w_in", ffn.w_in.shape)),
-            group_out=ExpertGroup(ffn.w_out.copy(), deltas("w_out", ffn.w_out.shape)),
-            n_experts=cfg.n_experts,
-            activation=ffn.activation,
-            universal=universal,
-            extended=cfg.extended,
-            trainable_base=not cfg.freeze_shared,
-            method="ders_lm",
-        )
-
-    return _upcycled_model(dense, cfg, make_layer)

@@ -14,12 +14,12 @@ import numpy as np
 import pytest
 from conftest import build_mixed_moe_model, fd_worst_relative_error, routing_masks
 
-from ders.accounting import delta_value_bits, formula_check, trainable_count
+from ders.accounting import formula_check, trainable_count
 from ders.analysis import cosine_report
 from ders.checkpoint import load_model, save_model
 from ders.cli import main as cli_main
 from ders.compress import CompressionSpec, ders_compress
-from ders.deltas import DenseDelta, materialize, quantize, sparse_keep_count, sparsify
+from ders.deltas import DenseDelta, quantize, sparse_keep_count, sparsify
 from ders.moe import build_dense_model, model_forward, named_parameters
 from ders.numkern import RngStream, derive_stream_id
 from ders.train import TrainConfig, evaluate, make_task, train_loop
@@ -220,7 +220,7 @@ def test_criterion_03_counting_laws():
         deltas = [
             quantize(DenseDelta(rng.standard_normal((rows_n, cols_n))), k) for _ in range(n)
         ]
-        total_bits = big_k * rows_n * cols_n + sum(delta_value_bits(dq, big_k) for dq in deltas)
+        total_bits = big_k * rows_n * cols_n + sum(dq.value_bits(big_k) for dq in deltas)
         assert total_bits == (big_k + n * k) * rows_n * cols_n
         bits_checked += 1
     elapsed = time.monotonic() - t0
@@ -260,7 +260,7 @@ def test_criterion_04_sparsification_unbiasedness():
         total = 80000 if p == 0.9 else 20000
         for i in range(total):
             s = sparsify(delta, p, RngStream(123, derive_stream_id("unbias", str(p), i)))
-            acc += materialize(s)
+            acc += s.materialize(np.float64)
             if i + 1 in (20000, 40000, 80000):
                 rel[(p, i + 1)] = float(np.linalg.norm(acc / (i + 1) - ref)) / fro
     elapsed = time.monotonic() - t0

@@ -13,7 +13,6 @@ from ders.analysis import (
     similarity_to_csv,
     similarity_to_json,
 )
-from ders.deltas import materialize
 from ders.errors import StateError
 from ders.moe import build_dense_model, named_parameters
 from ders.train import TrainConfig, make_task, train_loop
@@ -108,7 +107,7 @@ class TestCosineReport:
                 ("w_out", block.group_out, block.init_base_out),
             ):
                 for i, delta in enumerate(group.deltas):
-                    rebuilt = init + materialize(delta)
+                    rebuilt = init + delta.materialize(init.dtype)
                     u, v = rebuilt.ravel(), init.ravel()
                     direct = float(np.sum(u * v)) / (
                         math.sqrt(float(np.sum(u * u))) * math.sqrt(float(np.sum(v * v)))

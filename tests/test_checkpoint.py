@@ -142,6 +142,22 @@ class TestRoundTrip:
         assert loaded.embed.dtype == np.float32
         assert_same_model(model, loaded)
 
+    @pytest.mark.parametrize(
+        "technique,kw", [("sparsify", {"drop_rate": 0.7}), ("quantize", {"bit_width": 4})]
+    )
+    def test_float32_compressed_models_load_under_float64_default(self, technique, kw, tmp_path):
+        set_default_dtype("float32")
+        model = ders_compress(vanilla_model(), CompressionSpec(technique, seed=5, **kw))
+        x = rng_mat((9, 4), seed=1)
+        want = model_forward(model, x)
+        path = str(tmp_path / "c32.ckpt")
+        save_model(model, path)
+        set_default_dtype("float64")
+        loaded, _ = load_model(path)
+        got = model_forward(loaded, x)
+        assert want.dtype == got.dtype == np.float32
+        assert np.array_equal(want, got)
+
     def test_save_load_save_byte_identical(self, tmp_path):
         model = ders_compress(vanilla_model(), CompressionSpec("sparsify", drop_rate=0.5, seed=7))
         pa, pb = str(tmp_path / "a.ckpt"), str(tmp_path / "b.ckpt")
@@ -190,6 +206,17 @@ class TestFailureModes:
         with open(path, "wb") as fh:
             fh.write(blob[: len(blob) // 2])
         with pytest.raises(CorruptionError):
+            load_model(path)
+
+    def test_unknown_float_dtype_rejected(self, tmp_path):
+        path, blob = self._saved(tmp_path)
+        (header_len,) = struct.unpack_from("<I", bytes(blob), 8)
+        header = bytes(blob[12 : 12 + header_len])
+        assert header.count(b'"dtype":"float64"') == 1
+        blob[12 : 12 + header_len] = header.replace(b'"dtype":"float64"', b'"dtype":"float16"')
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        with pytest.raises(CorruptionError, match="float16"):
             load_model(path)
 
     def test_newer_version_rejected(self, tmp_path):

@@ -200,12 +200,27 @@ class TestExitCodes:
     def test_bad_flag_exit_2(self):
         assert run("upcycle", "--method", "magic") == 2
 
-    def test_bad_ders_threads_exit_2(self, tmp_path, monkeypatch, pipeline):
-        cfg, out = pipeline
-        monkeypatch.setenv("DERS_THREADS", "0")
-        assert run("eval", "--config", cfg, "--out", out) == 2
-        monkeypatch.setenv("DERS_THREADS", "many")
-        assert run("eval", "--config", cfg, "--out", out) == 2
+    def test_empty_eval_set_exit_2(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            {
+                "task": {
+                    "kind": "cluster_regression",
+                    "params": {"d": 4, "n_clusters": 2, "eval_size": 0},
+                },
+                "pretrain": {"steps": 5},
+            },
+        )
+        out = str(tmp_path / "run")
+        assert run("pretrain-dense", "--config", cfg, "--out", out) == 2
+        assert "eval_size" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, "dense.ckpt"))
+
+    @pytest.mark.parametrize("field,value", [("steps", 1.5), ("steps", "5"), ("lr", "fast")])
+    def test_wrongly_typed_train_field_exit_2(self, tmp_path, capsys, field, value):
+        cfg = write_config(tmp_path, {"pretrain": {"steps": 5, field: value}})
+        assert run("pretrain-dense", "--config", cfg, "--out", str(tmp_path / "run")) == 2
+        assert field in capsys.readouterr().err
 
 
 class TestDeterminismAndThreads:
@@ -218,14 +233,6 @@ class TestDeterminismAndThreads:
         for name in ("dense.ckpt", "moe.ckpt", "trained.ckpt", "compressed.ckpt", "metrics.csv", "eval.json"):
             with open(os.path.join(outs[0], name), "rb") as fa, open(os.path.join(outs[1], name), "rb") as fb:
                 assert fa.read() == fb.read(), name
-
-    def test_threads_do_not_change_eval(self, tmp_path, monkeypatch, pipeline):
-        cfg, out = pipeline
-        run("eval", "--config", cfg, "--out", out)
-        single = read_json(out, "eval.json")
-        monkeypatch.setenv("DERS_THREADS", "3")
-        run("eval", "--config", cfg, "--out", out)
-        assert read_json(out, "eval.json") == single
 
     def test_seed_override_changes_model(self, tmp_path):
         cfg = write_config(tmp_path, {"pretrain": {"steps": 5}})

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import rng_mat
 from ders.compress import CompressionSpec, choose_base, compression_report, ders_compress
-from ders.deltas import DenseDelta, QuantizedDelta, SparseDelta, materialize, synthesize
+from ders.deltas import DenseDelta, QuantizedDelta, SparseDelta, synthesize
 from ders.errors import ConfigError, StateError
 from ders.moe import build_dense_model, model_forward, named_parameters
 from ders.train import TrainConfig, evaluate, make_task, train_loop

@@ -14,7 +14,6 @@ from ders.deltas import (
     decompose,
     init_lowrank_trainable,
     init_sparse_trainable,
-    materialize,
     pack_codes,
     quantize,
     sparsify,
@@ -62,20 +61,20 @@ class TestDecompose:
 class TestMaterializeAndSynthesize:
     def test_sparse_hand_placement(self):
         d = SparseDelta(2, 2, index=[0, 3], value=[2.0, 5.0], rescale=1.0)
-        assert np.array_equal(materialize(d), [[2.0, 0.0], [0.0, 5.0]])
+        assert np.array_equal(d.materialize(np.float64), [[2.0, 0.0], [0.0, 5.0]])
 
     def test_sparse_rescale_applied(self):
         d = SparseDelta(1, 2, index=[1], value=[3.0], rescale=2.0)
-        assert np.array_equal(materialize(d), [[0.0, 6.0]])
+        assert np.array_equal(d.materialize(np.float64), [[0.0, 6.0]])
 
     def test_lowrank_rank_one_outer_product(self):
         d = LowRankDelta(np.array([[1.0], [2.0]]), np.array([[3.0, 4.0]]))
-        assert np.array_equal(materialize(d), [[3.0, 4.0], [6.0, 8.0]])
+        assert np.array_equal(d.materialize(np.float64), [[3.0, 4.0], [6.0, 8.0]])
 
     def test_dense_copy_is_independent(self):
         mat = rng_mat((2, 3), seed=6)
         d = DenseDelta(mat)
-        out = materialize(d)
+        out = d.materialize(np.float64)
         out[0, 0] = 99.0
         assert d.mat[0, 0] != 99.0
 
@@ -105,11 +104,11 @@ class TestSparsify:
         sp = sparsify(delta, 0.0, RngStream(1, 1))
         assert sp.rescale == 1.0
         assert len(sp.index) == 42
-        assert np.array_equal(materialize(sp), delta.mat)
+        assert np.array_equal(sp.materialize(np.float64), delta.mat)
 
     def test_all_zero_delta(self):
         sp = sparsify(DenseDelta(np.zeros((4, 4))), 0.7, RngStream(1, 2))
-        assert np.array_equal(materialize(sp), np.zeros((4, 4)))
+        assert np.array_equal(sp.materialize(np.float64), np.zeros((4, 4)))
 
     def test_dense_mask_oracle_exact(self):
         delta = DenseDelta(rng_mat((9, 11), seed=13))
@@ -118,7 +117,7 @@ class TestSparsify:
         mask = numkern.bernoulli_mask(0.35, 9, 11, RngStream(21, 37))
         # Same rescale definition as the container records: one float 1/(1-p).
         oracle = (1.0 - mask) * delta.mat * (1.0 / (1.0 - 0.35))
-        assert np.array_equal(materialize(sp), oracle)
+        assert np.array_equal(sp.materialize(np.float64), oracle)
 
     def test_p_one_rejected(self):
         with pytest.raises(ParameterError):
@@ -129,7 +128,7 @@ class TestSparsify:
         acc = np.zeros((10, 10))
         n = 3000
         for s in range(n):
-            acc += materialize(sparsify(delta, 0.5, RngStream(100, s)))
+            acc += sparsify(delta, 0.5, RngStream(100, s)).materialize(np.float64)
         rel = np.linalg.norm(acc / n - delta.mat) / np.linalg.norm(delta.mat)
         assert rel < 0.05
 
@@ -139,30 +138,30 @@ class TestQuantize:
         for k in deltas.SUPPORTED_BIT_WIDTHS:
             q = quantize(DenseDelta(np.zeros((3, 5))), k)
             assert q.scale == 0.0
-            assert np.array_equal(materialize(q), np.zeros((3, 5)))
+            assert np.array_equal(q.materialize(np.float64), np.zeros((3, 5)))
 
     def test_one_bit_hand_case(self):
         q = quantize(DenseDelta(np.array([[0.1, -0.2, 0.3]])), 1)
         assert q.scale == pytest.approx(0.2, abs=1e-15)
-        assert np.allclose(materialize(q), [[0.2, -0.2, 0.2]], atol=1e-15)
+        assert np.allclose(q.materialize(np.float64), [[0.2, -0.2, 0.2]], atol=1e-15)
 
     def test_sixteen_bit_relative_error(self):
         mat = rng_mat((20, 20), seed=15)
         q = quantize(DenseDelta(mat), 16)
-        rel = np.linalg.norm(materialize(q) - mat) / np.linalg.norm(mat)
+        rel = np.linalg.norm(q.materialize(np.float64) - mat) / np.linalg.norm(mat)
         assert rel < 1e-3
 
     def test_step_size_bound(self):
         mat = rng_mat((12, 12), seed=16)
         for k in (2, 4, 8, 16):
             q = quantize(DenseDelta(mat), k)
-            err = np.abs(materialize(q) - mat).max()
+            err = np.abs(q.materialize(np.float64) - mat).max()
             assert err <= q.scale / 2 + 1e-15
 
     def test_monotone_over_supported_widths(self):
         mat = rng_mat((15, 15), seed=17)
         errors = [
-            np.linalg.norm(materialize(quantize(DenseDelta(mat), k)) - mat)
+            np.linalg.norm(quantize(DenseDelta(mat), k).materialize(np.float64) - mat)
             for k in (2, 4, 8, 16)
         ]
         assert all(errors[i] >= errors[i + 1] for i in range(len(errors) - 1))

@@ -19,7 +19,6 @@ from ders.moe import (
     copy_model,
     ffn_forward,
     model_forward,
-    model_forward_parallel,
     moe_forward,
     named_parameters,
     reset_synthesis_counters,
@@ -224,13 +223,6 @@ class TestModelForward:
         m = build_dense_model(d=4, d_h=7, depth=1, in_width=4, out_width=3, seed=1)
         with pytest.raises(DimensionError):
             model_forward(m, np.zeros((2, 5)))
-
-    def test_parallel_forward_bit_identical(self):
-        m = build_dense_model(d=6, d_h=10, depth=2, in_width=6, out_width=4, seed=2)
-        xs = rng_mat((13, 6), seed=16)
-        base = model_forward(m, xs)
-        for threads in (2, 3, 5):
-            assert np.array_equal(model_forward_parallel(m, xs, threads), base)
 
     def test_synthesis_counter_resets(self):
         m = build_dense_model(d=4, d_h=6, depth=1, in_width=4, out_width=2, seed=3)

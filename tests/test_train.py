@@ -5,7 +5,7 @@ import pytest
 
 from conftest import build_mixed_moe_model, fd_worst_relative_error, rng_mat, routing_masks
 from ders import train
-from ders.deltas import DenseDelta, ExpertGroup, materialize
+from ders.deltas import DenseDelta, ExpertGroup
 from ders.errors import ConfigError, NumericError, ParameterError
 from ders.moe import (
     Model,
@@ -177,7 +177,7 @@ class TestGradients:
         for tag in ("group_in", "group_out"):
             for i in range(3):
                 getattr(olayer, tag).deltas[i] = DenseDelta(
-                    materialize(getattr(layer, tag).deltas[i])
+                    getattr(layer, tag).deltas[i].materialize(np.float64)
                 )
         for arr_pair in ((layer.group_in.base, olayer.group_in.base),
                          (layer.group_out.base, olayer.group_out.base)):

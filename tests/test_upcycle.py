@@ -8,14 +8,7 @@ from ders import numkern
 from ders.deltas import LowRankDelta, SparseDelta
 from ders.errors import ConfigError, StateError
 from ders.moe import DenseBlock, MoELayer, build_dense_model, model_forward, named_parameters
-from ders.upcycle import (
-    UpcycleConfig,
-    ders_lm_upcycle,
-    ders_sm_upcycle,
-    selected_layers,
-    upcycle,
-    vanilla_upcycle,
-)
+from ders.upcycle import UpcycleConfig, selected_layers, upcycle
 
 
 def dense_fixture(d=8, d_h=16, depth=2, seed=7):
@@ -56,7 +49,7 @@ class TestVanilla:
     def test_added_param_formula(self):
         d, d_h, n = 8, 16, 4
         dense = dense_fixture(depth=1)
-        up = vanilla_upcycle(dense, cfg_for("vanilla"))
+        up = upcycle(dense, cfg_for("vanilla"))
         stored_layer = sum(p.size for name, p in named_parameters(up) if name.startswith("blocks.0"))
         # N trainable expert copies per matrix plus the router; the frozen base
         # replaces the ancestor FFN, so added-vs-ancestor removes one copy.
@@ -66,7 +59,7 @@ class TestVanilla:
 
     def test_experts_synthesize_to_original(self):
         dense = dense_fixture(depth=1)
-        up = vanilla_upcycle(dense, cfg_for("vanilla"))
+        up = upcycle(dense, cfg_for("vanilla"))
         layer = up.blocks[0]
         from ders.deltas import synthesize
 
@@ -78,18 +71,18 @@ class TestVanilla:
 
     def test_router_differs_across_layers_same_seed(self):
         dense = dense_fixture(depth=2)
-        up = vanilla_upcycle(dense, cfg_for("vanilla"))
+        up = upcycle(dense, cfg_for("vanilla"))
         assert not np.array_equal(up.blocks[0].router.w_r, up.blocks[1].router.w_r)
 
     def test_init_base_recorded_and_aliased(self):
-        up = vanilla_upcycle(dense_fixture(depth=1), cfg_for("vanilla"))
+        up = upcycle(dense_fixture(depth=1), cfg_for("vanilla"))
         layer = up.blocks[0]
         assert layer.init_base_in is layer.group_in.base
         assert layer.method == "vanilla"
         assert not layer.trainable_base
 
     def test_universal_copy_added(self):
-        up = vanilla_upcycle(dense_fixture(depth=1), cfg_for("vanilla", parallel_universal=True))
+        up = upcycle(dense_fixture(depth=1), cfg_for("vanilla", parallel_universal=True))
         layer = up.blocks[0]
         assert layer.universal is not None
         assert np.array_equal(layer.universal.w_in, layer.group_in.base)
@@ -98,7 +91,7 @@ class TestVanilla:
     def test_does_not_mutate_dense(self):
         dense = dense_fixture(depth=1)
         before = dense.blocks[0].ffn.w_in.copy()
-        up = vanilla_upcycle(dense, cfg_for("vanilla"))
+        up = upcycle(dense, cfg_for("vanilla"))
         up.blocks[0].group_in.deltas[0].mat[0, 0] = 9.0
         up.blocks[0].group_in.base[0, 0] = 9.0
         assert np.array_equal(dense.blocks[0].ffn.w_in, before)
@@ -108,29 +101,29 @@ class TestDersSM:
     def test_per_matrix_trainable_count(self):
         # d=8, d_h=16, N=4, p=0.75 -> 128 + 4*32 == 256 == (1+4*0.25)*128
         dense = dense_fixture(depth=1)
-        up = ders_sm_upcycle(dense, cfg_for("ders_sm", sparse_rate=0.75))
+        up = upcycle(dense, cfg_for("ders_sm", sparse_rate=0.75))
         layer = up.blocks[0]
         count = layer.group_in.base.size + sum(len(dd.value) for dd in layer.group_in.deltas)
         assert count == 256
 
     def test_same_seed_identical_indices(self):
         dense = dense_fixture(depth=1)
-        a = ders_sm_upcycle(dense, cfg_for("ders_sm", sparse_rate=0.5))
-        b = ders_sm_upcycle(dense, cfg_for("ders_sm", sparse_rate=0.5))
+        a = upcycle(dense, cfg_for("ders_sm", sparse_rate=0.5))
+        b = upcycle(dense, cfg_for("ders_sm", sparse_rate=0.5))
         for i in range(4):
             assert np.array_equal(
                 a.blocks[0].group_in.deltas[i].index, b.blocks[0].group_in.deltas[i].index
             )
 
     def test_indices_differ_across_experts_and_matrices(self):
-        up = ders_sm_upcycle(dense_fixture(depth=1), cfg_for("ders_sm", sparse_rate=0.9))
+        up = upcycle(dense_fixture(depth=1), cfg_for("ders_sm", sparse_rate=0.9))
         layer = up.blocks[0]
         idx0 = layer.group_in.deltas[0].index
         idx1 = layer.group_in.deltas[1].index
         assert not np.array_equal(idx0, idx1)
 
     def test_extended_adds_folded_delta(self):
-        up = ders_sm_upcycle(
+        up = upcycle(
             dense_fixture(depth=1),
             cfg_for("ders_sm", parallel_universal=True, extended=True, sparse_rate=0.5),
         )
@@ -140,7 +133,7 @@ class TestDersSM:
         assert all(isinstance(dd, SparseDelta) for dd in layer.group_in.deltas)
 
     def test_freeze_shared_excludes_base(self):
-        up = ders_sm_upcycle(dense_fixture(depth=1), cfg_for("ders_sm", freeze_shared=True))
+        up = upcycle(dense_fixture(depth=1), cfg_for("ders_sm", freeze_shared=True))
         names = [n for n, _ in named_parameters(up)]
         assert not any(name.endswith(".base") for name in names)
         assert any(".value" in name for name in names)
@@ -149,7 +142,7 @@ class TestDersSM:
 class TestDersLM:
     def test_per_matrix_trainable_count(self):
         # d=8, d_h=16, N=4, r=2 -> 128 + 4*2*24 == 320
-        up = ders_lm_upcycle(dense_fixture(depth=1), cfg_for("ders_lm", rank=2))
+        up = upcycle(dense_fixture(depth=1), cfg_for("ders_lm", rank=2))
         layer = up.blocks[0]
         count = layer.group_in.base.size + sum(
             dd.a.size + dd.b.size for dd in layer.group_in.deltas
@@ -158,20 +151,20 @@ class TestDersLM:
 
     def test_rank_boundary(self):
         dense = dense_fixture(depth=1)  # min(d, d_h) == 8
-        ders_lm_upcycle(dense, cfg_for("ders_lm", rank=8))
+        upcycle(dense, cfg_for("ders_lm", rank=8))
         with pytest.raises(ConfigError):
-            ders_lm_upcycle(dense, cfg_for("ders_lm", rank=9))
+            upcycle(dense, cfg_for("ders_lm", rank=9))
 
     def test_deltas_are_lowrank_with_zero_b(self):
-        up = ders_lm_upcycle(dense_fixture(depth=1), cfg_for("ders_lm", rank=3))
+        up = upcycle(dense_fixture(depth=1), cfg_for("ders_lm", rank=3))
         for dd in up.blocks[0].group_in.deltas:
             assert isinstance(dd, LowRankDelta)
             assert np.array_equal(dd.b, np.zeros_like(dd.b))
 
     def test_reproducible_a_factors(self):
         dense = dense_fixture(depth=1)
-        a = ders_lm_upcycle(dense, cfg_for("ders_lm", rank=2))
-        b = ders_lm_upcycle(dense, cfg_for("ders_lm", rank=2))
+        a = upcycle(dense, cfg_for("ders_lm", rank=2))
+        b = upcycle(dense, cfg_for("ders_lm", rank=2))
         assert np.array_equal(a.blocks[0].group_in.deltas[0].a, b.blocks[0].group_in.deltas[0].a)
 
 
