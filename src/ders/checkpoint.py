@@ -184,9 +184,9 @@ def _load_float(records: dict, name: str, payload: bytes, dtype) -> np.ndarray:
 
 
 def _load_delta(desc: dict, name: str, records: dict, payload: bytes, dtype):
-    cls = DELTA_KINDS.get(desc["kind"])
+    cls = DELTA_KINDS.get(desc.get("kind"))
     if cls is None:
-        raise CorruptionError(f"checkpoint names unknown delta kind {desc['kind']!r}")
+        raise CorruptionError(f"checkpoint names unknown delta kind {desc.get('kind')!r}")
 
     def read(field: str, disk_dtype: str | None) -> np.ndarray:
         arr = _take(records, f"{name}.{field}", payload)

@@ -57,44 +57,68 @@ _METHOD_ALIASES = {
     "ders_lm": "ders_lm",
 }
 
-_TRAIN_KEYS = frozenset(
-    (
-        "steps",
-        "batch_size",
-        "lr",
-        "optimizer",
-        "beta1",
-        "beta2",
-        "eps",
-        "aux_loss_coeff",
-        "schedule",
-        "eval_every",
-        "seed",
-    )
-)
+# A config value's type: (what the error message says it must be, test).
+_INT = ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
+_NUMBER = ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool))
+_STRING = ("a string", lambda v: isinstance(v, str))
+_BOOL = ("true or false", lambda v: isinstance(v, bool))
+_NUMBERS = ("a list of numbers", lambda v: isinstance(v, list) and all(_NUMBER[1](x) for x in v))
+_INTS = ("a list of integers", lambda v: isinstance(v, list) and all(_INT[1](x) for x in v))
 
-_SCHEMA: dict[str, frozenset | None] = {
-    "seed": None,
-    "model": frozenset(("d", "d_h", "depth", "activation")),
-    "task": frozenset(("kind", "seed", "params")),
-    "pretrain": _TRAIN_KEYS,
-    "train": _TRAIN_KEYS,
-    "upcycle": frozenset(
-        (
-            "n_experts",
-            "topk_count",
-            "method",
-            "sparse_rate",
-            "rank",
-            "layer_pattern",
-            "parallel_universal",
-            "extended",
-            "freeze_shared",
-            "seed",
-        )
-    ),
-    "compress": frozenset(("technique", "drop_rate", "bit_width", "extended", "seed")),
-    "sweep": frozenset(("drop_rates", "bit_widths", "ranks")),
+_TRAIN_FIELDS = {
+    "steps": _INT,
+    "batch_size": _INT,
+    "lr": _NUMBER,
+    "optimizer": _STRING,
+    "beta1": _NUMBER,
+    "beta2": _NUMBER,
+    "eps": _NUMBER,
+    "aux_loss_coeff": _NUMBER,
+    "schedule": _STRING,
+    "eval_every": _INT,
+    "seed": _INT,
+}
+
+# Every config key with its type; a nested dict is a JSON object with its own keys.
+_SCHEMA: dict = {
+    "seed": _INT,
+    "model": {"d": _INT, "d_h": _INT, "depth": _INT, "activation": _STRING},
+    "task": {
+        "kind": _STRING,
+        "seed": _INT,
+        "params": {
+            "d": _INT,
+            "n_clusters": _INT,
+            "out_width": _INT,
+            "noise": _NUMBER,
+            "spread": _NUMBER,
+            "shift": _NUMBER,
+            "shift_seed": _INT,
+            "eval_size": _INT,
+        },
+    },
+    "pretrain": _TRAIN_FIELDS,
+    "train": _TRAIN_FIELDS,
+    "upcycle": {
+        "n_experts": _INT,
+        "topk_count": _INT,
+        "method": _STRING,
+        "sparse_rate": _NUMBER,
+        "rank": _INT,
+        "layer_pattern": _STRING,
+        "parallel_universal": _BOOL,
+        "extended": _BOOL,
+        "freeze_shared": _BOOL,
+        "seed": _INT,
+    },
+    "compress": {
+        "technique": _STRING,
+        "drop_rate": _NUMBER,
+        "bit_width": _INT,
+        "extended": _BOOL,
+        "seed": _INT,
+    },
+    "sweep": {"drop_rates": _NUMBERS, "bit_widths": _INTS, "ranks": _INTS},
 }
 
 
@@ -103,22 +127,19 @@ _SCHEMA: dict[str, frozenset | None] = {
 # ---------------------------------------------------------------------------
 
 
-def _validate_keys(data: dict) -> None:
-    for key, value in data.items():
-        if key not in _SCHEMA:
-            raise ConfigError(
-                f"unknown config key '{key}'; allowed: {sorted(_SCHEMA)}"
-            )
-        allowed = _SCHEMA[key]
-        if allowed is None:
-            continue
-        if not isinstance(value, dict):
-            raise ConfigError(f"config section '{key}' must be a JSON object")
-        for sub in value:
-            if sub not in allowed:
-                raise ConfigError(
-                    f"unknown config key '{key}.{sub}'; allowed: {sorted(allowed)}"
-                )
+def _validate(value, schema: dict, path: str = "") -> None:
+    """Reject unknown keys and wrongly typed values, naming the full key path."""
+    for key, item in value.items():
+        full = f"{path}{key}"
+        if key not in schema:
+            raise ConfigError(f"unknown config key '{full}'; allowed: {sorted(schema)}")
+        spec = schema[key]
+        if isinstance(spec, dict):
+            if not isinstance(item, dict):
+                raise ConfigError(f"config section '{full}' must be a JSON object")
+            _validate(item, spec, f"{full}.")
+        elif not spec[1](item):
+            raise ConfigError(f"config field '{full}' must be {spec[0]}, got {item!r}")
 
 
 def load_config(path: str | None) -> dict:
@@ -135,11 +156,9 @@ def load_config(path: str | None) -> dict:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
-    _validate_keys(data)
+    _validate(data, _SCHEMA)
     if "seed" not in data:
         raise ConfigError("config field 'seed' is required")
-    if not isinstance(data["seed"], int):
-        raise ConfigError("config field 'seed' must be an integer")
     return data
 
 

@@ -46,14 +46,14 @@ class DeltaWeight:
     """What every delta form defines; the four forms below fill it in.
 
     ``kind`` tags the form in checkpoints, ``HEADER`` names the scalar fields
-    kept in the checkpoint's JSON header and ``RECORDS`` the array fields
-    stored as payload records, in record order, each with its on-disk dtype
-    (``None``: the model's own float width). ``TRAINABLE`` names the arrays an
-    optimizer updates.
+    kept in the checkpoint's JSON header, each with its type, and ``RECORDS``
+    the array fields stored as payload records, in record order, each with its
+    on-disk dtype (``None``: the model's own float width). ``TRAINABLE`` names
+    the arrays an optimizer updates.
     """
 
     kind: ClassVar[str]
-    HEADER: ClassVar[tuple[str, ...]] = ()
+    HEADER: ClassVar[dict[str, type]] = {}
     RECORDS: ClassVar[tuple[tuple[str, str | None], ...]]
     TRAINABLE: ClassVar[tuple[str, ...]] = ()
 
@@ -67,8 +67,18 @@ class DeltaWeight:
 
     @classmethod
     def from_records(cls, desc: dict, read) -> DeltaWeight:
-        """Rebuild from a header entry; ``read(field, on_disk_dtype)`` loads a record."""
-        fields = {key: desc[key] for key in cls.HEADER}
+        """Rebuild from a header entry; ``read(field, on_disk_dtype)`` loads a record.
+
+        A header field that is missing or not of its declared type is corruption.
+        """
+        fields = {}
+        for key, kind in cls.HEADER.items():
+            value = desc.get(key)
+            if type(value) is not kind:
+                raise CorruptionError(
+                    f"{cls.kind} delta header field {key!r} is {value!r}, expected {kind.__name__}"
+                )
+            fields[key] = value
         fields.update((name, read(name, disk)) for name, disk in cls.RECORDS)
         return cls(**fields)
 
@@ -142,7 +152,7 @@ class SparseDelta(DeltaWeight):
     """
 
     kind = "sparse"
-    HEADER = ("rows", "cols", "rescale")
+    HEADER = {"rows": int, "cols": int, "rescale": float}
     RECORDS = (("index", "<u4"), ("value", None))
     TRAINABLE = ("value",)
 
@@ -248,7 +258,7 @@ class QuantizedDelta(DeltaWeight):
     """
 
     kind = "quantized"
-    HEADER = ("rows", "cols", "bit_width", "scale")
+    HEADER = {"rows": int, "cols": int, "bit_width": int, "scale": float}
     RECORDS = (("packed", "u1"),)
 
     rows: int

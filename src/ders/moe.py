@@ -187,10 +187,16 @@ class Model:
 # ---------------------------------------------------------------------------
 
 
-def route(router: Router, x: np.ndarray) -> np.ndarray:
-    """Routing scores for a row vector (or batch): softmax then top-k mask."""
+def route(router: Router, x: np.ndarray, tape: dict | None = None) -> np.ndarray:
+    """Routing scores for a row vector (or batch): softmax then top-k mask.
+
+    With a ``tape``, also records the batch's softmax ``probs`` for backprop.
+    """
     logits = numkern.matmul(np.atleast_2d(x), router.w_r)
-    scores = numkern.topk_mask(numkern.softmax(logits), router.topk_count)
+    probs = numkern.softmax(logits)
+    scores = numkern.topk_mask(probs, router.topk_count)
+    if tape is not None:
+        tape["probs"] = probs
     return scores[0] if np.asarray(x).ndim == 1 else scores
 
 
@@ -221,21 +227,12 @@ def _moe_forward_batch(
     last), and experts are synthesized once per call, only if some row routes
     to them.
     """
-    scores_full = route(layer.router, x)
+    tape = {"kind": "moe", "x": x, "experts": [], "universal": None} if record else None
+    scores_full = route(layer.router, x, tape)
+    if tape is not None:
+        tape["scores"] = scores_full
     n = layer.n_experts
     y = np.zeros((x.shape[0], layer.group_out.base.shape[1]), dtype=x.dtype)
-    tape: dict | None = None
-    if record:
-        logits = numkern.matmul(x, layer.router.w_r)
-        tape = {
-            "kind": "moe",
-            "x": x,
-            "logits": logits,
-            "probs": numkern.softmax(logits),
-            "scores": scores_full,
-            "experts": [],
-            "universal": None,
-        }
     for i in range(n):
         rows = np.flatnonzero(scores_full[:, i] != 0.0)
         if rows.size == 0:

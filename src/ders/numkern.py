@@ -5,8 +5,11 @@ dtype (float64 by default, float32 selectable). Every kernel here is pure and
 has a fixed, platform-independent summation order, so results are bit-reproducible:
 
 * ``matmul`` accumulates over the inner dimension in increasing index order,
-  which is exactly the naive triple-loop order per output element. BLAS is
-  deliberately not used (its blocked summation is not bit-stable across shapes).
+  starting from +0.0, which is exactly the naive triple-loop order per output
+  element. It has two ways to evaluate that one order (a broadcast product
+  reduced over its outermost axis, or a Python loop of rank-1 updates) and
+  picks one by shape; both give the same bytes. BLAS is deliberately not used
+  (its blocked summation is not bit-stable across shapes).
 * Randomness comes from counter-based Philox streams keyed by
   ``(seed, stream_id)``; identical keys give identical draws on any platform,
   independent of call order elsewhere in the program.
@@ -103,21 +106,57 @@ def derive_stream_id(*parts: int | str) -> int:
     return h
 
 
+# Elements in the broadcast product's (inner, rows, cols) temporary, one
+# buffer per call: large enough that the per-block overhead is small, small
+# enough to stay in cache and out of the peak RSS.
+_BROADCAST_BLOCK = 1 << 16
+
+
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product with a deterministic summation order.
 
-    Accumulates ``out += a[:, k] * b[k, :]`` for k = 0..inner-1, which performs
-    the additions for each output element in exactly the order of the naive
-    triple loop. Rows are independent, so the product of a batch equals the
-    stacked products of its rows bit-for-bit.
+    Every output element is ``((0.0 + a[i,0]·b[0,j]) + a[i,1]·b[1,j]) + …``,
+    in increasing k, exactly the naive triple loop. Two evaluations give those
+    bytes:
+
+    * the broadcast product: near-equal blocks of rows form all their
+      products at once in a C-ordered ``(inner, rows, cols)`` buffer, and
+      ``np.add.reduce`` sums it over axis 0 with ``initial=0.0``. Because the
+      summed axis is the outermost one, numpy adds whole rows in k order; a
+      temporary in any other layout (numpy's default follows the operands,
+      and a transposed ``b`` makes k the contiguous axis) is reduced pairwise
+      instead. The initial +0.0 is the loop's own start, so products that are
+      all −0.0 sum to +0.0;
+    * the k-loop ``out += a[:, k] * b[k, :]``, wherever a block would hold a
+      single output element (1×1 outputs, or one column of rows too wide to
+      pair up: numpy reduces a lone element's axis pairwise, whatever the
+      layout) or one row needs more than the block.
+
+    Rows are independent, so the product of a batch equals the stacked
+    products of its rows bit-for-bit.
     """
     if a.ndim != 2 or b.ndim != 2:
         raise DimensionError(f"matmul needs 2-D operands, got ndim {a.ndim} and {b.ndim}")
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.result_type(a, b))
-    for k in range(a.shape[1]):
-        out += a[:, k : k + 1] * b[k : k + 1, :]
+    (n, inner), cols = a.shape, b.shape[1]
+    dtype = np.result_type(a, b)
+    row_size = inner * cols
+    rows = min(n, _BROADCAST_BLOCK // max(row_size, 1))
+    blocks = -(-n // rows) if rows else 0
+    if not blocks or n // blocks * cols < 2:
+        out = np.zeros((n, cols), dtype=dtype)
+        for k in range(inner):
+            out += a[:, k : k + 1] * b[k : k + 1, :]
+        return check_finite(out, "matmul output")
+    out = np.empty((n, cols), dtype=dtype)
+    bounds = [n * i // blocks for i in range(blocks + 1)]
+    flat = np.empty(-(-n // blocks) * row_size, dtype=dtype)
+    a_t = a.T
+    for r0, r1 in zip(bounds, bounds[1:]):
+        buf = flat[: (r1 - r0) * row_size].reshape(inner, r1 - r0, cols)
+        np.multiply(a_t[:, r0:r1, None], b[:, None, :], out=buf)
+        np.add.reduce(buf, axis=0, initial=0.0, out=out[r0:r1])
     return check_finite(out, "matmul output")
 
 

@@ -1,5 +1,6 @@
 """Checkpoint container: bit-exact round trips, corruption and version checks."""
 
+import json
 import os
 import struct
 
@@ -217,6 +218,39 @@ class TestFailureModes:
         with open(path, "wb") as fh:
             fh.write(blob)
         with pytest.raises(CorruptionError, match="float16"):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "technique,kw,field,value",
+        [
+            ("sparsify", {"drop_rate": 0.5}, "rows", None),
+            ("sparsify", {"drop_rate": 0.5}, "rows", "5"),
+            ("sparsify", {"drop_rate": 0.5}, "rescale", True),
+            ("quantize", {"bit_width": 4}, "bit_width", 4.0),
+            ("quantize", {"bit_width": 4}, "scale", None),
+        ],
+    )
+    def test_missing_or_mistyped_delta_header_field_rejected(
+        self, technique, kw, field, value, tmp_path
+    ):
+        """A delta header field deleted (``None``) or of the wrong JSON type is
+        corruption, not a ``KeyError`` or ``TypeError`` from deep in the load."""
+        path = str(tmp_path / "c.ckpt")
+        save_model(ders_compress(vanilla_model(), CompressionSpec(technique, seed=5, **kw)), path)
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        (header_len,) = struct.unpack_from("<I", blob, 8)
+        header = json.loads(blob[12 : 12 + header_len])
+        entry = next(b for b in header["model"]["blocks"] if b["kind"] == "moe")
+        entry = entry["group_in"]["deltas"][0]
+        if value is None:
+            del entry[field]
+        else:
+            entry[field] = value
+        edited = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        with open(path, "wb") as fh:
+            fh.write(blob[:8] + struct.pack("<I", len(edited)) + edited + blob[12 + header_len :])
+        with pytest.raises(CorruptionError, match=field):
             load_model(path)
 
     def test_newer_version_rejected(self, tmp_path):

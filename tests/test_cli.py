@@ -223,6 +223,37 @@ class TestExitCodes:
         assert field in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "command,section,field,value",
+        [
+            ("pretrain-dense", "model", "d", "8"),
+            ("pretrain-dense", "task", "params", [1]),
+            ("upcycle", "upcycle", "n_experts", True),
+            ("compress", "compress", "drop_rate", "0.5"),
+        ],
+    )
+    def test_wrongly_typed_config_field_exit_2(
+        self, tmp_path, capsys, command, section, field, value
+    ):
+        cfg = write_config(tmp_path, {section: {field: value}})
+        assert run(command, "--config", cfg, "--out", str(tmp_path / "run")) == 2
+        assert f"'{section}.{field}'" in capsys.readouterr().err
+
+    def test_missing_delta_header_field_exit_3(self, tmp_path, pipeline, capsys):
+        cfg, out = pipeline
+        with open(os.path.join(out, "compressed.ckpt"), "rb") as fh:
+            blob = fh.read()
+        (header_len,) = struct.unpack_from("<I", blob, 8)
+        header = json.loads(blob[12 : 12 + header_len])
+        moe = next(b for b in header["model"]["blocks"] if b["kind"] == "moe")
+        del moe["group_in"]["deltas"][0]["rows"]
+        edited = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        damaged = str(tmp_path / "damaged.ckpt")
+        with open(damaged, "wb") as fh:
+            fh.write(blob[:8] + struct.pack("<I", len(edited)) + edited + blob[12 + header_len :])
+        assert run("eval", "--config", cfg, "--out", str(tmp_path), "--ckpt", damaged) == 3
+        assert "'rows'" in capsys.readouterr().err
+
 class TestDeterminismAndThreads:
     def test_reruns_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, {"pretrain": {"steps": 40}, "train": {"steps": 30}})

@@ -5,10 +5,61 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import rng_mat, triple_loop_matmul
 from ders import numkern
 from ders.errors import DimensionError, NumericError, ParameterError
+
+
+_CASE_DEFAULTS = {
+    "dtype": "float64",
+    "seed": 0,
+    "zeros": 0.0,
+    "neg_zero_row": False,
+    "transpose_a": False,
+    "transpose_b": False,
+}
+
+
+def _case(n, inner, m, **options):
+    """An (n × inner) · (inner × m) property case; ``options`` override the defaults."""
+    return {"n": n, "inner": inner, "m": m, **_CASE_DEFAULTS, **options}
+
+
+_MATMUL_CASES = st.builds(
+    _case,
+    n=st.integers(1, 70),
+    inner=st.integers(1, 70),
+    m=st.integers(1, 70),
+    dtype=st.sampled_from(["float64", "float32"]),
+    seed=st.integers(0, 2**32 - 1),
+    zeros=st.sampled_from([0.0, 0.1, 0.5]),
+    neg_zero_row=st.booleans(),
+    transpose_a=st.booleans(),
+    transpose_b=st.booleans(),
+)
+
+
+def _operands(case):
+    """Random operands with injected +0.0/-0.0 entries, optionally a first
+    row of ``a`` whose products with column 0 of ``b`` are all -0.0, and
+    optionally as transposed views of Fortran-ordered copies."""
+    g = np.random.default_rng(case["seed"])
+    a = g.standard_normal((case["n"], case["inner"])).astype(case["dtype"])
+    b = g.standard_normal((case["inner"], case["m"])).astype(case["dtype"])
+    for arr in (a, b):
+        hit = g.random(arr.shape) < case["zeros"]
+        arr[hit] = np.where(g.random(arr.shape) < 0.5, 0.0, -0.0)[hit]
+    if case["neg_zero_row"]:
+        a[0] = -0.0
+        b[:, 0] = np.abs(b[:, 0])
+    if case["transpose_a"]:
+        a = np.ascontiguousarray(a.T).T
+    if case["transpose_b"]:
+        b = np.ascontiguousarray(b.T).T
+    return a, b
 
 
 class TestMatmul:
@@ -24,20 +75,52 @@ class TestMatmul:
     def test_matches_triple_loop_oracle_exactly(self):
         a = rng_mat((7, 5), seed=1)
         b = rng_mat((5, 3), seed=2)
-        assert np.array_equal(numkern.matmul(a, b), triple_loop_matmul(a, b))
+        assert numkern.matmul(a, b).tobytes() == triple_loop_matmul(a, b).tobytes()
 
     def test_matches_oracle_float32(self):
         numkern.set_default_dtype("float32")
         a = rng_mat((6, 9), seed=3)
         b = rng_mat((9, 4), seed=4)
-        assert np.array_equal(numkern.matmul(a, b), triple_loop_matmul(a, b))
+        assert numkern.matmul(a, b).tobytes() == triple_loop_matmul(a, b).tobytes()
 
     def test_batch_rows_equal_single_rows_bitwise(self):
         a = rng_mat((11, 8), seed=5)
         b = rng_mat((8, 6), seed=6)
         full = numkern.matmul(a, b)
         for i in range(a.shape[0]):
-            assert np.array_equal(full[i], numkern.matmul(a[i : i + 1], b)[0])
+            assert full[i].tobytes() == numkern.matmul(a[i : i + 1], b)[0].tobytes()
+
+    @pytest.mark.parametrize("block", [None, 64])
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(case=_MATMUL_CASES)
+    @example(case=_case(1, 1, 1))
+    @example(case=_case(1, 9, 1))
+    @example(case=_case(1, 70, 1, neg_zero_row=True))
+    @example(case=_case(2, 70, 1, neg_zero_row=True, transpose_b=True))
+    @example(case=_case(16, 17, 1))  # at block 64 the last block is one element
+    @example(case=_case(70, 70, 70, transpose_b=True))
+    @example(case=_case(33, 64, 2, dtype="float32", transpose_a=True, zeros=0.3))
+    def test_bytes_match_triple_loop_oracle(self, block, case):
+        """Either evaluation, any layout, float32 or float64, signed zeros:
+        the bytes of the naive triple loop, and batch == stacked rows."""
+        a, b = _operands(case)
+        with pytest.MonkeyPatch.context() as mp:
+            if block is not None:
+                # A small block puts the generated shapes on both sides of the
+                # wide-row switch and splits most outputs into several blocks.
+                mp.setattr(numkern, "_BROADCAST_BLOCK", block)
+            out = numkern.matmul(a, b)
+            rows = [numkern.matmul(a[i : i + 1], b) for i in range(a.shape[0])]
+        expected = triple_loop_matmul(a, b)
+        assert out.dtype == expected.dtype and out.shape == expected.shape
+        assert out.tobytes() == expected.tobytes()
+        assert np.concatenate(rows).tobytes() == out.tobytes()
+
+    def test_wide_row_takes_the_loop_and_matches_oracle(self):
+        assert 300 * 300 > numkern._BROADCAST_BLOCK
+        a = rng_mat((2, 300), seed=12)
+        b = rng_mat((300, 300), seed=13)
+        assert numkern.matmul(a, b).tobytes() == triple_loop_matmul(a, b).tobytes()
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError, match=r"\(2, 3\) x \(2, 3\)"):
