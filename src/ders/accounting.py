@@ -20,6 +20,8 @@ import csv
 import json
 from dataclasses import dataclass, asdict
 
+import numpy as np
+
 from .deltas import init_lowrank_trainable, init_sparse_trainable, sparse_keep_count
 from .errors import ParameterError
 from .moe import DenseBlock, MoELayer, Model, named_parameters
@@ -222,17 +224,15 @@ def formula_check(entries, seed: int = 0) -> list[dict]:
             for i in range(n_experts):
                 if sparse_keep_count(d, d_h, value) == 0:
                     continue  # degenerate: nothing kept for this expert
-                delta = init_sparse_trainable(
-                    d, d_h, value, RngStream(seed, derive_stream_id("formula", idx, i))
-                )
+                rng = RngStream(seed, derive_stream_id("formula", idx, i))
+                delta = init_sparse_trainable(d, d_h, value, rng, np.float64)
                 walk += delta.stored_values()
         elif kind == "r":
             formula = float(total + n_experts * value * (d + d_h))
             allowed = 0.0
             for i in range(n_experts):
-                delta = init_lowrank_trainable(
-                    d, d_h, value, RngStream(seed, derive_stream_id("formula", idx, i))
-                )
+                rng = RngStream(seed, derive_stream_id("formula", idx, i))
+                delta = init_lowrank_trainable(d, d_h, value, rng, np.float64)
                 walk += delta.stored_values()
         else:
             raise ParameterError(f"formula_check kind must be 'p' or 'r', got {kind!r}")

@@ -159,28 +159,6 @@ def cosine_report(model: Model) -> SimilarityReport:
     return SimilarityReport(schema_version=SCHEMA_VERSION, note=NOTE, layers=layers)
 
 
-def delta_stats(model: Model) -> list[dict]:
-    """Per-expert delta Frobenius norms and base-norm ratios, per layer/matrix."""
-    rows = []
-    for j, inits in choose_base(model).items():
-        block = model.blocks[j]
-        for tag, group, init in zip(("w_in", "w_out"), (block.group_in, block.group_out), inits):
-            base_norm = _norm(init)
-            for i, delta in enumerate(group.deltas):
-                norm = _norm(decompose(init, synthesize(group.base, delta)).mat)
-                rows.append(
-                    {
-                        "block": j,
-                        "matrix": tag,
-                        "member": f"E{i + 1}",
-                        "delta_norm": norm,
-                        "base_norm": base_norm,
-                        "ratio": norm / base_norm if base_norm > 0.0 else None,
-                    }
-                )
-    return rows
-
-
 def similarity_to_csv(report: SimilarityReport) -> str:
     """Heatmap-ready rows: block, matrix, row, col, value.
 

@@ -17,7 +17,8 @@ base to the live group base; the alias (not a second copy) is preserved
 across save/load. Writes are atomic: a temp file in the target directory
 is renamed over the destination. Loading rejects wrong magic, truncation,
 checksum failures and unknown float dtypes as corruption, and any newer
-format version outright.
+format version outright. A float record or delta header scalar that is not
+finite is refused as a numeric error.
 """
 
 from __future__ import annotations
@@ -33,12 +34,12 @@ import numpy as np
 from .deltas import DELTA_KINDS, ExpertGroup
 from .errors import CorruptionError, StateError
 from .moe import DenseBlock, FFN, Model, MoELayer, Router
+from .numkern import check_finite
 
 MAGIC = b"DERS"
 FORMAT_VERSION = 1
 
 _FLOAT_TAGS = {"float64": "<f8", "float32": "<f4"}
-_BYTE_DTYPE = "u1"
 
 
 def _float_tag(model: Model) -> str:
@@ -126,7 +127,7 @@ def save_model(model: Model, path: str, meta: dict | None = None) -> None:
         records.append(
             {
                 "name": name,
-                "dtype": arr.dtype.str if arr.dtype.str != "|u1" else _BYTE_DTYPE,
+                "dtype": arr.dtype.str.lstrip("|"),
                 "shape": list(arr.shape),
                 "offset": offset,
                 "nbytes": len(data),
@@ -170,12 +171,16 @@ def _take(records: dict, name: str, payload: bytes) -> np.ndarray:
         raise CorruptionError(f"checkpoint is missing record {name!r}")
     rec = records[name]
     start, nbytes = rec["offset"], rec["nbytes"]
-    if start + nbytes > len(payload):
-        raise CorruptionError(f"record {name!r} extends past the payload (truncated file?)")
+    if start < 0 or nbytes < 0 or start + nbytes > len(payload):
+        raise CorruptionError(
+            f"record {name!r} lies outside the payload (bad offset or truncated file)"
+        )
     flat = np.frombuffer(payload[start : start + nbytes], dtype=np.dtype(rec["dtype"]))
     expected = int(np.prod(rec["shape"])) if rec["shape"] else 1
     if flat.size != expected:
         raise CorruptionError(f"record {name!r} holds {flat.size} items, expected {expected}")
+    if flat.dtype.kind == "f":
+        check_finite(flat, f"checkpoint record {name!r}")
     return flat.reshape(rec["shape"]).copy()
 
 
@@ -196,8 +201,8 @@ def _load_delta(desc: dict, name: str, records: dict, payload: bytes, dtype):
 
 
 def load_model(path: str) -> tuple[Model, dict]:
-    """Read a checkpoint; returns (model, meta). Rejects corruption and
-    any format version newer than this library understands."""
+    """Read a checkpoint; returns (model, meta). Rejects corruption, any
+    format version newer than this library understands, and non-finite floats."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 12 or blob[:4] != MAGIC:
@@ -222,6 +227,14 @@ def load_model(path: str) -> tuple[Model, dict]:
 
     if header.get("dtype") not in _FLOAT_TAGS:
         raise CorruptionError(f"{path} names unknown float dtype {header.get('dtype')!r}")
+    try:
+        return _build_model(header, payload), header.get("meta", {})
+    except KeyError as exc:
+        raise CorruptionError(f"{path} header lacks the field {exc}") from exc
+
+
+def _build_model(header: dict, payload: bytes) -> Model:
+    """The model a checked header and payload describe."""
     dtype = np.dtype(header["dtype"])
     records = {rec["name"]: rec for rec in header["records"]}
     topo = header["model"]
@@ -281,7 +294,7 @@ def load_model(path: str) -> tuple[Model, dict]:
                 init_base_out=init_bases["init_base_out"],
             )
         )
-    model = Model(
+    return Model(
         d=topo["d"],
         d_h=topo["d_h"],
         in_width=topo["in_width"],
@@ -292,4 +305,3 @@ def load_model(path: str) -> tuple[Model, dict]:
         ancestor_params=topo["ancestor_params"],
         activation=topo["activation"],
     )
-    return model, header.get("meta", {})

@@ -229,21 +229,20 @@ class Experiment:
     def compression_spec(self, args) -> CompressionSpec:
         section = self._section("compress")
         section.setdefault("seed", self.seed)
-        technique = section.get("technique")
+        if args.drop_rate is not None and args.bit_width is not None:
+            raise ConfigError(
+                "--drop-rate selects the sparsify technique and --bit-width the quantize "
+                "technique: pass at most one"
+            )
         if args.drop_rate is not None:
-            section["drop_rate"] = args.drop_rate
-            if technique is None and args.bit_width is None:
-                technique = "sparsify"
-        if args.bit_width is not None:
-            section["bit_width"] = args.bit_width
-            if technique is None and args.drop_rate is None:
-                technique = "quantize"
-        if technique is None:
+            section.update(technique="sparsify", drop_rate=args.drop_rate)
+        elif args.bit_width is not None:
+            section.update(technique="quantize", bit_width=args.bit_width)
+        elif "technique" not in section:
             raise ConfigError(
                 "compression technique unspecified: set 'compress.technique' or pass "
-                "exactly one of --drop-rate / --bit-width"
+                "one of --drop-rate / --bit-width"
             )
-        section["technique"] = technique
         if args.extended is not None:
             section["extended"] = args.extended
         try:
@@ -360,7 +359,12 @@ def _cmd_train(args, out: str) -> int:
     exp = Experiment(load_config(args.config), args.seed)
     task = exp.task()
     moe, _ = _load_ckpt(os.path.join(out, "moe.ckpt"))
-    result = train_loop(moe, task, exp.train_config("train"))
+    try:
+        result = train_loop(moe, task, exp.train_config("train"))
+    except NumericError as exc:
+        # Divergence: keep the steps that completed before it.
+        _write_text(os.path.join(out, "metrics.csv"), _metrics_csv(exc.trace))
+        raise
     save_model(
         result.model,
         os.path.join(out, "trained.ckpt"),

@@ -32,7 +32,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import numkern
-from .errors import CorruptionError, DimensionError, ParameterError, StateError
+from .errors import CorruptionError, DimensionError, NumericError, ParameterError, StateError
 
 SUPPORTED_BIT_WIDTHS = (1, 2, 4, 8, 16)
 
@@ -69,7 +69,8 @@ class DeltaWeight:
     def from_records(cls, desc: dict, read) -> DeltaWeight:
         """Rebuild from a header entry; ``read(field, on_disk_dtype)`` loads a record.
 
-        A header field that is missing or not of its declared type is corruption.
+        A header field that is missing or not of its declared type is corruption;
+        a float field that is not finite is a numeric error.
         """
         fields = {}
         for key, kind in cls.HEADER.items():
@@ -78,6 +79,8 @@ class DeltaWeight:
                 raise CorruptionError(
                     f"{cls.kind} delta header field {key!r} is {value!r}, expected {kind.__name__}"
                 )
+            if kind is float and not np.isfinite(value):
+                raise NumericError(f"{cls.kind} delta header field {key!r} is {value!r}")
             fields[key] = value
         fields.update((name, read(name, disk)) for name, disk in cls.RECORDS)
         return cls(**fields)
@@ -481,13 +484,14 @@ def sparse_keep_count(rows: int, cols: int, sparse_rate: float) -> int:
 
 
 def init_sparse_trainable(
-    rows: int, cols: int, sparse_rate: float, rng: numkern.RngStream
+    rows: int, cols: int, sparse_rate: float, rng: numkern.RngStream, dtype
 ) -> SparseDelta:
     """Trainable sparse delta: fixed random index set, zero-initialized values.
 
     Keeps round(rows·cols·(1−sparse_rate)) positions (round-half-up), sampled
-    uniformly without replacement; values start at zero so synthesis returns
-    the base unchanged. rescale is 1.0 — the values are learned directly.
+    uniformly without replacement; values start at zero (in ``dtype``, the
+    refined weight's) so synthesis returns the base unchanged. rescale is
+    1.0 — the values are learned directly.
     """
     total = rows * cols
     keep = sparse_keep_count(rows, cols, sparse_rate)
@@ -496,7 +500,7 @@ def init_sparse_trainable(
             f"sparse_rate={sparse_rate} keeps zero of {total} entries (degenerate expert)"
         )
     index = numkern.sample_unique_indices(total, keep, rng)
-    value = np.zeros(keep, dtype=numkern.get_default_dtype())
+    value = np.zeros(keep, dtype=dtype)
     return SparseDelta(rows, cols, index, value, rescale=1.0)
 
 
@@ -505,9 +509,11 @@ def init_lowrank_trainable(
     cols: int,
     rank: int,
     rng: numkern.RngStream,
+    dtype,
     init_scale: float | None = None,
 ) -> LowRankDelta:
-    """Trainable low-rank delta: A random-uniform, B zero (so A·B starts at 0).
+    """Trainable low-rank delta: A random-uniform, B zero (so A·B starts at 0),
+    both in ``dtype``, the refined weight's.
 
     ``init_scale`` defaults to 1/sqrt(rows), keeping early-training gradient
     magnitudes comparable across ranks.
@@ -516,7 +522,6 @@ def init_lowrank_trainable(
         raise ParameterError(f"rank={rank} out of range [1, {min(rows, cols)}]")
     if init_scale is None:
         init_scale = 1.0 / float(np.sqrt(rows))
-    dtype = numkern.get_default_dtype()
     a = rng.generator.uniform(-init_scale, init_scale, size=(rows, rank)).astype(dtype)
     b = np.zeros((rank, cols), dtype=dtype)
     return LowRankDelta(a, b)

@@ -285,6 +285,7 @@ def _forward(model: Model, batch: np.ndarray, record: bool) -> tuple[np.ndarray,
         x = x.reshape(1, -1)
     if x.ndim != 2 or x.shape[1] != model.in_width:
         raise DimensionError(f"batch is {x.shape}, expected (*, {model.in_width})")
+    numkern.check_finite(x, "the input batch")
     tape: dict | None = None
     h = numkern.matmul(x, model.embed)
     if record:
@@ -299,7 +300,7 @@ def _forward(model: Model, batch: np.ndarray, record: bool) -> tuple[np.ndarray,
         h = h + out  # residual connection
         if record:
             tape["blocks"].append(block_tape)
-    pred = numkern.matmul(h, model.readout)
+    pred = numkern.check_finite(numkern.matmul(h, model.readout), "the prediction")
     if record:
         tape["h_final"] = h
         tape["pred"] = pred
@@ -338,20 +339,17 @@ def build_dense_model(
 ) -> Model:
     """A fresh dense model: embed, ``depth`` residual FFN blocks, readout.
 
-    All matrices are uniform(−1/√fan_in, 1/√fan_in) from per-matrix streams of
-    ``seed``; no biases anywhere.
+    All matrices are float64, uniform(−1/√fan_in, 1/√fan_in) from per-matrix
+    streams of ``seed``; no biases anywhere.
     """
     if depth < 0:
         raise ParameterError("depth must be >= 0")
     if min(d, d_h, in_width, out_width) < 1:
         raise ParameterError("model dimensions must be >= 1")
-    dtype = numkern.get_default_dtype()
 
     def init(rows, cols, *stream_parts):
         rng = numkern.RngStream(seed, numkern.derive_stream_id(*stream_parts))
-        return rng.generator.uniform(-1.0 / np.sqrt(rows), 1.0 / np.sqrt(rows), (rows, cols)).astype(
-            dtype
-        )
+        return rng.generator.uniform(-1.0 / np.sqrt(rows), 1.0 / np.sqrt(rows), (rows, cols))
 
     embed = init(in_width, d, "embed")
     blocks = [

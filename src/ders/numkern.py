@@ -1,8 +1,10 @@
 """Deterministic dense numeric kernels and seeded randomness.
 
-Matrices are 2-D ``numpy.ndarray`` values (row-major) in the module-wide default
-dtype (float64 by default, float32 selectable). Every kernel here is pure and
-has a fixed, platform-independent summation order, so results are bit-reproducible:
+Matrices are 2-D ``numpy.ndarray`` values (row-major). There is no module-wide
+dtype: a kernel's result takes the dtype of its operands, and the toolkit
+builds everything in float64 unless it is handed float32 arrays. Every kernel
+here is pure and has a fixed, platform-independent summation order, so results
+are bit-reproducible:
 
 * ``matmul`` accumulates over the inner dimension in increasing index order,
   starting from +0.0, which is exactly the naive triple-loop order per output
@@ -10,6 +12,10 @@ has a fixed, platform-independent summation order, so results are bit-reproducib
   reduced over its outermost axis, or a Python loop of rank-1 updates) and
   picks one by shape; both give the same bytes. BLAS is deliberately not used
   (its blocked summation is not bit-stable across shapes).
+* ``matmul`` does not check finiteness. Values are checked where they enter
+  and leave a stage: the input batch and the prediction of a forward pass, the
+  loss and each gradient, and every float of a loaded checkpoint. ``softmax``
+  keeps its input check, once per routing call.
 * Randomness comes from counter-based Philox streams keyed by
   ``(seed, stream_id)``; identical keys give identical draws on any platform,
   independent of call order elsewhere in the program.
@@ -26,37 +32,10 @@ from .errors import DimensionError, NumericError, ParameterError
 
 _MASK64 = (1 << 64) - 1
 
-_DTYPE = np.float64
 
-
-def set_default_dtype(name: str) -> None:
-    """Select the global float dtype: ``"float64"`` (default) or ``"float32"``."""
-    global _DTYPE
-    if name == "float64":
-        _DTYPE = np.float64
-    elif name == "float32":
-        _DTYPE = np.float32
-    else:
-        raise ParameterError(f"unsupported dtype {name!r}; use 'float64' or 'float32'")
-
-
-def get_default_dtype() -> np.dtype:
-    return np.dtype(_DTYPE)
-
-
-def dtype_bits(dtype=None) -> int:
-    """Bit width of ``dtype`` (default: the current default dtype)."""
-    return np.dtype(dtype if dtype is not None else get_default_dtype()).itemsize * 8
-
-
-def as_matrix(data) -> np.ndarray:
-    """Coerce nested sequences / arrays to a C-contiguous 2-D matrix."""
-    m = np.ascontiguousarray(data, dtype=_DTYPE)
-    if m.ndim == 1:
-        m = m.reshape(1, -1)
-    if m.ndim != 2:
-        raise DimensionError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    return m
+def dtype_bits(dtype) -> int:
+    """Bit width of ``dtype``."""
+    return np.dtype(dtype).itemsize * 8
 
 
 def check_finite(arr: np.ndarray, context: str) -> np.ndarray:
@@ -148,7 +127,7 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         out = np.zeros((n, cols), dtype=dtype)
         for k in range(inner):
             out += a[:, k : k + 1] * b[k : k + 1, :]
-        return check_finite(out, "matmul output")
+        return out
     out = np.empty((n, cols), dtype=dtype)
     bounds = [n * i // blocks for i in range(blocks + 1)]
     flat = np.empty(-(-n // blocks) * row_size, dtype=dtype)
@@ -157,7 +136,7 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         buf = flat[: (r1 - r0) * row_size].reshape(inner, r1 - r0, cols)
         np.multiply(a_t[:, r0:r1, None], b[:, None, :], out=buf)
         np.add.reduce(buf, axis=0, initial=0.0, out=out[r0:r1])
-    return check_finite(out, "matmul output")
+    return out
 
 
 def softmax(v: np.ndarray) -> np.ndarray:
@@ -211,7 +190,7 @@ def bernoulli_mask(p: float, rows: int, cols: int, rng: RngStream) -> np.ndarray
     if rows < 0 or cols < 0:
         raise ParameterError("mask dimensions must be non-negative")
     draws = rng.generator.random((rows, cols)) < p
-    return draws.astype(_DTYPE)
+    return draws.astype(np.float64)
 
 
 def sample_unique_indices(total: int, keep: int, rng: RngStream) -> np.ndarray:

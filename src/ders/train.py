@@ -108,13 +108,10 @@ class SyntheticTask:
 
     def _centers_and_maps(self):
         if "maps" not in self._cache:
-            dtype = numkern.get_default_dtype()
             g = numkern.RngStream(self.seed, numkern.derive_stream_id("task", "centers")).generator
-            centers = (self.spread * g.standard_normal((self.n_clusters, self.d))).astype(dtype)
+            centers = self.spread * g.standard_normal((self.n_clusters, self.d))
             g = numkern.RngStream(self.seed, numkern.derive_stream_id("task", "maps")).generator
-            maps = (
-                g.standard_normal((self.n_clusters, self.d, self.out_width)) / np.sqrt(self.d)
-            ).astype(dtype)
+            maps = g.standard_normal((self.n_clusters, self.d, self.out_width)) / np.sqrt(self.d)
             if self.shift != 0.0:
                 gs = numkern.RngStream(
                     self.seed, numkern.derive_stream_id("task", "shift", self.shift_seed)
@@ -123,7 +120,7 @@ class SyntheticTask:
                     self.shift
                     * gs.standard_normal((self.n_clusters, self.d, self.out_width))
                     / np.sqrt(self.d)
-                ).astype(dtype)
+                )
             self._cache["centers"] = centers
             self._cache["maps"] = maps
         return self._cache["centers"], self._cache["maps"]
@@ -141,7 +138,7 @@ class SyntheticTask:
 
     def _onehot_pairs(self, pairs: np.ndarray) -> np.ndarray:
         m = self.n_clusters
-        x = np.zeros((len(pairs), 2 * m), dtype=numkern.get_default_dtype())
+        x = np.zeros((len(pairs), 2 * m), dtype=np.float64)
         x[np.arange(len(pairs)), pairs[:, 0]] = 1.0
         x[np.arange(len(pairs)), m + pairs[:, 1]] = 1.0
         return x
@@ -150,7 +147,7 @@ class SyntheticTask:
         centers, maps = self._centers_and_maps()
         g = rng.generator
         c = g.integers(0, self.n_clusters, size=n)
-        x = (centers[c] + g.standard_normal((n, self.d))).astype(numkern.get_default_dtype())
+        x = centers[c] + g.standard_normal((n, self.d))
         y = np.zeros((n, self.out_width), dtype=x.dtype)
         for ci in range(self.n_clusters):
             rows = np.flatnonzero(c == ci)
@@ -389,6 +386,8 @@ def loss_parts(model: Model, batch, task: SyntheticTask, aux_loss_coeff: float =
             d_block_in = _mm(d_hidden, ffn.w_in.T)
         d_h = d_h + d_block_in  # residual path
     grads["embed"] += _mm(tape["x_in"].T, d_h)
+    for name, grad in grads.items():
+        numkern.check_finite(grad, f"the gradient of {name}")
     return total, (task_loss, aux_raw), grads
 
 

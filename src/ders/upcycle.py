@@ -93,12 +93,10 @@ def selected_layers(depth: int, pattern: str) -> list[int]:
     return picked
 
 
-def _router(d: int, n_experts: int, topk: int, seed: int, layer_idx: int) -> Router:
+def _router(d: int, n_experts: int, topk: int, seed: int, layer_idx: int, dtype) -> Router:
     rng = numkern.RngStream(seed, numkern.derive_stream_id("router", layer_idx))
     bound = 1.0 / float(np.sqrt(d))
-    w_r = rng.generator.uniform(-bound, bound, (d, n_experts)).astype(
-        numkern.get_default_dtype()
-    )
+    w_r = rng.generator.uniform(-bound, bound, (d, n_experts)).astype(dtype)
     return Router(w_r, topk)
 
 
@@ -111,20 +109,22 @@ def _dense_stored_values(model: Model) -> int:
     return total
 
 
-def _initial_delta(cfg: UpcycleConfig, j: int, mat_tag: str, i: int, shape: tuple[int, int]):
-    """Expert i's delta for matrix ``mat_tag`` of block j, at its upcycle-time value."""
+def _initial_delta(cfg: UpcycleConfig, j: int, mat_tag: str, i: int, w: np.ndarray):
+    """Expert i's delta refining weight ``w`` (matrix ``mat_tag`` of block j), at
+    its upcycle-time value, in ``w``'s shape and dtype."""
     if cfg.method == "vanilla":
-        return DenseDelta(np.zeros(shape, dtype=numkern.get_default_dtype()))
+        return DenseDelta(np.zeros_like(w))
     rng = numkern.RngStream(cfg.seed, numkern.derive_stream_id("delta", j, mat_tag, i))
+    rows, cols = w.shape
     if cfg.method == "ders_sm":
-        return init_sparse_trainable(shape[0], shape[1], cfg.sparse_rate, rng)
-    return init_lowrank_trainable(shape[0], shape[1], cfg.rank, rng)
+        return init_sparse_trainable(rows, cols, cfg.sparse_rate, rng, w.dtype)
+    return init_lowrank_trainable(rows, cols, cfg.rank, rng, w.dtype)
 
 
 def _moe_layer(dense: Model, cfg: UpcycleConfig, j: int, ffn: FFN) -> MoELayer:
     n_deltas = cfg.n_experts + (1 if cfg.extended else 0)
     groups = [
-        ExpertGroup(w.copy(), [_initial_delta(cfg, j, tag, i, w.shape) for i in range(n_deltas)])
+        ExpertGroup(w.copy(), [_initial_delta(cfg, j, tag, i, w) for i in range(n_deltas)])
         for tag, w in (("w_in", ffn.w_in), ("w_out", ffn.w_out))
     ]
     vanilla = cfg.method == "vanilla"
@@ -132,7 +132,7 @@ def _moe_layer(dense: Model, cfg: UpcycleConfig, j: int, ffn: FFN) -> MoELayer:
     if cfg.parallel_universal and not cfg.extended:
         universal = FFN(ffn.w_in.copy(), ffn.w_out.copy(), ffn.activation)
     return MoELayer(
-        router=_router(dense.d, cfg.n_experts, cfg.topk_count, cfg.seed, j),
+        router=_router(dense.d, cfg.n_experts, cfg.topk_count, cfg.seed, j, ffn.w_in.dtype),
         group_in=groups[0],
         group_out=groups[1],
         n_experts=cfg.n_experts,

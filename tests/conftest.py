@@ -1,20 +1,22 @@
 """Shared fixtures and oracles."""
 
+import json
+import struct
+
 import numpy as np
-import pytest
 
-from ders import numkern, train
+from ders import train
 from ders.deltas import ExpertGroup, init_lowrank_trainable, init_sparse_trainable
-from ders.moe import FFN, MoELayer, Router, build_dense_model, forward_tape, named_parameters
+from ders.moe import (
+    FFN,
+    MoELayer,
+    Router,
+    build_dense_model,
+    copy_model,
+    forward_tape,
+    named_parameters,
+)
 from ders.numkern import RngStream, derive_stream_id
-
-
-@pytest.fixture(autouse=True)
-def float64_mode():
-    """Every test starts in float64 mode; tests that switch must not leak."""
-    numkern.set_default_dtype("float64")
-    yield
-    numkern.set_default_dtype("float64")
 
 
 def triple_loop_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -34,7 +36,31 @@ def triple_loop_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def rng_mat(shape, seed, scale=1.0):
     g = np.random.default_rng(seed)
-    return (scale * g.standard_normal(shape)).astype(numkern.get_default_dtype())
+    return scale * g.standard_normal(shape)
+
+
+def edit_header(path, edit, dest):
+    """Write to ``dest`` checkpoint ``path`` with its JSON header changed in
+    place by ``edit``, the header length fixed up."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    (header_len,) = struct.unpack_from("<I", blob, 8)
+    header = json.loads(blob[12 : 12 + header_len])
+    edit(header)
+    edited = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    with open(dest, "wb") as fh:
+        fh.write(blob[:8] + struct.pack("<I", len(edited)) + edited + blob[12 + header_len :])
+
+
+def to_float32(dense):
+    """A copy of a dense model with every matrix cast to float32."""
+    out = copy_model(dense)
+    out.embed = out.embed.astype(np.float32)
+    out.readout = out.readout.astype(np.float32)
+    for block in out.blocks:
+        block.ffn.w_in = block.ffn.w_in.astype(np.float32)
+        block.ffn.w_out = block.ffn.w_out.astype(np.float32)
+    return out
 
 
 def build_mixed_moe_model(seed: int, d=5, d_h=7, n=3):
@@ -53,18 +79,24 @@ def build_mixed_moe_model(seed: int, d=5, d_h=7, n=3):
 
     def router(idx):
         w = stream("frk_router", idx).generator.uniform(-0.5, 0.5, (d, n))
-        return Router(w.astype(numkern.get_default_dtype()), 2)
+        return Router(w, 2)
+
+    def sparse(rows, cols, tag, i):
+        return init_sparse_trainable(rows, cols, 0.6, stream("sm", tag, i), np.float64)
+
+    def lowrank(rows, cols, tag, i):
+        return init_lowrank_trainable(rows, cols, 2, stream("lm", tag, i), np.float64)
 
     ffn1 = m.blocks[1].ffn
     sm_layer = MoELayer(
         router=router(1),
         group_in=ExpertGroup(
             ffn1.w_in.copy(),
-            [init_sparse_trainable(d, d_h, 0.6, stream("sm", "in", i)) for i in range(n)],
+            [sparse(d, d_h, "in", i) for i in range(n)],
         ),
         group_out=ExpertGroup(
             ffn1.w_out.copy(),
-            [init_sparse_trainable(d_h, d, 0.6, stream("sm", "out", i)) for i in range(n)],
+            [sparse(d_h, d, "out", i) for i in range(n)],
         ),
         n_experts=n,
         universal=FFN(ffn1.w_in.copy(), ffn1.w_out.copy(), ffn1.activation),
@@ -76,11 +108,11 @@ def build_mixed_moe_model(seed: int, d=5, d_h=7, n=3):
         router=router(2),
         group_in=ExpertGroup(
             ffn2.w_in.copy(),
-            [init_lowrank_trainable(d, d_h, 2, stream("lm", "in", i)) for i in range(n + 1)],
+            [lowrank(d, d_h, "in", i) for i in range(n + 1)],
         ),
         group_out=ExpertGroup(
             ffn2.w_out.copy(),
-            [init_lowrank_trainable(d_h, d, 2, stream("lm", "out", i)) for i in range(n + 1)],
+            [lowrank(d_h, d, "out", i) for i in range(n + 1)],
         ),
         n_experts=n,
         extended=True,

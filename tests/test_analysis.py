@@ -8,7 +8,6 @@ import pytest
 
 from ders.analysis import (
     cosine_report,
-    delta_stats,
     pairwise_cosine,
     similarity_to_csv,
     similarity_to_json,
@@ -126,9 +125,27 @@ class TestCosineReport:
             cosine_report(sm)
 
 
+def delta_rows(model):
+    """One row per expert and matrix: the delta norms and base-norm ratios
+    that ``cosine_report`` holds."""
+    return [
+        {
+            "block": layer.block,
+            "matrix": tag,
+            "member": member,
+            "delta_norm": norm,
+            "base_norm": layer.base_norms[tag],
+            "ratio": ratio,
+        }
+        for layer in cosine_report(model).layers
+        for tag in ("w_in", "w_out")
+        for member, norm, ratio in zip(layer.labels[1:], layer.delta_norms[tag], layer.ratios[tag])
+    ]
+
+
 class TestDeltaStats:
     def test_untrained_ratios_zero(self):
-        rows = delta_stats(vanilla_model())
+        rows = delta_rows(vanilla_model())
         assert rows and all(r["ratio"] == 0.0 and r["delta_norm"] == 0.0 for r in rows)
 
     def test_one_tiny_step_bounds_ratio(self):
@@ -138,7 +155,7 @@ class TestDeltaStats:
         res = train_loop(
             model, task, TrainConfig(steps=1, lr=1e-4, optimizer="sgd", seed=0, eval_every=10)
         )
-        rows = delta_stats(res.model)
+        rows = delta_rows(res.model)
         assert all(0.0 < r["ratio"] < 1e-2 for r in rows)
 
     def test_higher_ratio_means_lower_similarity(self):
@@ -149,14 +166,14 @@ class TestDeltaStats:
         layer.group_out.deltas[0].mat += 0.01 * rng.normal(size=layer.group_out.base.shape)
         layer.group_in.deltas[1].mat += 2.0 * rng.normal(size=layer.group_in.base.shape)
         layer.group_out.deltas[1].mat += 2.0 * rng.normal(size=layer.group_out.base.shape)
-        rows = delta_stats(model)
+        rows = delta_rows(model)
         ratio = {(r["matrix"], r["member"]): r["ratio"] for r in rows}
         assert ratio[("w_in", "E2")] > ratio[("w_in", "E1")]
         sim = cosine_report(model).layers[0].cosine["mean"]
         assert sim[0, 2] < sim[0, 1]
 
     def test_row_schema(self):
-        rows = delta_stats(vanilla_model(depth=2, n=3))
+        rows = delta_rows(vanilla_model(depth=2, n=3))
         assert len(rows) == 2 * 2 * 3
         assert set(rows[0]) == {"block", "matrix", "member", "delta_norm", "base_norm", "ratio"}
 

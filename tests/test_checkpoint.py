@@ -1,18 +1,17 @@
 """Checkpoint container: bit-exact round trips, corruption and version checks."""
 
-import json
 import os
 import struct
 
 import numpy as np
 import pytest
 
-from conftest import build_mixed_moe_model, rng_mat
+from conftest import build_mixed_moe_model, edit_header, rng_mat, to_float32
 from ders.checkpoint import FORMAT_VERSION, MAGIC, load_model, save_model
 from ders.compress import CompressionSpec, ders_compress
 from ders.errors import CorruptionError, StateError
-from ders.moe import build_dense_model, model_forward, named_parameters
-from ders.numkern import set_default_dtype
+from ders.moe import MoELayer, build_dense_model, model_forward, named_parameters
+from ders.train import TrainConfig, make_task, train_loop
 from ders.upcycle import UpcycleConfig, upcycle
 
 
@@ -20,13 +19,25 @@ def dense_model(seed=0):
     return build_dense_model(d=8, d_h=16, depth=2, in_width=4, out_width=3, seed=seed)
 
 
-def vanilla_model(universal=True):
+def vanilla_model(universal=True, dense=None):
     return upcycle(
-        dense_model(),
+        dense or dense_model(),
         UpcycleConfig(
             n_experts=4, topk_count=2, method="vanilla", parallel_universal=universal, seed=1
         ),
     )
+
+
+def float_arrays(model):
+    """Every float array a model holds: parameters, frozen bases, float delta records."""
+    arrays = [arr for _, arr in named_parameters(model)]
+    for block in model.blocks:
+        if isinstance(block, MoELayer):
+            for group in (block.group_in, block.group_out):
+                arrays.append(group.base)
+                for delta in group.deltas:
+                    arrays.extend(arr for _, arr, disk in delta.records() if disk is None)
+    return arrays
 
 
 def assert_same_model(a, b):
@@ -134,26 +145,45 @@ class TestRoundTrip:
                 assert block.init_base_out is block.group_out.base
 
     def test_float32_models(self, tmp_path):
-        set_default_dtype("float32")
-        model = vanilla_model(universal=False)
-        assert model.embed.dtype == np.float32
-        path = str(tmp_path / "f32.ckpt")
-        save_model(model, path)
-        loaded, _ = load_model(path)
-        assert loaded.embed.dtype == np.float32
-        assert_same_model(model, loaded)
+        """A float32 dense model upcycles by each method, trains a step and
+        compresses by each lossy technique in float32; every result checkpoints
+        as float32, save → load → save is byte-identical and outputs are equal."""
+        dense = to_float32(dense_model())
+        task = make_task("cluster_regression", dict(d=4, n_clusters=2, out_width=3), 5)
+        one_step = TrainConfig(steps=1, lr=1e-2, seed=2)
+        models = {"dense": dense}
+        for method, kw in (
+            ("vanilla", {"parallel_universal": True}),
+            ("ders_sm", {"sparse_rate": 0.5}),
+            ("ders_lm", {"rank": 3}),
+        ):
+            cfg = UpcycleConfig(n_experts=4, topk_count=2, method=method, seed=1, **kw)
+            models[method] = train_loop(upcycle(dense, cfg), task, one_step).model
+        for technique, kw in (("sparsify", {"drop_rate": 0.7}), ("quantize", {"bit_width": 4})):
+            spec = CompressionSpec(technique, seed=5, **kw)
+            models[technique] = ders_compress(models["vanilla"], spec)
+        for name, model in models.items():
+            assert {arr.dtype for arr in float_arrays(model)} == {np.dtype(np.float32)}, name
+            pa, pb = str(tmp_path / f"{name}.a.ckpt"), str(tmp_path / f"{name}.b.ckpt")
+            save_model(model, pa)
+            loaded, _ = load_model(pa)
+            save_model(loaded, pb)
+            with open(pa, "rb") as fa, open(pb, "rb") as fb:
+                assert fa.read() == fb.read(), name
+            assert {arr.dtype for arr in float_arrays(loaded)} == {np.dtype(np.float32)}, name
+            assert_same_model(model, loaded)
 
     @pytest.mark.parametrize(
         "technique,kw", [("sparsify", {"drop_rate": 0.7}), ("quantize", {"bit_width": 4})]
     )
     def test_float32_compressed_models_load_under_float64_default(self, technique, kw, tmp_path):
-        set_default_dtype("float32")
-        model = ders_compress(vanilla_model(), CompressionSpec(technique, seed=5, **kw))
-        x = rng_mat((9, 4), seed=1)
+        """The toolkit builds float64; a float32 file still loads as float32."""
+        vanilla = vanilla_model(dense=to_float32(dense_model()))
+        model = ders_compress(vanilla, CompressionSpec(technique, seed=5, **kw))
+        x = rng_mat((9, 4), seed=1).astype(np.float32)
         want = model_forward(model, x)
         path = str(tmp_path / "c32.ckpt")
         save_model(model, path)
-        set_default_dtype("float64")
         loaded, _ = load_model(path)
         got = model_forward(loaded, x)
         assert want.dtype == got.dtype == np.float32
@@ -237,20 +267,40 @@ class TestFailureModes:
         corruption, not a ``KeyError`` or ``TypeError`` from deep in the load."""
         path = str(tmp_path / "c.ckpt")
         save_model(ders_compress(vanilla_model(), CompressionSpec(technique, seed=5, **kw)), path)
-        with open(path, "rb") as fh:
-            blob = fh.read()
-        (header_len,) = struct.unpack_from("<I", blob, 8)
-        header = json.loads(blob[12 : 12 + header_len])
-        entry = next(b for b in header["model"]["blocks"] if b["kind"] == "moe")
-        entry = entry["group_in"]["deltas"][0]
-        if value is None:
-            del entry[field]
-        else:
-            entry[field] = value
-        edited = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-        with open(path, "wb") as fh:
-            fh.write(blob[:8] + struct.pack("<I", len(edited)) + edited + blob[12 + header_len :])
+
+        def damage(header):
+            entry = next(b for b in header["model"]["blocks"] if b["kind"] == "moe")
+            entry = entry["group_in"]["deltas"][0]
+            if value is None:
+                del entry[field]
+            else:
+                entry[field] = value
+
+        edit_header(path, damage, path)
         with pytest.raises(CorruptionError, match=field):
+            load_model(path)
+
+    def test_missing_topology_field_rejected(self, tmp_path):
+        path, _ = self._saved(tmp_path)
+
+        def damage(header):
+            del next(b for b in header["model"]["blocks"] if b["kind"] == "moe")["n_experts"]
+
+        edit_header(path, damage, path)
+        with pytest.raises(CorruptionError, match="n_experts"):
+            load_model(path)
+
+    def test_negative_record_offset_rejected(self, tmp_path):
+        """A negative offset would slice the payload from its end and load
+        another record's bytes."""
+        path, _ = self._saved(tmp_path)
+
+        def damage(header):
+            rec = next(r for r in header["records"] if r["name"] == "readout")
+            rec["offset"] = -2 * rec["nbytes"]
+
+        edit_header(path, damage, path)
+        with pytest.raises(CorruptionError, match="readout"):
             load_model(path)
 
     def test_newer_version_rejected(self, tmp_path):

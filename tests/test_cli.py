@@ -2,14 +2,19 @@
 
 import json
 import os
+import re
+import shutil
 import struct
 
 import numpy as np
 import pytest
 
+from conftest import edit_header
 from ders.checkpoint import load_model
-from ders.cli import main
-from ders.deltas import LowRankDelta, QuantizedDelta
+from ders.cli import Experiment, load_config, main
+from ders.deltas import LowRankDelta, QuantizedDelta, SparseDelta
+from ders.errors import NumericError
+from ders.train import train_loop
 
 BASE_CONFIG = {
     "seed": 7,
@@ -38,6 +43,21 @@ def write_config(tmp_path, overrides=None, name="config.json"):
 
 def run(*argv):
     return main(list(argv))
+
+
+def readme_config(tmp_path):
+    """The config of README.md's CLI quickstart, written to a file."""
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
+        text = re.search(r"```json\n(.*?)```", fh.read(), re.S).group(1)
+    path = str(tmp_path / "readme.json")
+    with open(path, "w") as fh:
+        fh.write(text)
+    return path
+
+
+def copy_ckpt(src, name, out):
+    os.makedirs(out, exist_ok=True)
+    shutil.copy(os.path.join(src, name), os.path.join(out, name))
 
 
 def read_json(out, name):
@@ -241,18 +261,57 @@ class TestExitCodes:
 
     def test_missing_delta_header_field_exit_3(self, tmp_path, pipeline, capsys):
         cfg, out = pipeline
-        with open(os.path.join(out, "compressed.ckpt"), "rb") as fh:
-            blob = fh.read()
-        (header_len,) = struct.unpack_from("<I", blob, 8)
-        header = json.loads(blob[12 : 12 + header_len])
-        moe = next(b for b in header["model"]["blocks"] if b["kind"] == "moe")
-        del moe["group_in"]["deltas"][0]["rows"]
-        edited = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+        def damage(header):
+            moe = next(b for b in header["model"]["blocks"] if b["kind"] == "moe")
+            del moe["group_in"]["deltas"][0]["rows"]
+
         damaged = str(tmp_path / "damaged.ckpt")
-        with open(damaged, "wb") as fh:
-            fh.write(blob[:8] + struct.pack("<I", len(edited)) + edited + blob[12 + header_len :])
+        edit_header(os.path.join(out, "compressed.ckpt"), damage, damaged)
         assert run("eval", "--config", cfg, "--out", str(tmp_path), "--ckpt", damaged) == 3
         assert "'rows'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage", ["no n_experts", "negative offset"])
+    def test_damaged_topology_or_offset_exit_3(self, tmp_path, pipeline, capsys, damage):
+        cfg, out = pipeline
+
+        def edit(header):
+            if damage == "no n_experts":
+                del next(b for b in header["model"]["blocks"] if b["kind"] == "moe")["n_experts"]
+            else:
+                rec = next(r for r in header["records"] if r["name"] == "readout")
+                rec["offset"] = -2 * rec["nbytes"]
+
+        damaged = str(tmp_path / "damaged.ckpt")
+        edit_header(os.path.join(out, "trained.ckpt"), edit, damaged)
+        assert run("eval", "--config", cfg, "--out", str(tmp_path), "--ckpt", damaged) == 3
+        assert ("n_experts" if damage == "no n_experts" else "readout") in capsys.readouterr().err
+
+    def test_train_divergence_keeps_trace_exit_4(self, tmp_path, pipeline):
+        """A diverging run exits 4 and still writes one metrics row per
+        completed step, the same bytes on every run."""
+        _, src = pipeline
+        cfg = write_config(
+            tmp_path, {"train": {"steps": 200, "lr": 1e9, "optimizer": "sgd", "eval_every": 500}}
+        )
+        texts = []
+        for i in (0, 1):
+            out = str(tmp_path / f"run{i}")
+            copy_ckpt(src, "moe.ckpt", out)
+            with np.errstate(all="ignore"):
+                assert run("train", "--config", cfg, "--out", out) == 4
+            assert not os.path.exists(os.path.join(out, "trained.ckpt"))
+            with open(os.path.join(out, "metrics.csv"), "rb") as fh:
+                texts.append(fh.read())
+        assert texts[0] == texts[1]
+        exp = Experiment(load_config(cfg))
+        moe, _ = load_model(os.path.join(src, "moe.ckpt"))
+        with np.errstate(all="ignore"), pytest.raises(NumericError) as exc:
+            train_loop(moe, exp.task(), exp.train_config("train"))
+        rows = texts[0].decode().splitlines()[1:]
+        assert [int(row.split(",")[0]) for row in rows] == [r["step"] for r in exc.value.trace]
+        assert 0 < len(rows) < 200
+
 
 class TestDeterminismAndThreads:
     def test_reruns_byte_identical(self, tmp_path):
@@ -325,6 +384,42 @@ class TestFlagOverrides:
         assert os.path.exists(os.path.join(dest, "similarity.json"))
         data = json.load(open(os.path.join(dest, "similarity.json")))
         assert data["note"].startswith("cosine similarity")
+
+    @pytest.mark.parametrize(
+        "flag,value,kind",
+        [("--bit-width", "4", QuantizedDelta), ("--drop-rate", "0.5", SparseDelta)],
+    )
+    def test_lone_flag_selects_its_technique_over_the_config(
+        self, tmp_path, pipeline, flag, value, kind
+    ):
+        """README's config sets ``compress.technique: "sparsify"``; a lone
+        ``--bit-width`` still quantizes, and a lone ``--drop-rate`` sparsifies
+        over a config that says ``quantize``."""
+        _, src = pipeline
+        cfg = readme_config(tmp_path)
+        if kind is SparseDelta:
+            data = load_config(cfg)
+            data["compress"]["technique"] = "quantize"
+            with open(cfg, "w") as fh:
+                json.dump(data, fh)
+        out = str(tmp_path / "run")
+        copy_ckpt(src, "trained.ckpt", out)
+        assert run("compress", "--config", cfg, "--out", out, flag, value) == 0
+        model, _ = load_model(os.path.join(out, "compressed.ckpt"))
+        layer = next(b for b in model.blocks if hasattr(b, "group_in"))
+        assert all(isinstance(d, kind) for d in layer.group_in.deltas)
+        if kind is QuantizedDelta:
+            assert layer.group_in.deltas[0].bit_width == 4
+
+    def test_compress_both_flags_rejected_whatever_the_config(self, tmp_path, pipeline, capsys):
+        _, src = pipeline
+        out = str(tmp_path / "run")
+        copy_ckpt(src, "trained.ckpt", out)
+        cfg = readme_config(tmp_path)
+        flags = ("--bit-width", "4", "--drop-rate", "0.5")
+        assert run("compress", "--config", cfg, "--out", out, *flags) == 2
+        assert "technique" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, "compressed.ckpt"))
 
     def test_compress_both_flags_without_technique_rejected(self, tmp_path, pipeline, capsys):
         _, src = pipeline

@@ -216,51 +216,51 @@ class TestPacking:
 
 class TestInitSparseTrainable:
     def test_p_zero_covers_everything(self):
-        sp = init_sparse_trainable(3, 4, 0.0, RngStream(0, 0))
+        sp = init_sparse_trainable(3, 4, 0.0, RngStream(0, 0), np.float64)
         assert np.array_equal(sp.index, np.arange(12))
         assert np.array_equal(sp.value, np.zeros(12))
         assert sp.rescale == 1.0
 
     def test_zero_init_synthesis(self):
         base = rng_mat((4, 4), seed=19)
-        sp = init_sparse_trainable(4, 4, 0.5, RngStream(1, 1))
+        sp = init_sparse_trainable(4, 4, 0.5, RngStream(1, 1), np.float64)
         assert np.array_equal(synthesize(base, sp), base)
 
     def test_counting_oracle(self):
-        sp = init_sparse_trainable(4, 4, 0.75, RngStream(2, 2))
+        sp = init_sparse_trainable(4, 4, 0.75, RngStream(2, 2), np.float64)
         assert len(sp.index) == 4
         assert len(set(sp.index.tolist())) == 4
 
     def test_degenerate_rate_rejected(self):
         with pytest.raises(ParameterError):
-            init_sparse_trainable(4, 4, 0.999, RngStream(0, 0))
+            init_sparse_trainable(4, 4, 0.999, RngStream(0, 0), np.float64)
 
     def test_reproducible(self):
-        a = init_sparse_trainable(8, 8, 0.8, RngStream(5, 6))
-        b = init_sparse_trainable(8, 8, 0.8, RngStream(5, 6))
+        a = init_sparse_trainable(8, 8, 0.8, RngStream(5, 6), np.float64)
+        b = init_sparse_trainable(8, 8, 0.8, RngStream(5, 6), np.float64)
         assert np.array_equal(a.index, b.index)
 
 
 class TestInitLowRankTrainable:
     def test_zero_init_synthesis(self):
         base = rng_mat((5, 8), seed=20)
-        lr = init_lowrank_trainable(5, 8, 3, RngStream(3, 3))
+        lr = init_lowrank_trainable(5, 8, 3, RngStream(3, 3), np.float64)
         assert np.array_equal(synthesize(base, lr), base)
 
     def test_rank_boundaries(self):
-        init_lowrank_trainable(4, 6, 4, RngStream(0, 0))
+        init_lowrank_trainable(4, 6, 4, RngStream(0, 0), np.float64)
         with pytest.raises(ParameterError):
-            init_lowrank_trainable(4, 6, 5, RngStream(0, 0))
+            init_lowrank_trainable(4, 6, 5, RngStream(0, 0), np.float64)
         with pytest.raises(ParameterError):
-            init_lowrank_trainable(4, 6, 0, RngStream(0, 0))
+            init_lowrank_trainable(4, 6, 0, RngStream(0, 0), np.float64)
 
     def test_default_scale_bound(self):
-        lr = init_lowrank_trainable(16, 8, 2, RngStream(4, 4))
+        lr = init_lowrank_trainable(16, 8, 2, RngStream(4, 4), np.float64)
         assert np.abs(lr.a).max() <= 1.0 / 4.0
 
     def test_bit_identical_across_streams(self):
-        a = init_lowrank_trainable(6, 6, 2, RngStream(9, 1))
-        b = init_lowrank_trainable(6, 6, 2, RngStream(9, 1))
+        a = init_lowrank_trainable(6, 6, 2, RngStream(9, 1), np.float64)
+        b = init_lowrank_trainable(6, 6, 2, RngStream(9, 1), np.float64)
         assert np.array_equal(a.a, b.a)
 
 

@@ -78,10 +78,11 @@ class TestMatmul:
         assert numkern.matmul(a, b).tobytes() == triple_loop_matmul(a, b).tobytes()
 
     def test_matches_oracle_float32(self):
-        numkern.set_default_dtype("float32")
-        a = rng_mat((6, 9), seed=3)
-        b = rng_mat((9, 4), seed=4)
-        assert numkern.matmul(a, b).tobytes() == triple_loop_matmul(a, b).tobytes()
+        a = rng_mat((6, 9), seed=3).astype(np.float32)
+        b = rng_mat((9, 4), seed=4).astype(np.float32)
+        out = numkern.matmul(a, b)
+        assert out.dtype == np.float32
+        assert out.tobytes() == triple_loop_matmul(a, b).tobytes()
 
     def test_batch_rows_equal_single_rows_bitwise(self):
         a = rng_mat((11, 8), seed=5)
@@ -130,9 +131,11 @@ class TestMatmul:
         with pytest.raises(DimensionError):
             numkern.matmul(np.zeros(3), np.zeros((3, 2)))
 
-    def test_nonfinite_output_raises(self):
-        with np.errstate(over="ignore"), pytest.raises(NumericError):
-            numkern.matmul(np.full((1, 1), 1e308), np.full((1, 1), 1e308))
+    def test_nonfinite_output_passes_through(self):
+        """The kernel does not check finiteness; stage boundaries do."""
+        with np.errstate(over="ignore"):
+            out = numkern.matmul(np.full((1, 1), 1e308), np.full((1, 1), 1e308))
+        assert out[0, 0] == np.inf
 
 
 class TestSoftmax:
@@ -289,13 +292,6 @@ class TestRngReproducibility:
         assert 0 <= a < 2**64
 
 
-class TestDtypeSwitch:
-    def test_switch_and_report(self):
-        assert numkern.dtype_bits() == 64
-        numkern.set_default_dtype("float32")
-        assert numkern.dtype_bits() == 32
-        assert numkern.as_matrix([[1.0]]).dtype == np.float32
-
-    def test_bad_name(self):
-        with pytest.raises(ParameterError):
-            numkern.set_default_dtype("float16")
+def test_dtype_bits():
+    assert numkern.dtype_bits(np.float64) == 64
+    assert numkern.dtype_bits(np.float32) == 32

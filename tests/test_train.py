@@ -1,10 +1,15 @@
 """Tasks, exact gradients vs finite differences, optimizers, training loop."""
 
+import json
+
 import numpy as np
 import pytest
 
 from conftest import build_mixed_moe_model, fd_worst_relative_error, rng_mat, routing_masks
 from ders import train
+from ders.checkpoint import load_model, save_model
+from ders.cli import main
+from ders.compress import CompressionSpec, ders_compress
 from ders.deltas import DenseDelta, ExpertGroup
 from ders.errors import ConfigError, NumericError, ParameterError
 from ders.moe import (
@@ -301,3 +306,87 @@ class TestTrainLoop:
                 model, task, TrainConfig(steps=20, lr=1e-2, optimizer="sgd", schedule=schedule)
             )
             assert len(res.trace) == 20
+
+
+def _planted_models():
+    """The models whose arrays the planted-value test writes into, all with
+    the default activation: the mixed model, a vanilla MoE and its 4-bit
+    compression."""
+    dense = build_dense_model(d=5, d_h=7, depth=1, in_width=4, out_width=3, seed=23)
+    vanilla = upcycle(dense, UpcycleConfig(n_experts=3, topk_count=2, method="vanilla", seed=1))
+    quantized = ders_compress(vanilla, CompressionSpec("quantize", bit_width=4))
+    return {"mixed": build_mixed_moe_model(seed=21), "vanilla": vanilla, "quantized": quantized}
+
+
+# Parameter class -> (model, the arrays of that class to plant into). Every
+# delta of a group is planted, so whichever experts a row routes to see it.
+_PLANT_SITES = {
+    "embed": ("mixed", lambda m: [m.embed]),
+    "readout": ("mixed", lambda m: [m.readout]),
+    "dense FFN": ("mixed", lambda m: [m.blocks[0].ffn.w_in]),
+    "router": ("mixed", lambda m: [m.blocks[1].router.w_r]),
+    "shared base": ("mixed", lambda m: [m.blocks[1].group_in.base]),
+    "dense delta": ("vanilla", lambda m: [d.mat for d in m.blocks[0].group_in.deltas]),
+    "sparse delta": ("mixed", lambda m: [d.value for d in m.blocks[1].group_in.deltas]),
+    "low-rank delta": ("mixed", lambda m: [d.a for d in m.blocks[2].group_in.deltas]),
+    "quantized scale": ("quantized", None),
+    "universal FFN": ("mixed", lambda m: [m.blocks[1].universal.w_in]),
+}
+
+
+class TestFiniteness:
+    """Non-finite values are caught where they enter and leave a stage."""
+
+    @pytest.fixture
+    def task(self):
+        return regression_task(seed=61, d=4, n_clusters=2, out_width=3)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("site", list(_PLANT_SITES))
+    def test_planted_value_raises_and_exits_4(self, site, value, task, tmp_path):
+        which, arrays = _PLANT_SITES[site]
+        model = _planted_models()[which]
+        if arrays is None:
+            for delta in model.blocks[0].group_in.deltas:
+                delta.scale = value
+        else:
+            for arr in arrays(model):
+                arr.flat[0] = value
+        batch = task.sample_train(16, RngStream(5, 0))
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericError):
+                model_forward(model, batch[0])
+            with pytest.raises(NumericError):
+                loss_and_grads(model, batch, task)
+        path = str(tmp_path / "planted.ckpt")
+        save_model(model, path)
+        with pytest.raises(NumericError):
+            load_model(path)
+        cfg = str(tmp_path / "config.json")
+        params = {"d": 4, "n_clusters": 2, "out_width": 3}
+        with open(cfg, "w") as fh:
+            json.dump({"seed": 0, "task": {"kind": "cluster_regression", "params": params}}, fh)
+        assert main(["eval", "--config", cfg, "--out", str(tmp_path), "--ckpt", path]) == 4
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_planted_input_value_raises(self, value, task):
+        model = build_mixed_moe_model(seed=21)
+        x, y = task.sample_train(16, RngStream(5, 0))
+        x[3, 1] = value
+        with pytest.raises(NumericError, match="input batch"):
+            model_forward(model, x)
+        with pytest.raises(NumericError, match="input batch"):
+            loss_and_grads(model, (x, y), task)
+
+    def test_inf_that_tanh_absorbs_reaches_the_gradients_only(self, task):
+        """In memory, an intermediate ±inf that the activation maps to a finite
+        value is not an error; the gradient it poisons is, by name."""
+        model = build_dense_model(
+            d=5, d_h=7, depth=1, in_width=4, out_width=3, seed=23, activation="tanh"
+        )
+        model.blocks[0].ffn.w_in[0, 0] = np.inf
+        x, y = task.sample_train(16, RngStream(5, 0))
+        with np.errstate(invalid="ignore"):
+            assert np.isfinite(model_forward(model, x)).all()
+            with pytest.raises(NumericError, match="gradient of embed"):
+                loss_and_grads(model, (x, y), task)
