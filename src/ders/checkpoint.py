@@ -231,6 +231,8 @@ def load_model(path: str) -> tuple[Model, dict]:
         return _build_model(header, payload), header.get("meta", {})
     except KeyError as exc:
         raise CorruptionError(f"{path} header lacks the field {exc}") from exc
+    except TypeError as exc:
+        raise CorruptionError(f"{path} header has a field of the wrong type: {exc}") from exc
 
 
 def _build_model(header: dict, payload: bytes) -> Model:

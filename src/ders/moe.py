@@ -280,7 +280,8 @@ def _block_forward(block: Block, x: np.ndarray, record: bool) -> tuple[np.ndarra
 
 
 def _forward(model: Model, batch: np.ndarray, record: bool) -> tuple[np.ndarray, dict | None]:
-    x = np.asarray(batch)
+    # The model's float dtype, so a float32 model computes in float32.
+    x = np.asarray(batch, dtype=model.embed.dtype)
     if x.ndim == 1:
         x = x.reshape(1, -1)
     if x.ndim != 2 or x.shape[1] != model.in_width:

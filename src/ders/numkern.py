@@ -8,10 +8,10 @@ are bit-reproducible:
 
 * ``matmul`` accumulates over the inner dimension in increasing index order,
   starting from +0.0, which is exactly the naive triple-loop order per output
-  element. It has two ways to evaluate that one order (a broadcast product
-  reduced over its outermost axis, or a Python loop of rank-1 updates) and
-  picks one by shape; both give the same bytes. BLAS is deliberately not used
-  (its blocked summation is not bit-stable across shapes).
+  element. ``np.einsum`` adds the products in that order, checked by an
+  import-time probe; 1×1 outputs, and all outputs where the probe fails, take
+  a Python loop of rank-1 updates. BLAS is deliberately not used (its blocked
+  summation is not bit-stable across shapes).
 * ``matmul`` does not check finiteness. Values are checked where they enter
   and leave a stage: the input batch and the prediction of a forward pass, the
   loss and each gradient, and every float of a loaded checkpoint. ``softmax``
@@ -85,31 +85,45 @@ def derive_stream_id(*parts: int | str) -> int:
     return h
 
 
-# Elements in the broadcast product's (inner, rows, cols) temporary, one
-# buffer per call: large enough that the per-block overhead is small, small
-# enough to stay in cache and out of the peak RSS.
-_BROADCAST_BLOCK = 1 << 16
+def _k_loop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The triple loop's order as rank-1 updates ``out += a[:, k] · b[k, :]``."""
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.result_type(a, b))
+    for k in range(a.shape[1]):
+        out += a[:, k : k + 1] * b[k : k + 1, :]
+    return out
+
+
+def _einsum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``einsum("ki,kj->ij")`` of C-ordered operands of one dtype (k outermost at ≥ 2 columns)."""
+    dtype = np.result_type(a, b)
+    a_t, b = np.ascontiguousarray(a.T, dtype=dtype), np.ascontiguousarray(b, dtype=dtype)
+    return np.einsum("ki,kj->ij", a_t, b, optimize=False)
+
+
+def _einsum_is_k_ordered(product=_einsum) -> bool:
+    """Whether ``product`` gives the k-loop's bytes, in float64 and float32, on a
+    multiply-add witness (0 unfused, 2⁻⁶⁰ fused), −0.0 products and wide exponents."""
+    e, g = 1.0 + 2.0**-30, np.random.default_rng(20251)
+    cases = [([[1.0, e]], [[-(1.0 + 2.0**-29), 0.0], [e, 1.0]])]
+    cases.append(([[-0.0, 1.0]], [[1.0, 2.0], [-0.0, -0.0]]))
+    for shapes in [((1, 300), (300, 3)), ((2, 70), (70, 3)), ((5, 300), (300, 2))]:
+        cases.append([g.standard_normal(s) * 2.0 ** g.integers(-30, 30, s) for s in shapes])
+    cast = [[np.asarray(x, dtype=t) for x in case] for t in (np.float64, np.float32) for case in cases]
+    return all(product(a, b).tobytes() == _k_loop(a, b).tobytes() for a, b in cast)
+
+
+_EINSUM_K_ORDERED = _einsum_is_k_ordered()  # False where einsum fuses (FMA builds) or reorders
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product with a deterministic summation order.
 
     Every output element is ``((0.0 + a[i,0]·b[0,j]) + a[i,1]·b[1,j]) + …``,
-    in increasing k, exactly the naive triple loop. Two evaluations give those
-    bytes:
-
-    * the broadcast product: near-equal blocks of rows form all their
-      products at once in a C-ordered ``(inner, rows, cols)`` buffer, and
-      ``np.add.reduce`` sums it over axis 0 with ``initial=0.0``. Because the
-      summed axis is the outermost one, numpy adds whole rows in k order; a
-      temporary in any other layout (numpy's default follows the operands,
-      and a transposed ``b`` makes k the contiguous axis) is reduced pairwise
-      instead. The initial +0.0 is the loop's own start, so products that are
-      all −0.0 sum to +0.0;
-    * the k-loop ``out += a[:, k] * b[k, :]``, wherever a block would hold a
-      single output element (1×1 outputs, or one column of rows too wide to
-      pair up: numpy reduces a lone element's axis pairwise, whatever the
-      layout) or one row needs more than the block.
+    in increasing k, exactly the naive triple loop. ``einsum`` gives those
+    bytes for two or more output columns; one column of n rows is the
+    transpose of ``bᵀ·aᵀ`` (x·y == y·x exactly). A 1×1 output, whose sum
+    einsum would unroll, and every output if the probe rejected einsum take
+    the k-loop.
 
     Rows are independent, so the product of a batch equals the stacked
     products of its rows bit-for-bit.
@@ -118,25 +132,9 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise DimensionError(f"matmul needs 2-D operands, got ndim {a.ndim} and {b.ndim}")
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    (n, inner), cols = a.shape, b.shape[1]
-    dtype = np.result_type(a, b)
-    row_size = inner * cols
-    rows = min(n, _BROADCAST_BLOCK // max(row_size, 1))
-    blocks = -(-n // rows) if rows else 0
-    if not blocks or n // blocks * cols < 2:
-        out = np.zeros((n, cols), dtype=dtype)
-        for k in range(inner):
-            out += a[:, k : k + 1] * b[k : k + 1, :]
-        return out
-    out = np.empty((n, cols), dtype=dtype)
-    bounds = [n * i // blocks for i in range(blocks + 1)]
-    flat = np.empty(-(-n // blocks) * row_size, dtype=dtype)
-    a_t = a.T
-    for r0, r1 in zip(bounds, bounds[1:]):
-        buf = flat[: (r1 - r0) * row_size].reshape(inner, r1 - r0, cols)
-        np.multiply(a_t[:, r0:r1, None], b[:, None, :], out=buf)
-        np.add.reduce(buf, axis=0, initial=0.0, out=out[r0:r1])
-    return out
+    if not _EINSUM_K_ORDERED or a.shape[0] == b.shape[1] == 1:
+        return _k_loop(a, b)
+    return _einsum(a, b) if b.shape[1] >= 2 else _einsum(b.T, a.T).T
 
 
 def softmax(v: np.ndarray) -> np.ndarray:

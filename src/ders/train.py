@@ -359,6 +359,8 @@ def loss_parts(model: Model, batch, task: SyntheticTask, aux_loss_coeff: float =
     """(total_loss, (task_loss, aux_raw), grads) — the full training quantity."""
     x, y = batch
     pred, tape = forward_tape(model, x)
+    if task.loss_kind == "mse":
+        y = np.asarray(y, dtype=pred.dtype)  # regression targets in the model's dtype
     task_loss, d_pred = task_loss_and_grad(pred, y, task.loss_kind)
     aux_raw = _aux_loss(tape, model) if aux_loss_coeff != 0.0 else 0.0
     total = task_loss + aux_loss_coeff * aux_raw

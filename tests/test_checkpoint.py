@@ -303,6 +303,26 @@ class TestFailureModes:
         with pytest.raises(CorruptionError, match="readout"):
             load_model(path)
 
+    @pytest.mark.parametrize(
+        "where, field, value",
+        [("readout", "offset", "0"), ("moe", "n_experts", "2"), ("readout", "shape", "x")],
+    )
+    def test_mistyped_topology_or_record_field_rejected(self, tmp_path, where, field, value):
+        """A header field of the wrong JSON type is corruption, not a
+        ``TypeError`` from deep in the load."""
+        path, _ = self._saved(tmp_path)
+
+        def damage(header):
+            if where == "moe":
+                entry = next(b for b in header["model"]["blocks"] if b["kind"] == "moe")
+            else:
+                entry = next(r for r in header["records"] if r["name"] == where)
+            entry[field] = value
+
+        edit_header(path, damage, path)
+        with pytest.raises(CorruptionError, match="wrong type"):
+            load_model(path)
+
     def test_newer_version_rejected(self, tmp_path):
         path, blob = self._saved(tmp_path)
         struct.pack_into("<I", blob, 4, FORMAT_VERSION + 1)

@@ -287,6 +287,22 @@ class TestExitCodes:
         assert run("eval", "--config", cfg, "--out", str(tmp_path), "--ckpt", damaged) == 3
         assert ("n_experts" if damage == "no n_experts" else "readout") in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["offset", "n_experts", "shape"])
+    def test_mistyped_header_field_exit_3(self, tmp_path, pipeline, capsys, field):
+        cfg, out = pipeline
+
+        def edit(header):
+            if field == "n_experts":
+                next(b for b in header["model"]["blocks"] if b["kind"] == "moe")[field] = "2"
+            else:
+                rec = next(r for r in header["records"] if r["name"] == "readout")
+                rec[field] = "0" if field == "offset" else "x"
+
+        damaged = str(tmp_path / "damaged.ckpt")
+        edit_header(os.path.join(out, "trained.ckpt"), edit, damaged)
+        assert run("eval", "--config", cfg, "--out", str(tmp_path), "--ckpt", damaged) == 3
+        assert "wrong type" in capsys.readouterr().err
+
     def test_train_divergence_keeps_trace_exit_4(self, tmp_path, pipeline):
         """A diverging run exits 4 and still writes one metrics row per
         completed step, the same bytes on every run."""

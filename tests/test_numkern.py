@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -62,6 +63,21 @@ def _operands(case):
     return a, b
 
 
+def _fma_matmul(a, b):
+    """The triple loop with each multiply-add rounded once, as an FMA does:
+    the running sum plus the exact product, rounded to float64 and then to the
+    dtype (exact for float64, which the probe's witness case uses)."""
+    dtype = np.result_type(a, b)
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=dtype)
+    for i, j in np.ndindex(out.shape):
+        acc = Fraction(0)
+        for k in range(a.shape[1]):
+            acc += Fraction(float(a[i, k])) * Fraction(float(b[k, j]))
+            acc = Fraction(float(dtype.type(float(acc))))
+        out[i, j] = float(acc)
+    return out
+
+
 class TestMatmul:
     def test_identity(self):
         a = np.eye(2)
@@ -91,25 +107,27 @@ class TestMatmul:
         for i in range(a.shape[0]):
             assert full[i].tobytes() == numkern.matmul(a[i : i + 1], b)[0].tobytes()
 
-    @pytest.mark.parametrize("block", [None, 64])
+    @pytest.mark.parametrize("einsum", [True, False], ids=["einsum", "k_loop"])
     @settings(max_examples=120, deadline=None, derandomize=True, database=None)
     @given(case=_MATMUL_CASES)
     @example(case=_case(1, 1, 1))
     @example(case=_case(1, 9, 1))
     @example(case=_case(1, 70, 1, neg_zero_row=True))
     @example(case=_case(2, 70, 1, neg_zero_row=True, transpose_b=True))
-    @example(case=_case(16, 17, 1))  # at block 64 the last block is one element
+    @example(case=_case(40, 300, 1))
+    @example(case=_case(2, 70, 1, dtype="float32", zeros=0.1))
+    @example(case=_case(1, 70, 2, neg_zero_row=True))
+    @example(case=_case(1, 300, 2, dtype="float32", transpose_a=True))
     @example(case=_case(70, 70, 70, transpose_b=True))
     @example(case=_case(33, 64, 2, dtype="float32", transpose_a=True, zeros=0.3))
-    def test_bytes_match_triple_loop_oracle(self, block, case):
+    def test_bytes_match_triple_loop_oracle(self, einsum, case):
         """Either evaluation, any layout, float32 or float64, signed zeros:
         the bytes of the naive triple loop, and batch == stacked rows."""
         a, b = _operands(case)
         with pytest.MonkeyPatch.context() as mp:
-            if block is not None:
-                # A small block puts the generated shapes on both sides of the
-                # wide-row switch and splits most outputs into several blocks.
-                mp.setattr(numkern, "_BROADCAST_BLOCK", block)
+            if not einsum:
+                # What a numpy whose einsum fails the import-time probe runs.
+                mp.setattr(numkern, "_EINSUM_K_ORDERED", False)
             out = numkern.matmul(a, b)
             rows = [numkern.matmul(a[i : i + 1], b) for i in range(a.shape[0])]
         expected = triple_loop_matmul(a, b)
@@ -117,11 +135,30 @@ class TestMatmul:
         assert out.tobytes() == expected.tobytes()
         assert np.concatenate(rows).tobytes() == out.tobytes()
 
-    def test_wide_row_takes_the_loop_and_matches_oracle(self):
-        assert 300 * 300 > numkern._BROADCAST_BLOCK
-        a = rng_mat((2, 300), seed=12)
-        b = rng_mat((300, 300), seed=13)
+    def test_single_element_takes_the_loop_and_matches_oracle(self, monkeypatch):
+        """A 1×1 output is the one shape einsum would sum out of order; a
+        one-column output of several rows still goes through einsum."""
+        calls = []
+        monkeypatch.setattr(
+            numkern, "_einsum", lambda a, b: calls.append(1) or numkern._k_loop(a, b)
+        )
+        a = rng_mat((1, 300), seed=12)
+        b = rng_mat((300, 1), seed=13)
         assert numkern.matmul(a, b).tobytes() == triple_loop_matmul(a, b).tobytes()
+        assert not calls
+        numkern.matmul(rng_mat((2, 300), seed=14), b)
+        assert calls
+
+    def test_probe_repeats_and_accepts_the_k_loop(self):
+        """The import-time decision is reproducible, and the reference passes."""
+        assert numkern._einsum_is_k_ordered() is numkern._EINSUM_K_ORDERED
+        assert numkern._einsum_is_k_ordered(numkern._k_loop)
+
+    def test_probe_rejects_blas(self):
+        assert not numkern._einsum_is_k_ordered(lambda a, b: a @ b)
+
+    def test_probe_rejects_fused_multiply_add(self):
+        assert not numkern._einsum_is_k_ordered(_fma_matmul)
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError, match=r"\(2, 3\) x \(2, 3\)"):

@@ -5,7 +5,13 @@ import json
 import numpy as np
 import pytest
 
-from conftest import build_mixed_moe_model, fd_worst_relative_error, rng_mat, routing_masks
+from conftest import (
+    build_mixed_moe_model,
+    fd_worst_relative_error,
+    rng_mat,
+    routing_masks,
+    to_float32,
+)
 from ders import train
 from ders.checkpoint import load_model, save_model
 from ders.cli import main
@@ -17,6 +23,7 @@ from ders.moe import (
     MoELayer,
     Router,
     build_dense_model,
+    forward_tape,
     model_forward,
     named_parameters,
 )
@@ -226,6 +233,55 @@ class TestGradients:
         assert task0 == task1
         router_keys = [k for k in g0 if "router" in k]
         assert any(not np.allclose(g0[k], g1[k]) for k in router_keys)
+
+
+def _float_arrays(tree):
+    """Every float ndarray in a nest of dicts, lists and tuples."""
+    if isinstance(tree, np.ndarray):
+        return [tree] if tree.dtype.kind == "f" else []
+    if isinstance(tree, dict):
+        tree = list(tree.values())
+    if isinstance(tree, (list, tuple)):
+        return [arr for item in tree for arr in _float_arrays(item)]
+    return []
+
+
+class TestFloat32Compute:
+    @pytest.mark.parametrize(
+        "task",
+        [regression_task(seed=29, d=4, n_clusters=2, out_width=3),
+         make_task("modular_classification", dict(d=4, n_clusters=5), 31)],
+        ids=["regression", "classification"],
+    )
+    def test_float32_model_trains_and_evaluates_in_float32(self, task, monkeypatch):
+        """The task's float64 batch and targets are cast to the model's dtype,
+        so numpy does not promote the forward and backward to float64."""
+        dense = build_dense_model(d=6, d_h=8, depth=2, in_width=task.in_width,
+                                  out_width=task.target_width, seed=4)
+        model = upcycle(to_float32(dense), UpcycleConfig(n_experts=3, topk_count=2,
+                                                         method="ders_lm", rank=2, seed=6))
+        batch = task.sample_train(5, RngStream(4, 4))
+        assert batch[0].dtype == np.float64
+        seen = {}
+
+        def tape_spy(m, x):
+            seen["pred"], seen["tape"] = forward_tape(m, x)
+            return seen["pred"], seen["tape"]
+
+        def loss_spy(pred, y, kind):
+            loss, seen["d_pred"] = task_loss_and_grad(pred, y, kind)
+            return loss, seen["d_pred"]
+
+        monkeypatch.setattr(train, "forward_tape", tape_spy)
+        monkeypatch.setattr(train, "task_loss_and_grad", loss_spy)
+        _, _, grads = loss_parts(model, batch, task, 0.01)
+        activations = _float_arrays(seen["tape"])
+        assert len(activations) > 10
+        assert {arr.dtype for arr in activations} == {np.dtype(np.float32)}
+        assert seen["pred"].dtype == seen["d_pred"].dtype == np.float32
+        assert {g.dtype for g in grads.values()} == {np.dtype(np.float32)}
+        assert model_forward(model, task.eval_set()[0]).dtype == np.float32
+        assert 0.0 <= evaluate(model, task) <= 100.0
 
 
 class TestTrainLoop:
