@@ -32,7 +32,7 @@ import zlib
 import numpy as np
 
 from .deltas import DELTA_KINDS, ExpertGroup
-from .errors import CorruptionError, StateError
+from .errors import ConfigError, CorruptionError, DimensionError, StateError
 from .moe import DenseBlock, FFN, Model, MoELayer, Router
 from .numkern import check_finite
 
@@ -231,8 +231,8 @@ def load_model(path: str) -> tuple[Model, dict]:
         return _build_model(header, payload), header.get("meta", {})
     except KeyError as exc:
         raise CorruptionError(f"{path} header lacks the field {exc}") from exc
-    except TypeError as exc:
-        raise CorruptionError(f"{path} header has a field of the wrong type: {exc}") from exc
+    except (TypeError, ConfigError, DimensionError) as exc:
+        raise CorruptionError(f"{path} header has a field of the wrong type or value: {exc}") from exc
 
 
 def _build_model(header: dict, payload: bytes) -> Model:

@@ -59,7 +59,13 @@ _METHOD_ALIASES = {
 
 # A config value's type: (what the error message says it must be, test).
 _INT = ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
-_NUMBER = ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool))
+# JSON reads NaN, Infinity and 1e400 as floats; none of them is a usable setting.
+_NUMBER = (
+    "a finite number",
+    lambda v: isinstance(v, (int, float))
+    and not isinstance(v, bool)
+    and abs(v) <= sys.float_info.max,
+)
 _STRING = ("a string", lambda v: isinstance(v, str))
 _BOOL = ("true or false", lambda v: isinstance(v, bool))
 _NUMBERS = ("a list of numbers", lambda v: isinstance(v, list) and all(_NUMBER[1](x) for x in v))

@@ -11,11 +11,18 @@ expert's delta; experts whose routing score is zero are never materialized
 (instrumented by a per-layer synthesis counter). The batched forward evaluates
 rows independently with a fixed accumulation order, so a batch result equals
 the stacked single-row results bit-for-bit.
+
+Every FFN-shaped computation, act(x · W_in) · W_out, runs through one private
+forward: a dense block, each routed expert on the rows routed to it, the
+extended always-active member N+1, and the parallel universal FFN. On a tape it
+records x, both weights, the activation, h, a and out, which is all that
+``ders.train._ffn_backward`` reads.
 """
 
 from __future__ import annotations
 
 import copy
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +71,22 @@ def act_grad(name: str, x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _check_scalars(obj, ints=(), flags=(), activation: str | None = None) -> None:
+    """Sizes must be integers (not bools), flags bools, an activation known."""
+    for name in ints:
+        if not _is_int(getattr(obj, name)):
+            raise ParameterError(f"{name} must be an integer, got {getattr(obj, name)!r}")
+    for name in flags:
+        if not isinstance(getattr(obj, name), bool):
+            raise ParameterError(f"{name} must be true or false, got {getattr(obj, name)!r}")
+    if activation is not None and activation not in ACTIVATIONS:
+        raise ParameterError(f"unknown activation {activation!r}")
+
+
 @dataclass
 class Router:
     """Linear router: scores = TopK(softmax(x · w_r), topk_count)."""
@@ -72,6 +95,7 @@ class Router:
     topk_count: int
 
     def __post_init__(self):
+        _check_scalars(self, ints=("topk_count",))
         if self.w_r.ndim != 2:
             raise DimensionError("router weight must be 2-D")
         if not 1 <= self.topk_count <= self.w_r.shape[1]:
@@ -95,8 +119,7 @@ class FFN:
             raise DimensionError(
                 f"FFN inner dims differ: w_in {self.w_in.shape}, w_out {self.w_out.shape}"
             )
-        if self.activation not in ACTIVATIONS:
-            raise ParameterError(f"unknown activation {self.activation!r}")
+        _check_scalars(self, activation=self.activation)
 
 
 @dataclass
@@ -132,6 +155,7 @@ class MoELayer:
     synthesis_count: int = 0
 
     def __post_init__(self):
+        _check_scalars(self, ("n_experts",), ("extended", "trainable_base"), self.activation)
         expected = self.n_experts + (1 if self.extended else 0)
         for tag, group in (("in", self.group_in), ("out", self.group_out)):
             if len(group) != expected:
@@ -154,9 +178,6 @@ class MoELayer:
         return w_in, w_out
 
 
-Block = DenseBlock | MoELayer
-
-
 @dataclass
 class Model:
     """Embed → residual blocks → readout, with dense-ancestor metadata."""
@@ -172,6 +193,8 @@ class Model:
     activation: str = "gelu"
 
     def __post_init__(self):
+        sizes = ("d", "d_h", "in_width", "out_width", "ancestor_params")
+        _check_scalars(self, sizes, activation=self.activation)
         if self.embed.shape != (self.in_width, self.d):
             raise DimensionError(f"embed is {self.embed.shape}, expected {(self.in_width, self.d)}")
         if self.readout.shape != (self.d, self.out_width):
@@ -200,86 +223,62 @@ def route(router: Router, x: np.ndarray, tape: dict | None = None) -> np.ndarray
     return scores[0] if np.asarray(x).ndim == 1 else scores
 
 
-def ffn_forward(ffn: FFN, x: np.ndarray, tape: dict | None = None) -> np.ndarray:
-    h = numkern.matmul(x, ffn.w_in)
-    a = act_forward(ffn.activation, h)
-    out = numkern.matmul(a, ffn.w_out)
-    if tape is not None:
-        tape["h"] = h
-        tape["a"] = a
+def _ffn(rec: dict | None, x: np.ndarray, w_in, w_out, activation: str) -> np.ndarray:
+    """act(x · w_in) · w_out: the one FFN forward of every dense block, routed
+    expert, member N+1 and parallel universal FFN. With a ``rec``, records on
+    it what :func:`ders.train._ffn_backward` reads."""
+    h = numkern.matmul(x, w_in)
+    a = act_forward(activation, h)
+    out = numkern.matmul(a, w_out)
+    if rec is not None:
+        rec.update(x=x, w_in=w_in, w_out=w_out, activation=activation, h=h, a=a, out=out)
     return out
+
+
+def ffn_forward(ffn: FFN, x: np.ndarray, tape: dict | None = None) -> np.ndarray:
+    return _ffn(tape, x, ffn.w_in, ffn.w_out, ffn.activation)
 
 
 def moe_forward(layer: MoELayer, x: np.ndarray) -> np.ndarray:
     """MoE block output for a single row vector or a batch (no residual)."""
     arr = np.asarray(x)
     if arr.ndim == 1:
-        return _moe_forward_batch(layer, arr.reshape(1, -1))[0][0]
-    return _moe_forward_batch(layer, arr)[0]
+        return _moe_forward(layer, arr.reshape(1, -1), None)[0]
+    return _moe_forward(layer, arr, None)
 
 
-def _moe_forward_batch(
-    layer: MoELayer, x: np.ndarray, record: bool = False
-) -> tuple[np.ndarray, dict | None]:
-    """Batched MoE forward; optionally records intermediates for backprop.
+def _moe_forward(layer: MoELayer, x: np.ndarray, tape: dict | None) -> np.ndarray:
+    """Batched MoE forward; with a ``tape``, records intermediates for backprop.
 
-    Per-row accumulation order is fixed (experts in index order, universal
-    last), and experts are synthesized once per call, only if some row routes
-    to them.
+    Per-row accumulation order is fixed (experts in index order, the
+    always-active member or universal FFN last), and experts are synthesized
+    once per call, only if some row routes to them.
     """
-    tape = {"kind": "moe", "x": x, "experts": [], "universal": None} if record else None
-    scores_full = route(layer.router, x, tape)
+    scores = route(layer.router, x, tape)
     if tape is not None:
-        tape["scores"] = scores_full
+        tape.update(x=x, scores=scores, experts=[], universal=None)
     n = layer.n_experts
     y = np.zeros((x.shape[0], layer.group_out.base.shape[1]), dtype=x.dtype)
     for i in range(n):
-        rows = np.flatnonzero(scores_full[:, i] != 0.0)
-        if rows.size == 0:
-            if tape is not None:
-                tape["experts"].append(None)
-            continue
-        w_in, w_out = layer.synthesized_weights(i)
-        xs = x[rows]
-        h = numkern.matmul(xs, w_in)
-        a = act_forward(layer.activation, h)
-        out = numkern.matmul(a, w_out)
-        y[rows] += scores_full[rows, i : i + 1] * out
+        rows = np.flatnonzero(scores[:, i] != 0.0)
+        rec = None if tape is None or rows.size == 0 else {"rows": rows}
         if tape is not None:
-            tape["experts"].append(
-                {"rows": rows, "w_in": w_in, "w_out": w_out, "h": h, "a": a, "out": out}
-            )
-    if layer.extended:
-        w_in, w_out = layer.synthesized_weights(n)
-        h = numkern.matmul(x, w_in)
-        a = act_forward(layer.activation, h)
-        y += numkern.matmul(a, w_out)
+            tape["experts"].append(rec)
+        if rows.size:
+            out = _ffn(rec, x[rows], *layer.synthesized_weights(i), layer.activation)
+            y[rows] += scores[rows, i : i + 1] * out
+    if layer.extended or layer.universal is not None:
+        rec = None if tape is None else {}
+        if layer.extended:
+            y += _ffn(rec, x, *layer.synthesized_weights(n), layer.activation)
+        else:
+            y += ffn_forward(layer.universal, x, rec)
         if tape is not None:
-            tape["universal"] = {"w_in": w_in, "w_out": w_out, "h": h, "a": a, "folded": True}
-    elif layer.universal is not None:
-        h = numkern.matmul(x, layer.universal.w_in)
-        a = act_forward(layer.universal.activation, h)
-        y += numkern.matmul(a, layer.universal.w_out)
-        if tape is not None:
-            tape["universal"] = {
-                "w_in": layer.universal.w_in,
-                "w_out": layer.universal.w_out,
-                "h": h,
-                "a": a,
-                "folded": False,
-            }
-    return y, tape
+            tape["universal"] = rec
+    return y
 
 
-def _block_forward(block: Block, x: np.ndarray, record: bool) -> tuple[np.ndarray, dict | None]:
-    if isinstance(block, MoELayer):
-        return _moe_forward_batch(block, x, record)
-    tape = {"kind": "dense", "x": x} if record else None
-    out = ffn_forward(block.ffn, x, tape)
-    return out, tape
-
-
-def _forward(model: Model, batch: np.ndarray, record: bool) -> tuple[np.ndarray, dict | None]:
+def _forward(model: Model, batch: np.ndarray, tape: dict | None) -> np.ndarray:
     # The model's float dtype, so a float32 model computes in float32.
     x = np.asarray(batch, dtype=model.embed.dtype)
     if x.ndim == 1:
@@ -287,25 +286,22 @@ def _forward(model: Model, batch: np.ndarray, record: bool) -> tuple[np.ndarray,
     if x.ndim != 2 or x.shape[1] != model.in_width:
         raise DimensionError(f"batch is {x.shape}, expected (*, {model.in_width})")
     numkern.check_finite(x, "the input batch")
-    tape: dict | None = None
     h = numkern.matmul(x, model.embed)
-    if record:
-        tape = {"x_in": x, "block_inputs": [], "blocks": []}
+    if tape is not None:
+        tape.update(x_in=x, blocks=[])
     for j, block in enumerate(model.blocks):
-        if record:
-            tape["block_inputs"].append(h)
+        moe = isinstance(block, MoELayer)
+        rec = None if tape is None else {"kind": "moe" if moe else "dense"}
         try:
-            out, block_tape = _block_forward(block, h, record)
+            out = _moe_forward(block, h, rec) if moe else ffn_forward(block.ffn, h, rec)
         except NumericError as e:
             raise NumericError(f"block {j}: {e}") from e
         h = h + out  # residual connection
-        if record:
-            tape["blocks"].append(block_tape)
-    pred = numkern.check_finite(numkern.matmul(h, model.readout), "the prediction")
-    if record:
+        if tape is not None:
+            tape["blocks"].append(rec)
+    if tape is not None:
         tape["h_final"] = h
-        tape["pred"] = pred
-    return pred, tape
+    return numkern.check_finite(numkern.matmul(h, model.readout), "the prediction")
 
 
 def model_forward(model: Model, batch: np.ndarray) -> np.ndarray:
@@ -313,15 +309,14 @@ def model_forward(model: Model, batch: np.ndarray) -> np.ndarray:
 
     A 1-D input is treated as a single row and returns a 1-D output.
     """
-    pred, _ = _forward(model, batch, record=False)
+    pred = _forward(model, batch, None)
     return pred[0] if np.asarray(batch).ndim == 1 else pred
 
 
 def forward_tape(model: Model, batch: np.ndarray) -> tuple[np.ndarray, dict]:
     """Forward pass that also returns the intermediates backprop needs."""
-    pred, tape = _forward(model, batch, record=True)
-    assert tape is not None
-    return pred, tape
+    tape: dict = {}
+    return _forward(model, batch, tape), tape
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,22 @@
 """Exact-gradient training on synthetic tasks.
 
 Gradients are hand-derived reverse-mode derivatives computed from the forward
-tape — no autograd. Special cases the MoE stack needs:
+tape — no autograd. One FFN backward, ``_ffn_backward``, serves every FFN the
+forward ran (dense block, routed expert, member N+1, parallel universal FFN)
+and returns (dX, dW_in, dW_out); the caller lands the weight gradients. Special
+cases the MoE stack needs:
 
 * the top-k routing mask is treated as a constant (straight-through): task-loss
   gradient flows only through surviving softmax entries;
-* an expert-weight gradient dW lands on the delta's trainable arrays as the
-  delta form says (``DeltaWeight.weight_grads``): a SparseDelta takes it only
-  on its value vector at its fixed indices (chain rule through the rescale
-  factor), a LowRankDelta splits it into dA = dW·Bᵀ and dB = Aᵀ·dW;
-* the shared base receives the sum of all per-expert weight gradients;
+* a group member's (a routed expert's or member N+1's) weight gradient dW lands
+  on the delta's trainable arrays as the delta form says
+  (``DeltaWeight.weight_grads``): a SparseDelta takes it only on its value
+  vector at its fixed indices (chain rule through the rescale factor), a
+  LowRankDelta splits it into dA = dW·Bᵀ and dB = Aᵀ·dW;
+* a trainable shared base receives the sum of all members' weight gradients,
+  experts in index order, then member N+1;
+* a dense block's or parallel universal FFN's gradients land on its own
+  ``w_in`` and ``w_out``;
 * frozen parameters (vanilla/compressed bases, frozen shared FFNs, quantized
   payloads) get no gradient entry at all.
 
@@ -28,9 +35,9 @@ import numpy as np
 from . import numkern
 from .errors import ConfigError, NumericError, ParameterError
 from .moe import (
-    DenseBlock,
     Model,
     MoELayer,
+    _is_int,
     act_grad,
     copy_model,
     forward_tape,
@@ -41,10 +48,6 @@ from .moe import (
 TASK_KINDS = ("cluster_regression", "modular_classification")
 OPTIMIZERS = ("sgd", "adam")
 SCHEDULES = ("constant", "cosine", "linear")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +89,8 @@ class SyntheticTask:
             raise ConfigError("n_clusters and d must be >= 1")
         if not _is_int(self.eval_size) or self.eval_size < 1:
             raise ConfigError(f"eval_size must be an integer >= 1, got {self.eval_size!r}")
+        if self.noise < 0:
+            raise ConfigError(f"noise must be >= 0, got {self.noise!r}")
         if self.kind == "modular_classification":
             if self.shift != 0.0:
                 raise ConfigError("shift applies to cluster_regression only")
@@ -260,33 +265,24 @@ def evaluate(model: Model, task: SyntheticTask) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return numkern.matmul(a, b)
+def _ffn_backward(rec: dict, d_out: np.ndarray):
+    """(d_x, d_w_in, d_w_out) of one FFN forward that recorded ``rec``; the
+    caller lands the weight gradients where its weights live."""
+    d_a = numkern.matmul(d_out, rec["w_out"].T)
+    d_w_out = numkern.matmul(rec["a"].T, d_out)
+    d_h = d_a * act_grad(rec["activation"], rec["h"])
+    d_w_in = numkern.matmul(rec["x"].T, d_h)
+    return numkern.matmul(d_h, rec["w_in"].T), d_w_in, d_w_out
 
 
-def _expert_backward(
-    grads: dict,
-    layer: MoELayer,
-    j: int,
-    i: int,
-    rec: dict,
-    x_rows: np.ndarray,
-    d_out: np.ndarray,
-    activation: str,
-):
-    """FFN backward for one synthesized expert; returns dX over its rows."""
-    d_a = _mm(d_out, rec["w_out"].T)
-    d_w_out = _mm(rec["a"].T, d_out)
-    d_h = d_a * act_grad(activation, rec["h"])
-    d_w_in = _mm(x_rows.T, d_h)
-    d_x = _mm(d_h, rec["w_in"].T)
-    if layer.trainable_base:
-        grads[f"blocks.{j}.group_in.base"] += d_w_in
-        grads[f"blocks.{j}.group_out.base"] += d_w_out
+def _land_member(grads: dict, layer: MoELayer, j: int, i: int, d_w_in, d_w_out) -> None:
+    """Group member i's weight gradients: the trainable base takes them whole,
+    delta i as its form says."""
     for tag, d_w in (("group_in", d_w_in), ("group_out", d_w_out)):
+        if layer.trainable_base:
+            grads[f"blocks.{j}.{tag}.base"] += d_w
         for name, grad in getattr(layer, tag).deltas[i].weight_grads(d_w):
             grads[f"blocks.{j}.{tag}.delta{i}.{name}"] += grad
-    return d_x
 
 
 def _moe_backward(
@@ -302,23 +298,19 @@ def _moe_backward(
         if rec is None:
             continue
         rows = rec["rows"]
-        d_out = scores[rows, i : i + 1] * d_y[rows]
         d_scores[rows, i] = np.sum(d_y[rows] * rec["out"], axis=1)
-        d_x[rows] += _expert_backward(
-            grads, layer, j, i, rec, x[rows], d_out, layer.activation
-        )
+        d_rows, d_w_in, d_w_out = _ffn_backward(rec, scores[rows, i : i + 1] * d_y[rows])
+        d_x[rows] += d_rows
+        _land_member(grads, layer, j, i, d_w_in, d_w_out)
     uni = tape["universal"]
     if uni is not None:
-        if uni["folded"]:
-            d_x += _expert_backward(
-                grads, layer, j, layer.n_experts, uni, x, d_y, layer.activation
-            )
+        d_uni, d_w_in, d_w_out = _ffn_backward(uni, d_y)
+        d_x += d_uni
+        if layer.extended:
+            _land_member(grads, layer, j, layer.n_experts, d_w_in, d_w_out)
         else:
-            d_a = _mm(d_y, uni["w_out"].T)
-            grads[f"blocks.{j}.universal.w_out"] += _mm(uni["a"].T, d_y)
-            d_h = d_a * act_grad(layer.universal.activation, uni["h"])
-            grads[f"blocks.{j}.universal.w_in"] += _mm(x.T, d_h)
-            d_x += _mm(d_h, uni["w_in"].T)
+            grads[f"blocks.{j}.universal.w_in"] += d_w_in
+            grads[f"blocks.{j}.universal.w_out"] += d_w_out
     # Straight-through top-k: only surviving entries carry task-loss gradient.
     d_probs = np.where(scores != 0.0, d_scores, 0.0)
     if aux_coeff != 0.0:
@@ -326,8 +318,8 @@ def _moe_backward(
         fraction = np.mean(scores != 0.0, axis=0)
         d_probs = d_probs + aux_coeff * layer.n_experts * fraction / b
     d_logits = probs * (d_probs - np.sum(d_probs * probs, axis=1, keepdims=True))
-    grads[f"blocks.{j}.router.w_r"] += _mm(x.T, d_logits)
-    d_x += _mm(d_logits, layer.router.w_r.T)
+    grads[f"blocks.{j}.router.w_r"] += numkern.matmul(x.T, d_logits)
+    d_x += numkern.matmul(d_logits, layer.router.w_r.T)
     return d_x
 
 
@@ -370,24 +362,18 @@ def loss_parts(model: Model, batch, task: SyntheticTask, aux_loss_coeff: float =
     grads: dict[str, np.ndarray] = {
         name: np.zeros_like(arr) for name, arr in named_parameters(model)
     }
-    h_final = tape["h_final"]
-    grads["readout"] += _mm(h_final.T, d_pred)
-    d_h = _mm(d_pred, model.readout.T)
+    grads["readout"] += numkern.matmul(tape["h_final"].T, d_pred)
+    d_h = numkern.matmul(d_pred, model.readout.T)
     for j in range(len(model.blocks) - 1, -1, -1):
-        block = model.blocks[j]
-        block_tape = tape["blocks"][j]
-        x_in = tape["block_inputs"][j]
+        block, rec = model.blocks[j], tape["blocks"][j]
         if isinstance(block, MoELayer):
-            d_block_in = _moe_backward(grads, block, j, block_tape, d_h, aux_loss_coeff)
+            d_block_in = _moe_backward(grads, block, j, rec, d_h, aux_loss_coeff)
         else:
-            ffn = block.ffn
-            d_a = _mm(d_h, ffn.w_out.T)
-            grads[f"blocks.{j}.ffn.w_out"] += _mm(block_tape["a"].T, d_h)
-            d_hidden = d_a * act_grad(ffn.activation, block_tape["h"])
-            grads[f"blocks.{j}.ffn.w_in"] += _mm(x_in.T, d_hidden)
-            d_block_in = _mm(d_hidden, ffn.w_in.T)
+            d_block_in, d_w_in, d_w_out = _ffn_backward(rec, d_h)
+            grads[f"blocks.{j}.ffn.w_in"] += d_w_in
+            grads[f"blocks.{j}.ffn.w_out"] += d_w_out
         d_h = d_h + d_block_in  # residual path
-    grads["embed"] += _mm(tape["x_in"].T, d_h)
+    grads["embed"] += numkern.matmul(tape["x_in"].T, d_h)
     for name, grad in grads.items():
         numkern.check_finite(grad, f"the gradient of {name}")
     return total, (task_loss, aux_raw), grads

@@ -250,14 +250,26 @@ class TestExitCodes:
             ("pretrain-dense", "task", "params", [1]),
             ("upcycle", "upcycle", "n_experts", True),
             ("compress", "compress", "drop_rate", "0.5"),
+            ("train", "train", "lr", float("inf")),
+            ("pretrain-dense", "task", "params.spread", float("nan")),
         ],
     )
     def test_wrongly_typed_config_field_exit_2(
         self, tmp_path, capsys, command, section, field, value
     ):
-        cfg = write_config(tmp_path, {section: {field: value}})
+        """A dotted ``field`` names a nested key; json.dump writes inf and
+        nan as the Infinity and NaN that json.loads accepts."""
+        for key in reversed(field.split(".")):
+            value = {key: value}
+        cfg = write_config(tmp_path, {section: value})
         assert run(command, "--config", cfg, "--out", str(tmp_path / "run")) == 2
         assert f"'{section}.{field}'" in capsys.readouterr().err
+
+    def test_negative_noise_exit_2(self, tmp_path, capsys):
+        params = {"d": 1, "n_clusters": 8, "noise": -1.0}
+        cfg = write_config(tmp_path, {"task": {"params": params}})
+        assert run("pretrain-dense", "--config", cfg, "--out", str(tmp_path / "run")) == 2
+        assert "noise" in capsys.readouterr().err
 
     def test_missing_delta_header_field_exit_3(self, tmp_path, pipeline, capsys):
         cfg, out = pipeline
@@ -302,6 +314,33 @@ class TestExitCodes:
         edit_header(os.path.join(out, "trained.ckpt"), edit, damaged)
         assert run("eval", "--config", cfg, "--out", str(tmp_path), "--ckpt", damaged) == 3
         assert "wrong type" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("n_experts", 2.0),
+            ("extended", "no"),
+            ("topk_count", 9),
+            ("activation", "foo"),
+            ("trainable_base", "yes"),
+            ("d", 8.0),
+        ],
+    )
+    def test_invalid_model_scalar_exit_3(self, tmp_path, pipeline, capsys, field, value):
+        """A damaged size, flag or activation that keeps a valid JSON type is
+        refused as corruption; ``d`` is the model's, the rest the MoE layer's."""
+        cfg, out = pipeline
+
+        def edit(header):
+            topo = header["model"]
+            entry = topo if field == "d" else next(b for b in topo["blocks"] if b["kind"] == "moe")
+            entry[field] = value
+
+        damaged = str(tmp_path / "damaged.ckpt")
+        edit_header(os.path.join(out, "trained.ckpt"), edit, damaged)
+        assert run("eval", "--config", cfg, "--out", str(tmp_path), "--ckpt", damaged) == 3
+        err = capsys.readouterr().err
+        assert field in err and repr(value) in err
 
     def test_train_divergence_keeps_trace_exit_4(self, tmp_path, pipeline):
         """A diverging run exits 4 and still writes one metrics row per

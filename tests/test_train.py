@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     build_mixed_moe_model,
@@ -282,6 +284,62 @@ class TestFloat32Compute:
         assert {g.dtype for g in grads.values()} == {np.dtype(np.float32)}
         assert model_forward(model, task.eval_set()[0]).dtype == np.float32
         assert 0.0 <= evaluate(model, task) <= 100.0
+
+
+def _generated_model(method, pattern, depth, universal, frozen, activation, dtype, seed):
+    """A small model of ``depth`` blocks, MoE where ``pattern`` picks, every
+    trainable array nudged off its upcycle value. A vanilla "extended" layer
+    is what ``ders compress --extended`` makes of a parallel universal FFN."""
+    dense = build_dense_model(d=4, d_h=6, depth=depth, in_width=3, out_width=2, seed=seed,
+                              activation=activation)
+    if dtype == "float32":
+        dense = to_float32(dense)
+    upcycled_by_ders = method != "vanilla"
+    model = upcycle(dense, UpcycleConfig(
+        n_experts=3, topk_count=2, method=method, rank=2, layer_pattern=pattern,
+        parallel_universal=universal != "neither", extended=upcycled_by_ders and universal == "extended",
+        freeze_shared=upcycled_by_ders and frozen, seed=seed,
+    ))
+    if not upcycled_by_ders and universal == "extended":
+        model = ders_compress(model, CompressionSpec(technique="dense", extended=True))
+    nudge = np.random.default_rng(seed)
+    for _, arr in named_parameters(model):
+        arr += (0.1 * nudge.standard_normal(arr.shape)).astype(arr.dtype)
+    return model
+
+
+class TestSharedFfnProperty:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        method=st.sampled_from(["vanilla", "ders_sm", "ders_lm"]),
+        pattern=st.sampled_from(["every_layer", "every_other_layer"]),
+        depth=st.integers(1, 3),
+        universal=st.sampled_from(["parallel", "extended", "neither"]),
+        frozen=st.booleans(),
+        activation=st.sampled_from(["gelu", "relu", "tanh", "identity"]),
+        dtype=st.sampled_from(["float64", "float32"]),
+        rows=st.integers(1, 6),
+        seed=st.integers(0, 2**16),
+    )
+    def test_one_forward_and_backward_for_every_block_kind(
+        self, method, pattern, depth, universal, frozen, activation, dtype, rows, seed
+    ):
+        """Batch == stacked rows, the taped forward == the plain one, and the
+        gradients cover exactly the trainables, the same bytes on every call."""
+        model = _generated_model(method, pattern, depth, universal, frozen, activation, dtype,
+                                 seed)
+        g = np.random.default_rng(seed + 1)
+        x, y = g.standard_normal((rows, 3)), g.standard_normal((rows, 2))
+        pred = model_forward(model, x)
+        assert pred.dtype == np.dtype(dtype)
+        assert np.stack([model_forward(model, row) for row in x]).tobytes() == pred.tobytes()
+        assert forward_tape(model, x)[0].tobytes() == pred.tobytes()
+        task = regression_task(seed=1, d=3, n_clusters=2, out_width=2)
+        loss, grads = loss_and_grads(model, (x, y), task, 0.01)
+        assert list(grads) == [name for name, _ in named_parameters(model)]
+        loss2, grads2 = loss_and_grads(model, (x, y), task, 0.01)
+        assert loss2 == loss
+        assert all(grads[k].tobytes() == grads2[k].tobytes() for k in grads)
 
 
 class TestTrainLoop:
