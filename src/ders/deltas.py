@@ -275,7 +275,7 @@ class QuantizedDelta(DeltaWeight):
             raise ParameterError(
                 f"bit_width must be one of {SUPPORTED_BIT_WIDTHS}, got {self.bit_width}"
             )
-        self.packed = np.asarray(self.packed, dtype=np.uint8)
+        self.packed = np.ascontiguousarray(self.packed, dtype=np.uint8)
         self.scale = float(self.scale)
         expected = packed_byte_count(self.rows * self.cols, self.bit_width)
         if self.packed.size != expected:
@@ -366,33 +366,50 @@ def pack_codes(codes: np.ndarray, bit_width: int) -> np.ndarray:
     return byte.astype(np.uint8)
 
 
+def _byte_table(bit_width: int) -> np.ndarray:
+    """For each of the 256 byte values, that byte's 8/k codes in stream order,
+    as one void record of int64s, so one ``take`` decodes a whole payload.
+
+    A field is sign-extended two's complement for k >= 2; for k == 1 the sign
+    bit maps to ±1.
+    """
+    per_byte = 8 // bit_width
+    shifts = np.arange(per_byte) * bit_width
+    u = (np.arange(256, dtype=np.int64)[:, None] >> shifts) & ((1 << bit_width) - 1)
+    if bit_width == 1:
+        codes = np.where(u == 1, 1, -1)
+    else:
+        codes = np.where(u >= 1 << (bit_width - 1), u - (1 << bit_width), u)
+    return codes.astype(np.int64).view(np.dtype((np.void, 8 * per_byte))).ravel()
+
+
+_BYTE_TABLES = {k: _byte_table(k) for k in (1, 2, 4)}
+
+
 def unpack_codes(packed: np.ndarray, bit_width: int, n_codes: int) -> np.ndarray:
     """Inverse of :func:`pack_codes`; returns signed int64 codes.
 
     bit_width >= 2 codes are sign-extended two's complement; bit_width == 1
-    maps the sign bit to ±1.
+    maps the sign bit to ±1. 8- and 16-bit payloads are read as signed
+    little-endian integers; narrower ones decode a byte at a time through a
+    256-entry table. Slots past ``n_codes`` (the last byte's padding) are
+    dropped.
     """
     if bit_width not in SUPPORTED_BIT_WIDTHS:
         raise ParameterError(f"unsupported bit width {bit_width}")
-    packed = np.asarray(packed, dtype=np.uint8)
+    packed = np.ascontiguousarray(packed, dtype=np.uint8)
     if packed.size != packed_byte_count(n_codes, bit_width):
         raise CorruptionError(
             f"packed payload holds {packed.size} bytes, expected "
             f"{packed_byte_count(n_codes, bit_width)} for {n_codes} codes"
         )
     if bit_width == 16:
-        u = packed.view("<u2").astype(np.int64)[:n_codes]
+        codes = packed.view("<i2")
     elif bit_width == 8:
-        u = packed.astype(np.int64)[:n_codes]
+        codes = packed.view(np.int8)
     else:
-        per_byte = 8 // bit_width
-        mask = (1 << bit_width) - 1
-        slots = [(packed.astype(np.uint32) >> (s * bit_width)) & mask for s in range(per_byte)]
-        u = np.stack(slots, axis=1).ravel().astype(np.int64)[:n_codes]
-    if bit_width == 1:
-        return np.where(u == 1, 1, -1).astype(np.int64)
-    half = 1 << (bit_width - 1)
-    return np.where(u >= half, u - (1 << bit_width), u).astype(np.int64)
+        codes = _BYTE_TABLES[bit_width].take(packed).view(np.int64)
+    return codes[:n_codes].astype(np.int64, copy=False)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from .deltas import ExpertGroup, synthesize
 from .errors import DimensionError, NumericError, ParameterError
 
 ACTIVATIONS = ("gelu", "relu", "tanh", "identity")
+METHODS = ("vanilla", "ders_sm", "ders_lm")
 
 _GELU_C = 0.7978845608028654  # sqrt(2/pi)
 _GELU_A = 0.044715
@@ -156,6 +157,8 @@ class MoELayer:
 
     def __post_init__(self):
         _check_scalars(self, ("n_experts",), ("extended", "trainable_base"), self.activation)
+        if self.method not in METHODS:
+            raise ParameterError(f"unknown upcycle method {self.method!r}; choose from {METHODS}")
         expected = self.n_experts + (1 if self.extended else 0)
         for tag, group in (("in", self.group_in), ("out", self.group_out)):
             if len(group) != expected:

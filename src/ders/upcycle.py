@@ -28,9 +28,8 @@ import numpy as np
 from . import numkern
 from .deltas import DenseDelta, ExpertGroup, init_lowrank_trainable, init_sparse_trainable
 from .errors import ConfigError, StateError
-from .moe import FFN, DenseBlock, Model, MoELayer, Router
+from .moe import FFN, METHODS, DenseBlock, Model, MoELayer, Router
 
-METHODS = ("vanilla", "ders_sm", "ders_lm")
 LAYER_PATTERNS = ("every_layer", "every_other_layer")
 
 

@@ -342,6 +342,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert field in err and repr(value) in err
 
+    def test_unknown_method_exit_3(self, tmp_path, pipeline, capsys):
+        """An unknown MoE ``method`` is corruption for every command that
+        loads the checkpoint, not a silent load or a misleading message."""
+        cfg, out = pipeline
+
+        def edit(header):
+            next(b for b in header["model"]["blocks"] if b["kind"] == "moe")["method"] = "foo"
+
+        damaged = str(tmp_path / "damaged.ckpt")
+        edit_header(os.path.join(out, "trained.ckpt"), edit, damaged)
+        for cmd in (
+            ("eval", "--config", cfg),
+            ("report-params",),
+            ("analyze-similarity",),
+        ):
+            assert run(*cmd, "--out", str(tmp_path), "--ckpt", damaged) == 3, cmd
+            err = capsys.readouterr().err
+            assert "method" in err and "'foo'" in err, cmd
+
     def test_train_divergence_keeps_trace_exit_4(self, tmp_path, pipeline):
         """A diverging run exits 4 and still writes one metrics row per
         completed step, the same bytes on every run."""

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import rng_mat
 from ders import deltas, numkern
@@ -212,6 +214,79 @@ class TestPacking:
     def test_truncated_payload_rejected(self):
         with pytest.raises(CorruptionError):
             unpack_codes(np.zeros(1, dtype=np.uint8), 8, 5)
+
+
+def shift_decode(packed, bit_width, n_codes):
+    """The per-slot shift-and-sign-extend decode that ``unpack_codes``
+    replaced, kept as its oracle."""
+    packed = np.asarray(packed, dtype=np.uint8)
+    if bit_width == 16:
+        u = packed.view("<u2").astype(np.int64)[:n_codes]
+    elif bit_width == 8:
+        u = packed.astype(np.int64)[:n_codes]
+    else:
+        per_byte = 8 // bit_width
+        mask = (1 << bit_width) - 1
+        slots = [(packed.astype(np.uint32) >> (s * bit_width)) & mask for s in range(per_byte)]
+        u = np.stack(slots, axis=1).ravel().astype(np.int64)[:n_codes]
+    if bit_width == 1:
+        return np.where(u == 1, 1, -1).astype(np.int64)
+    half = 1 << (bit_width - 1)
+    return np.where(u >= half, u - (1 << bit_width), u).astype(np.int64)
+
+
+def same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestByteTableDecode:
+    @pytest.mark.parametrize("k", deltas.SUPPORTED_BIT_WIDTHS)
+    def test_every_byte_value(self, k):
+        packed = np.arange(256, dtype=np.uint8)
+        if k == 16:  # a 16-bit code spans two bytes: every pair of byte values
+            packed = np.arange(1 << 16, dtype="<u2").view(np.uint8)
+        n_codes = packed.size * 8 // k
+        assert same_bytes(unpack_codes(packed, k, n_codes), shift_decode(packed, k, n_codes))
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        k=st.sampled_from(deltas.SUPPORTED_BIT_WIDTHS),
+        n_codes=st.integers(0, 80),
+        data=st.data(),
+        dtype=st.sampled_from([np.float64, np.float32]),
+    )
+    def test_materialize_matches_oracle(self, k, n_codes, data, dtype):
+        n_bytes = deltas.packed_byte_count(n_codes, k)
+        packed = np.frombuffer(data.draw(st.binary(min_size=n_bytes, max_size=n_bytes)), np.uint8)
+        codes = shift_decode(packed, k, n_codes)
+        assert same_bytes(unpack_codes(packed, k, n_codes), codes)
+        dtype = np.dtype(dtype)
+        for scale in (0.0, 5e-324, 1.0, 1e300):
+            with np.errstate(all="ignore"):  # 1e300 is inf in float32; 0 * inf is nan
+                got = QuantizedDelta(1, n_codes, k, packed, scale).materialize(dtype)
+                want = (codes.astype(dtype) * dtype.type(scale)).reshape(1, n_codes)
+            assert same_bytes(got, want)
+
+    @pytest.mark.parametrize("k", deltas.SUPPORTED_BIT_WIDTHS)
+    def test_read_only_payload(self, k):
+        payload = bytes(range(deltas.packed_byte_count(48, k)))
+        packed = np.frombuffer(payload, dtype=np.uint8)
+        assert not packed.flags.writeable
+        codes = shift_decode(packed, k, 48)
+        assert same_bytes(unpack_codes(packed, k, 48), codes)
+        q = QuantizedDelta(6, 8, k, packed, 0.5)
+        assert same_bytes(q.materialize(np.float64), codes.reshape(6, 8) * 0.5)
+
+    @pytest.mark.parametrize("k", deltas.SUPPORTED_BIT_WIDTHS)
+    def test_strided_payload(self, k):
+        n_bytes = deltas.packed_byte_count(48, k)
+        strided = np.random.default_rng(k).integers(0, 256, 2 * n_bytes, dtype=np.uint8)[::2]
+        assert not strided.flags.c_contiguous
+        q = QuantizedDelta(6, 8, k, strided, 0.25)
+        assert q.packed.flags.c_contiguous and q.packed.dtype == np.uint8
+        contiguous = QuantizedDelta(6, 8, k, strided.copy(), 0.25)
+        for dtype in (np.float64, np.float32):
+            assert same_bytes(q.materialize(dtype), contiguous.materialize(dtype))
 
 
 class TestInitSparseTrainable:
