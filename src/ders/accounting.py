@@ -99,12 +99,6 @@ def _moe_layer_count(name: str, layer: MoELayer, bit_width: int) -> LayerCount:
     extra = [layer.router.w_r]
     if layer.universal is not None:
         extra += [layer.universal.w_in, layer.universal.w_out]
-    for record, live in (
-        (layer.init_base_in, layer.group_in.base),
-        (layer.init_base_out, layer.group_out.base),
-    ):
-        if record is not None and record is not live:
-            extra.append(record)
     for arr in extra:
         out.stored_values += int(arr.size)
         out.stored_bits += int(arr.size) * bit_width

@@ -72,7 +72,7 @@ def pairwise_cosine(members: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
 class LayerSimilarity:
     """Similarity matrices and delta norms for one MoE layer.
 
-    ``labels`` orders the members: the recorded init base first, then one
+    ``labels`` orders the members: the init base first, then one
     entry per group delta. ``cosine`` has keys "w_in", "w_out", "mean";
     ``undefined`` the matching masks. Norm ratios are None when the base
     norm is zero.
@@ -118,7 +118,8 @@ def cosine_report(model: Model) -> SimilarityReport:
     """Pairwise cosine similarity among {init, E_1..E_N} per MoE layer.
 
     Member weights are synthesized from the group (base + delta); the init
-    member is the recorded upcycle-time base. Per-matrix similarity is
+    member is the layer's frozen group base, the dense FFN every expert was
+    copied from (:func:`ders.compress.choose_base`). Per-matrix similarity is
     computed for w_in and w_out separately and averaged into "mean"
     (undefined wherever either side is undefined).
     """

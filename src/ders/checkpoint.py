@@ -4,7 +4,8 @@ Layout: the 4-byte magic ``DERS``, a little-endian u32 format version, a
 little-endian u32 header length, a UTF-8 JSON header, the concatenated
 little-endian array payloads, and a trailing u32 CRC-32 of the payload.
 The header carries the model topology, a record table (name, dtype, shape,
-offset, byte count), per-delta metadata (kind, rescale, quantizer scale),
+offset, byte count; one record per ``ders.moe.model_arrays`` entry, in its
+order), per-delta metadata (kind, rescale, quantizer scale),
 and caller-supplied metadata such as seeds and stage configs — a
 checkpoint loads without any external configuration.
 
@@ -12,13 +13,14 @@ Floats stored on disk keep the model's own width (f8 or f4); sparse index
 vectors persist as u32; quantized payloads as raw bytes. Each delta form
 declares its own header scalars and records (``ders.deltas``). Scalar floats
 (rescales, quantizer scales) live in the JSON header, which round-trips
-them exactly via repr. Vanilla-upcycled layers alias their recorded init
-base to the live group base; the alias (not a second copy) is preserved
-across save/load. Writes are atomic: a temp file in the target directory
-is renamed over the destination. Loading rejects wrong magic, truncation,
-checksum failures and unknown float dtypes as corruption, and any newer
-format version outright. A float record or delta header scalar that is not
-finite is refused as a numeric error.
+them exactly via repr. A vanilla layer's init base, the dense FFN its
+experts were copied from, is its frozen group base: the header marks it
+``"alias"`` (any other layer ``null``) and stores no second copy. Writes are
+atomic (``write_atomic``): a temp file in the target directory is renamed
+over the destination. Loading rejects wrong magic, truncation, checksum
+failures, a header of the wrong shape and unknown float dtypes as
+corruption, and any newer format version outright. A float record or delta
+header scalar that is not finite is refused as a numeric error.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import numpy as np
 
 from .deltas import DELTA_KINDS, ExpertGroup
 from .errors import ConfigError, CorruptionError, DimensionError, StateError
-from .moe import DenseBlock, FFN, Model, MoELayer, Router
+from .moe import DenseBlock, FFN, Model, MoELayer, Router, model_arrays
 from .numkern import check_finite
 
 MAGIC = b"DERS"
@@ -57,53 +59,31 @@ def _walk_model(model: Model):
     """Topology header + ordered (name, canonical array) records."""
     tag = _float_tag(model)
     fdt = _FLOAT_TAGS[tag]
-    arrays: list[tuple[str, np.ndarray]] = [("embed", _canonical(model.embed, fdt))]
     blocks = []
-    for j, block in enumerate(model.blocks):
-        prefix = f"blocks.{j}"
+    for block in model.blocks:
         if isinstance(block, DenseBlock):
             blocks.append({"kind": "dense", "activation": block.ffn.activation})
-            arrays.append((f"{prefix}.ffn.w_in", _canonical(block.ffn.w_in, fdt)))
-            arrays.append((f"{prefix}.ffn.w_out", _canonical(block.ffn.w_out, fdt)))
             continue
-        desc = {
-            "kind": "moe",
-            "n_experts": block.n_experts,
-            "topk_count": block.router.topk_count,
-            "activation": block.activation,
-            "extended": block.extended,
-            "trainable_base": block.trainable_base,
-            "method": block.method,
-            "universal": None,
-            "init_base_in": None,
-            "init_base_out": None,
-            "group_in": {"deltas": [d.descriptor() for d in block.group_in.deltas]},
-            "group_out": {"deltas": [d.descriptor() for d in block.group_out.deltas]},
-        }
-        arrays.append((f"{prefix}.router.w_r", _canonical(block.router.w_r, fdt)))
-        for tag_g, group in (("group_in", block.group_in), ("group_out", block.group_out)):
-            arrays.append((f"{prefix}.{tag_g}.base", _canonical(group.base, fdt)))
-            for i, delta in enumerate(group.deltas):
-                for field, arr, disk in delta.records():
-                    name = f"{prefix}.{tag_g}.delta{i}.{field}"
-                    arrays.append((name, _canonical(arr, disk or fdt)))
-        if block.universal is not None:
-            desc["universal"] = {"activation": block.universal.activation}
-            arrays.append((f"{prefix}.universal.w_in", _canonical(block.universal.w_in, fdt)))
-            arrays.append((f"{prefix}.universal.w_out", _canonical(block.universal.w_out, fdt)))
-        for side, record, live in (
-            ("init_base_in", block.init_base_in, block.group_in.base),
-            ("init_base_out", block.init_base_out, block.group_out.base),
-        ):
-            if record is None:
-                continue
-            if record is live:
-                desc[side] = "alias"
-            else:
-                desc[side] = "record"
-                arrays.append((f"{prefix}.{side}", _canonical(record, fdt)))
-        blocks.append(desc)
-    arrays.append(("readout", _canonical(model.readout, fdt)))
+        alias = "alias" if block.method == "vanilla" else None
+        blocks.append(
+            {
+                "kind": "moe",
+                "n_experts": block.n_experts,
+                "topk_count": block.router.topk_count,
+                "activation": block.activation,
+                "extended": block.extended,
+                "trainable_base": block.trainable_base,
+                "method": block.method,
+                "universal": (
+                    None if block.universal is None else {"activation": block.universal.activation}
+                ),
+                "init_base_in": alias,
+                "init_base_out": alias,
+                "group_in": {"deltas": [d.descriptor() for d in block.group_in.deltas]},
+                "group_out": {"deltas": [d.descriptor() for d in block.group_out.deltas]},
+            }
+        )
+    arrays = [(name, _canonical(arr, disk or fdt)) for name, arr, disk, _ in model_arrays(model)]
     topology = {
         "d": model.d,
         "d_h": model.d_h,
@@ -114,6 +94,22 @@ def _walk_model(model: Model):
         "blocks": blocks,
     }
     return tag, topology, arrays
+
+
+def write_atomic(path: str, data: bytes) -> None:
+    """Write ``data`` to ``path`` through a temp file in its directory that is
+    renamed over it, so a reader never sees a partial file."""
+    directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def save_model(model: Model, path: str, meta: dict | None = None) -> None:
@@ -143,27 +139,19 @@ def save_model(model: Model, path: str, meta: dict | None = None) -> None:
         "meta": meta or {},
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    blob = b"".join(
-        [
-            MAGIC,
-            struct.pack("<I", FORMAT_VERSION),
-            struct.pack("<I", len(header_bytes)),
-            header_bytes,
-            payload,
-            struct.pack("<I", zlib.crc32(payload)),
-        ]
+    write_atomic(
+        path,
+        b"".join(
+            [
+                MAGIC,
+                struct.pack("<I", FORMAT_VERSION),
+                struct.pack("<I", len(header_bytes)),
+                header_bytes,
+                payload,
+                struct.pack("<I", zlib.crc32(payload)),
+            ]
+        ),
     )
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(blob)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _take(records: dict, name: str, payload: bytes) -> np.ndarray:
@@ -189,9 +177,9 @@ def _load_float(records: dict, name: str, payload: bytes, dtype) -> np.ndarray:
 
 
 def _load_delta(desc: dict, name: str, records: dict, payload: bytes, dtype):
-    cls = DELTA_KINDS.get(desc.get("kind"))
+    cls = DELTA_KINDS.get(desc["kind"])
     if cls is None:
-        raise CorruptionError(f"checkpoint names unknown delta kind {desc.get('kind')!r}")
+        raise CorruptionError(f"checkpoint names unknown delta kind {desc['kind']!r}")
 
     def read(field: str, disk_dtype: str | None) -> np.ndarray:
         arr = _take(records, f"{name}.{field}", payload)
@@ -225,10 +213,15 @@ def load_model(path: str) -> tuple[Model, dict]:
     if zlib.crc32(payload) != stored_crc:
         raise CorruptionError(f"{path} failed its payload checksum")
 
+    if not isinstance(header, dict):
+        raise CorruptionError(f"{path} has a header of type {type(header).__name__}, not an object")
+    meta = header.get("meta", {})
+    if not isinstance(meta, dict):
+        raise CorruptionError(f"{path} has a 'meta' of type {type(meta).__name__}, not an object")
     if header.get("dtype") not in _FLOAT_TAGS:
         raise CorruptionError(f"{path} names unknown float dtype {header.get('dtype')!r}")
     try:
-        return _build_model(header, payload), header.get("meta", {})
+        return _build_model(header, payload), meta
     except KeyError as exc:
         raise CorruptionError(f"{path} header lacks the field {exc}") from exc
     except (TypeError, ConfigError, DimensionError) as exc:
@@ -269,33 +262,29 @@ def _build_model(header: dict, payload: bytes) -> Model:
                 _load_float(records, f"{prefix}.universal.w_out", payload, dtype),
                 desc["universal"]["activation"],
             )
-        init_bases = {}
-        for side, group in (("init_base_in", "group_in"), ("init_base_out", "group_out")):
-            mode = desc[side]
-            if mode is None:
-                init_bases[side] = None
-            elif mode == "alias":
-                init_bases[side] = groups[group].base
-            else:
-                init_bases[side] = _load_float(records, f"{prefix}.{side}", payload, dtype)
-        blocks.append(
-            MoELayer(
-                router=Router(
-                    _load_float(records, f"{prefix}.router.w_r", payload, dtype),
-                    desc["topk_count"],
-                ),
-                group_in=groups["group_in"],
-                group_out=groups["group_out"],
-                n_experts=desc["n_experts"],
-                activation=desc["activation"],
-                universal=universal,
-                extended=desc["extended"],
-                trainable_base=desc["trainable_base"],
-                method=desc["method"],
-                init_base_in=init_bases["init_base_in"],
-                init_base_out=init_bases["init_base_out"],
-            )
+        layer = MoELayer(
+            router=Router(
+                _load_float(records, f"{prefix}.router.w_r", payload, dtype),
+                desc["topk_count"],
+            ),
+            group_in=groups["group_in"],
+            group_out=groups["group_out"],
+            n_experts=desc["n_experts"],
+            activation=desc["activation"],
+            universal=universal,
+            extended=desc["extended"],
+            trainable_base=desc["trainable_base"],
+            method=desc["method"],
         )
+        # A vanilla layer's init base is its group base; no other layer has one.
+        expected = "alias" if layer.method == "vanilla" else None
+        for side in ("init_base_in", "init_base_out"):
+            if desc[side] != expected:
+                raise CorruptionError(
+                    f"block {j} is a {layer.method} layer, so its {side} must be "
+                    f"{expected!r}, not {desc[side]!r}"
+                )
+        blocks.append(layer)
     return Model(
         d=topo["d"],
         d_h=topo["d_h"],

@@ -24,12 +24,11 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 from dataclasses import replace
 
 from .accounting import count_report, report_to_csv, report_to_json
 from .analysis import cosine_report, similarity_to_csv, similarity_to_json
-from .checkpoint import load_model, save_model
+from .checkpoint import load_model, save_model, write_atomic
 from .compress import CompressionSpec, compression_report, ders_compress
 from .errors import ConfigError, DersError, DimensionError, NumericError, StateError
 from .moe import Model, build_dense_model
@@ -264,20 +263,6 @@ class Experiment:
 # ---------------------------------------------------------------------------
 
 
-def _write_text(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _load_ckpt(path: str) -> tuple[Model, dict]:
     if not os.path.exists(path):
         raise StateError(
@@ -317,8 +302,8 @@ def _metrics_csv(trace: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _json_text(data) -> str:
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+def _json_bytes(data) -> bytes:
+    return (json.dumps(data, indent=2, sort_keys=True) + "\n").encode()
 
 
 # ---------------------------------------------------------------------------
@@ -369,14 +354,14 @@ def _cmd_train(args, out: str) -> int:
         result = train_loop(moe, task, exp.train_config("train"))
     except NumericError as exc:
         # Divergence: keep the steps that completed before it.
-        _write_text(os.path.join(out, "metrics.csv"), _metrics_csv(exc.trace))
+        write_atomic(os.path.join(out, "metrics.csv"), _metrics_csv(exc.trace).encode())
         raise
     save_model(
         result.model,
         os.path.join(out, "trained.ckpt"),
         meta={"stage": "train", "seed": exp.seed, "best_metric": result.best_metric},
     )
-    _write_text(os.path.join(out, "metrics.csv"), _metrics_csv(result.trace))
+    write_atomic(os.path.join(out, "metrics.csv"), _metrics_csv(result.trace).encode())
     return 0
 
 
@@ -391,7 +376,7 @@ def _cmd_compress(args, out: str) -> int:
         meta={"stage": "compress", "technique": spec.technique, "seed": spec.seed},
     )
     report = compression_report(trained, compressed, spec)
-    _write_text(os.path.join(out, "compression_report.json"), _json_text(report))
+    write_atomic(os.path.join(out, "compression_report.json"), _json_bytes(report))
     return 0
 
 
@@ -402,9 +387,9 @@ def _cmd_eval(args, out: str) -> int:
     model, meta = _load_ckpt(path)
     metric = evaluate(model, task)
     x, _ = task.eval_set()
-    _write_text(
+    write_atomic(
         os.path.join(out, "eval.json"),
-        _json_text(
+        _json_bytes(
             {
                 "eval_metric": metric,
                 "task_kind": task.kind,
@@ -422,9 +407,10 @@ def _cmd_report_params(args, out: str) -> int:
     report = count_report(model)
     fmt = args.format or "json"
     if fmt == "json":
-        _write_text(os.path.join(out, "params.json"), report_to_json(report) + "\n")
+        name, text = "params.json", report_to_json(report) + "\n"
     else:
-        _write_text(os.path.join(out, "params.csv"), report_to_csv(report))
+        name, text = "params.csv", report_to_csv(report)
+    write_atomic(os.path.join(out, name), text.encode())
     return 0
 
 
@@ -433,9 +419,10 @@ def _cmd_analyze_similarity(args, out: str) -> int:
     report = cosine_report(model)
     fmt = args.format or "csv"
     if fmt == "csv":
-        _write_text(os.path.join(out, "similarity.csv"), similarity_to_csv(report))
+        name, text = "similarity.csv", similarity_to_csv(report)
     else:
-        _write_text(os.path.join(out, "similarity.json"), similarity_to_json(report) + "\n")
+        name, text = "similarity.json", similarity_to_json(report) + "\n"
+    write_atomic(os.path.join(out, name), text.encode())
     return 0
 
 
@@ -476,43 +463,30 @@ def _cmd_sweep(args, out: str) -> int:
                 base.totals.trainable_values,
             )
         )
-        base_spec = exp._section("compress")
-        seed = base_spec.get("seed", exp.seed)
-        for p in drop_rates:
-            spec = CompressionSpec("sparsify", drop_rate=float(p), seed=seed)
-            spec.validate()
-            compressed = ders_compress(trained, spec)
-            totals = compression_report(trained, compressed, spec)["totals"]
-            rows.append(
-                _sweep_row(
-                    "drop_rate",
-                    p,
-                    evaluate(compressed, task),
-                    totals["stored_values_after"],
-                    totals["stored_bits_after"],
+        seed = exp._section("compress").get("seed", exp.seed)
+        for kind, technique, values in (
+            ("drop_rate", "sparsify", drop_rates),
+            ("bit_width", "quantize", bit_widths),
+        ):
+            for value in values:
+                spec = CompressionSpec(technique, seed=seed, **{kind: value})
+                compressed = ders_compress(trained, spec)
+                totals = compression_report(trained, compressed, spec)["totals"]
+                rows.append(
+                    _sweep_row(
+                        kind,
+                        value,
+                        evaluate(compressed, task),
+                        totals["stored_values_after"],
+                        totals["stored_bits_after"],
+                    )
                 )
-            )
-        for k in bit_widths:
-            spec = CompressionSpec("quantize", bit_width=int(k), seed=seed)
-            spec.validate()
-            compressed = ders_compress(trained, spec)
-            totals = compression_report(trained, compressed, spec)["totals"]
-            rows.append(
-                _sweep_row(
-                    "bit_width",
-                    k,
-                    evaluate(compressed, task),
-                    totals["stored_values_after"],
-                    totals["stored_bits_after"],
-                )
-            )
 
     if ranks:
         dense, _ = _load_ckpt(os.path.join(out, "dense.ckpt"))
         train_cfg = exp.train_config("train")
         for r in ranks:
             cfg = replace(exp.upcycle_config(args), method="ders_lm", rank=int(r))
-            cfg.validate()
             result = train_loop(upcycle(dense, cfg), task, train_cfg)
             report = count_report(result.model)
             rows.append(
@@ -540,7 +514,7 @@ def _cmd_sweep(args, out: str) -> int:
                 ]
             )
         )
-    _write_text(os.path.join(out, "sweep.csv"), "\n".join(lines) + "\n")
+    write_atomic(os.path.join(out, "sweep.csv"), ("\n".join(lines) + "\n").encode())
     return 0
 
 

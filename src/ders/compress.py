@@ -2,7 +2,7 @@
 
 A trained vanilla-upcycled model stores, per MoE layer and per FFN matrix,
 the frozen upcycle-time base plus one trained dense delta per expert.
-Compression decomposes each trained expert weight against that recorded
+Compression decomposes each trained expert weight against that frozen
 base and replaces the dense delta with a compact form: a Bernoulli-masked
 sparse delta (unbiased via the recorded 1/(1−p) rescale), a k-bit
 symmetric quantized delta, or — the lossless path — the dense delta
@@ -70,24 +70,22 @@ class CompressionSpec:
 
 
 def choose_base(model: Model) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """The recorded pre-fine-tuning base per MoE layer: {block: (in, out)}.
+    """The pre-fine-tuning base per MoE layer: {block: (in, out)}.
 
-    Only vanilla-upcycled layers record their initialization; any other
-    layer kind (or a model with no MoE layers at all) cannot be decomposed.
+    A vanilla layer's experts are copies of one dense FFN, which its frozen
+    group bases still hold. Any other layer kind (or a model with no MoE
+    layers at all) has no such base and cannot be decomposed.
     """
     bases: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for j, block in enumerate(model.blocks):
         if not isinstance(block, MoELayer):
             continue
-        if (
-            block.method != "vanilla"
-            or block.init_base_in is None
-            or block.init_base_out is None
-        ):
+        if block.method != "vanilla":
             raise StateError(
-                f"block {j} has no recorded init base: not a vanilla-upcycled checkpoint"
+                f"block {j} is a {block.method} layer with no init base: "
+                "not a vanilla-upcycled checkpoint"
             )
-        bases[j] = (block.init_base_in, block.init_base_out)
+        bases[j] = (block.group_in.base, block.group_out.base)
     if not bases:
         raise StateError("model has no MoE layers: not a vanilla-upcycled checkpoint")
     return bases
@@ -108,8 +106,8 @@ def ders_compress(model: Model, spec: CompressionSpec) -> Model:
     Returns a new model; the input is never mutated. Per layer and per FFN
     matrix, each member weight W_i = synthesize(base, delta_i) (plus the
     universal FFN as member N+1 in extended mode) is decomposed against the
-    recorded init base and its delta replaced per ``spec``. The group base
-    becomes that recorded init base, frozen.
+    layer's init base (:func:`choose_base`) and its delta replaced per
+    ``spec``; the group base stays frozen.
     """
     spec.validate()
     out = copy_model(model)
@@ -140,8 +138,6 @@ def ders_compress(model: Model, spec: CompressionSpec) -> Model:
             extended=layer.extended or spec.extended,
             universal=None if spec.extended else layer.universal,
             trainable_base=False,
-            init_base_in=base_in,
-            init_base_out=base_out,
             synthesis_count=0,
         )
     return out

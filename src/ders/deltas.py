@@ -85,10 +85,6 @@ class DeltaWeight:
         fields.update((name, read(name, disk)) for name, disk in cls.RECORDS)
         return cls(**fields)
 
-    def parameters(self) -> list[tuple[str, np.ndarray]]:
-        """(field, live array) for each trainable field."""
-        return [(name, getattr(self, name)) for name in self.TRAINABLE]
-
     def weight_grads(self, d_w: np.ndarray) -> list[tuple[str, np.ndarray]]:
         """(field, gradient) for each trainable field, given dLoss/dW of the
         synthesized expert weight."""

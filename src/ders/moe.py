@@ -137,9 +137,8 @@ class MoELayer:
     ``universal`` holds an always-active FFN evaluated in parallel with the
     routed experts (its output is summed in). ``extended`` means the universal
     FFN has instead been folded into the groups as delta N+1, still always
-    active but sharing the group's base. ``init_base_in/out`` record the
-    upcycle-time initialization (present only for vanilla-upcycled layers)
-    so post-training decomposition has its base.
+    active but sharing the group's base. A vanilla layer's base is frozen:
+    it is the dense FFN every expert was copied from.
     """
 
     router: Router
@@ -151,14 +150,15 @@ class MoELayer:
     extended: bool = False
     trainable_base: bool = False
     method: str = "vanilla"
-    init_base_in: np.ndarray | None = None
-    init_base_out: np.ndarray | None = None
     synthesis_count: int = 0
 
     def __post_init__(self):
         _check_scalars(self, ("n_experts",), ("extended", "trainable_base"), self.activation)
         if self.method not in METHODS:
             raise ParameterError(f"unknown upcycle method {self.method!r}; choose from {METHODS}")
+        if self.method == "vanilla" and self.trainable_base:
+            # Its shared base is the init base that compression and analysis subtract.
+            raise ParameterError("trainable_base must be False on a vanilla layer, got True")
         expected = self.n_experts + (1 if self.extended else 0)
         for tag, group in (("in", self.group_in), ("out", self.group_out)):
             if len(group) != expected:
@@ -373,30 +373,38 @@ def reset_synthesis_counters(model: Model) -> None:
             block.synthesis_count = 0
 
 
-def named_parameters(model: Model) -> list[tuple[str, np.ndarray]]:
-    """Deterministically ordered trainable parameters.
+def _ffn_arrays(prefix: str, ffn: FFN) -> list:
+    return [(f"{prefix}.w_in", ffn.w_in, None, True), (f"{prefix}.w_out", ffn.w_out, None, True)]
 
-    Frozen arrays are absent: vanilla/compressed shared bases, quantized
-    payloads, and (with a frozen shared FFN) the DeRS base matrices. The
-    returned arrays are the live model arrays, so in-place optimizer updates
-    take effect directly.
+
+def model_arrays(model: Model) -> list[tuple[str, np.ndarray, str | None, bool]]:
+    """Every stored array once, in checkpoint record order, as (name, live
+    array, on-disk dtype or ``None`` for the model's float width, trainable).
+
+    Frozen arrays are vanilla/compressed shared bases, quantized payloads,
+    sparse index vectors and (with a frozen shared FFN) the DeRS bases.
     """
-    params: list[tuple[str, np.ndarray]] = [("embed", model.embed)]
+    arrays = [("embed", model.embed, None, True)]
     for j, block in enumerate(model.blocks):
+        prefix = f"blocks.{j}"
         if isinstance(block, DenseBlock):
-            params.append((f"blocks.{j}.ffn.w_in", block.ffn.w_in))
-            params.append((f"blocks.{j}.ffn.w_out", block.ffn.w_out))
+            arrays += _ffn_arrays(f"{prefix}.ffn", block.ffn)
             continue
-        params.append((f"blocks.{j}.router.w_r", block.router.w_r))
+        arrays.append((f"{prefix}.router.w_r", block.router.w_r, None, True))
         for tag, group in (("group_in", block.group_in), ("group_out", block.group_out)):
-            if block.trainable_base:
-                params.append((f"blocks.{j}.{tag}.base", group.base))
+            arrays.append((f"{prefix}.{tag}.base", group.base, None, block.trainable_base))
             for i, delta in enumerate(group.deltas):
-                params.extend(
-                    (f"blocks.{j}.{tag}.delta{i}.{name}", arr) for name, arr in delta.parameters()
-                )
+                arrays += [
+                    (f"{prefix}.{tag}.delta{i}.{field}", arr, disk, field in delta.TRAINABLE)
+                    for field, arr, disk in delta.records()
+                ]
         if block.universal is not None:
-            params.append((f"blocks.{j}.universal.w_in", block.universal.w_in))
-            params.append((f"blocks.{j}.universal.w_out", block.universal.w_out))
-    params.append(("readout", model.readout))
-    return params
+            arrays += _ffn_arrays(f"{prefix}.universal", block.universal)
+    arrays.append(("readout", model.readout, None, True))
+    return arrays
+
+
+def named_parameters(model: Model) -> list[tuple[str, np.ndarray]]:
+    """The trainable entries of :func:`model_arrays`, in its order, as (name,
+    live array): in-place optimizer updates take effect directly."""
+    return [(name, arr) for name, arr, _, trainable in model_arrays(model) if trainable]

@@ -275,18 +275,20 @@ def _ffn_backward(rec: dict, d_out: np.ndarray):
     return numkern.matmul(d_h, rec["w_in"].T), d_w_in, d_w_out
 
 
-def _land_member(grads: dict, layer: MoELayer, j: int, i: int, d_w_in, d_w_out) -> None:
-    """Group member i's weight gradients: the trainable base takes them whole,
-    delta i as its form says."""
-    for tag, d_w in (("group_in", d_w_in), ("group_out", d_w_out)):
+def _land_member(buffers: dict, layer: MoELayer, i: int, d_w_in, d_w_out) -> None:
+    """Land group member i's weight gradients in ``buffers`` (keyed by the id
+    of the live array): the trainable base takes them whole, delta i as its
+    form says."""
+    for group, d_w in ((layer.group_in, d_w_in), (layer.group_out, d_w_out)):
         if layer.trainable_base:
-            grads[f"blocks.{j}.{tag}.base"] += d_w
-        for name, grad in getattr(layer, tag).deltas[i].weight_grads(d_w):
-            grads[f"blocks.{j}.{tag}.delta{i}.{name}"] += grad
+            buffers[id(group.base)] += d_w
+        delta = group.deltas[i]
+        for field, grad in delta.weight_grads(d_w):
+            buffers[id(getattr(delta, field))] += grad
 
 
 def _moe_backward(
-    grads: dict, layer: MoELayer, j: int, tape: dict, d_y: np.ndarray, aux_coeff: float
+    buffers: dict, layer: MoELayer, tape: dict, d_y: np.ndarray, aux_coeff: float
 ) -> np.ndarray:
     x = tape["x"]
     probs = tape["probs"]
@@ -301,16 +303,16 @@ def _moe_backward(
         d_scores[rows, i] = np.sum(d_y[rows] * rec["out"], axis=1)
         d_rows, d_w_in, d_w_out = _ffn_backward(rec, scores[rows, i : i + 1] * d_y[rows])
         d_x[rows] += d_rows
-        _land_member(grads, layer, j, i, d_w_in, d_w_out)
+        _land_member(buffers, layer, i, d_w_in, d_w_out)
     uni = tape["universal"]
     if uni is not None:
         d_uni, d_w_in, d_w_out = _ffn_backward(uni, d_y)
         d_x += d_uni
         if layer.extended:
-            _land_member(grads, layer, j, layer.n_experts, d_w_in, d_w_out)
+            _land_member(buffers, layer, layer.n_experts, d_w_in, d_w_out)
         else:
-            grads[f"blocks.{j}.universal.w_in"] += d_w_in
-            grads[f"blocks.{j}.universal.w_out"] += d_w_out
+            buffers[id(layer.universal.w_in)] += d_w_in
+            buffers[id(layer.universal.w_out)] += d_w_out
     # Straight-through top-k: only surviving entries carry task-loss gradient.
     d_probs = np.where(scores != 0.0, d_scores, 0.0)
     if aux_coeff != 0.0:
@@ -318,7 +320,7 @@ def _moe_backward(
         fraction = np.mean(scores != 0.0, axis=0)
         d_probs = d_probs + aux_coeff * layer.n_experts * fraction / b
     d_logits = probs * (d_probs - np.sum(d_probs * probs, axis=1, keepdims=True))
-    grads[f"blocks.{j}.router.w_r"] += numkern.matmul(x.T, d_logits)
+    buffers[id(layer.router.w_r)] += numkern.matmul(x.T, d_logits)
     d_x += numkern.matmul(d_logits, layer.router.w_r.T)
     return d_x
 
@@ -359,21 +361,21 @@ def loss_parts(model: Model, batch, task: SyntheticTask, aux_loss_coeff: float =
     if not np.isfinite(total):
         raise NumericError(f"non-finite loss {total!r} at the readout")
 
-    grads: dict[str, np.ndarray] = {
-        name: np.zeros_like(arr) for name, arr in named_parameters(model)
-    }
-    grads["readout"] += numkern.matmul(tape["h_final"].T, d_pred)
+    # Gradient buffers keyed by the live parameter array while backprop lands them.
+    params = named_parameters(model)
+    buffers = {id(arr): np.zeros_like(arr) for _, arr in params}
+    buffers[id(model.readout)] += numkern.matmul(tape["h_final"].T, d_pred)
     d_h = numkern.matmul(d_pred, model.readout.T)
-    for j in range(len(model.blocks) - 1, -1, -1):
-        block, rec = model.blocks[j], tape["blocks"][j]
+    for block, rec in zip(reversed(model.blocks), reversed(tape["blocks"])):
         if isinstance(block, MoELayer):
-            d_block_in = _moe_backward(grads, block, j, rec, d_h, aux_loss_coeff)
+            d_block_in = _moe_backward(buffers, block, rec, d_h, aux_loss_coeff)
         else:
             d_block_in, d_w_in, d_w_out = _ffn_backward(rec, d_h)
-            grads[f"blocks.{j}.ffn.w_in"] += d_w_in
-            grads[f"blocks.{j}.ffn.w_out"] += d_w_out
+            buffers[id(block.ffn.w_in)] += d_w_in
+            buffers[id(block.ffn.w_out)] += d_w_out
         d_h = d_h + d_block_in  # residual path
-    grads["embed"] += numkern.matmul(tape["x_in"].T, d_h)
+    buffers[id(model.embed)] += numkern.matmul(tape["x_in"].T, d_h)
+    grads = {name: buffers[id(arr)] for name, arr in params}
     for name, grad in grads.items():
         numkern.check_finite(grad, f"the gradient of {name}")
     return total, (task_loss, aux_raw), grads

@@ -6,8 +6,8 @@ original FFN weight):
 
 * ``vanilla``  — each expert is an independent full copy, stored as a frozen
                  shared base plus a trainable dense delta initialized to zero
-                 (the copy is implicit in base + 0). Records the init base so
-                 post-training decomposition is well-defined.
+                 (the copy is implicit in base + 0). The frozen base is the
+                 init base that post-training decomposition subtracts.
 * ``ders_sm``  — one trainable shared base plus N sparse index/value deltas:
                  fixed random index sets, zero-initialized values. Per-matrix
                  trainable count: (1 + N·(1−p))·d·d_h.
@@ -126,7 +126,6 @@ def _moe_layer(dense: Model, cfg: UpcycleConfig, j: int, ffn: FFN) -> MoELayer:
         ExpertGroup(w.copy(), [_initial_delta(cfg, j, tag, i, w) for i in range(n_deltas)])
         for tag, w in (("w_in", ffn.w_in), ("w_out", ffn.w_out))
     ]
-    vanilla = cfg.method == "vanilla"
     universal = None
     if cfg.parallel_universal and not cfg.extended:
         universal = FFN(ffn.w_in.copy(), ffn.w_out.copy(), ffn.activation)
@@ -138,10 +137,8 @@ def _moe_layer(dense: Model, cfg: UpcycleConfig, j: int, ffn: FFN) -> MoELayer:
         activation=ffn.activation,
         universal=universal,
         extended=cfg.extended,
-        trainable_base=not (vanilla or cfg.freeze_shared),
+        trainable_base=not (cfg.method == "vanilla" or cfg.freeze_shared),
         method=cfg.method,
-        init_base_in=groups[0].base if vanilla else None,
-        init_base_out=groups[1].base if vanilla else None,
     )
 
 

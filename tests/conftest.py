@@ -41,12 +41,15 @@ def rng_mat(shape, seed, scale=1.0):
 
 def edit_header(path, edit, dest):
     """Write to ``dest`` checkpoint ``path`` with its JSON header changed in
-    place by ``edit``, the header length fixed up."""
+    place by ``edit``, or replaced by what ``edit`` returns if not None, the
+    header length fixed up."""
     with open(path, "rb") as fh:
         blob = fh.read()
     (header_len,) = struct.unpack_from("<I", blob, 8)
     header = json.loads(blob[12 : 12 + header_len])
-    edit(header)
+    replaced = edit(header)
+    if replaced is not None:
+        header = replaced
     edited = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(dest, "wb") as fh:
         fh.write(blob[:8] + struct.pack("<I", len(edited)) + edited + blob[12 + header_len :])

@@ -51,12 +51,6 @@ def walk_arrays(model):
                     total += delta.rows * delta.cols
         if block.universal is not None:
             total += block.universal.w_in.size + block.universal.w_out.size
-        for record, live in (
-            (block.init_base_in, block.group_in.base),
-            (block.init_base_out, block.group_out.base),
-        ):
-            if record is not None and record is not live:
-                total += record.size
     return int(total)
 
 

@@ -12,6 +12,7 @@ from ders.analysis import (
     similarity_to_csv,
     similarity_to_json,
 )
+from ders.compress import choose_base
 from ders.errors import StateError
 from ders.moe import build_dense_model, named_parameters
 from ders.train import TrainConfig, make_task, train_loop
@@ -99,11 +100,11 @@ class TestCosineReport:
     def test_decompose_consistency(self):
         model, _ = trained_model(seed=2)
         report = cosine_report(model)
+        bases = choose_base(model)
         for layer in report.layers:
             block = model.blocks[layer.block]
-            for tag, group, init in (
-                ("w_in", block.group_in, block.init_base_in),
-                ("w_out", block.group_out, block.init_base_out),
+            for tag, group, init in zip(
+                ("w_in", "w_out"), (block.group_in, block.group_out), bases[layer.block]
             ):
                 for i, delta in enumerate(group.deltas):
                     rebuilt = init + delta.materialize(init.dtype)

@@ -1,18 +1,23 @@
 """Checkpoint container: bit-exact round trips, corruption and version checks."""
 
+import json
 import os
 import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import build_mixed_moe_model, edit_header, rng_mat, to_float32
 from ders.checkpoint import FORMAT_VERSION, MAGIC, load_model, save_model
-from ders.compress import CompressionSpec, ders_compress
+from ders.compress import CompressionSpec, choose_base, ders_compress
 from ders.errors import CorruptionError, StateError
-from ders.moe import MoELayer, build_dense_model, model_forward, named_parameters
+from ders.moe import MoELayer, build_dense_model, model_arrays, model_forward, named_parameters
 from ders.train import TrainConfig, make_task, train_loop
 from ders.upcycle import UpcycleConfig, upcycle
+from test_train import _generated_model
 
 
 def dense_model(seed=0):
@@ -139,10 +144,13 @@ class TestRoundTrip:
         path = str(tmp_path / "v.ckpt")
         save_model(model, path)
         loaded, _ = load_model(path)
-        for block in loaded.blocks:
-            if hasattr(block, "group_in"):
-                assert block.init_base_in is block.group_in.base
-                assert block.init_base_out is block.group_out.base
+        bases = choose_base(loaded)
+        assert sorted(bases) == [j for j, b in enumerate(loaded.blocks) if isinstance(b, MoELayer)]
+        for j, (base_in, base_out) in bases.items():
+            assert base_in is loaded.blocks[j].group_in.base
+            assert base_out is loaded.blocks[j].group_out.base
+            assert np.array_equal(base_in, model.blocks[j].group_in.base)
+            assert np.array_equal(base_out, model.blocks[j].group_out.base)
 
     def test_float32_models(self, tmp_path):
         """A float32 dense model upcycles by each method, trains a step and
@@ -206,6 +214,57 @@ class TestRoundTrip:
         loaded, _ = load_model(path)
         loaded.embed += 1.0  # must not raise (frombuffer views are read-only)
         assert not np.array_equal(loaded.embed, model.embed)
+
+
+def read_header(path):
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    (header_len,) = struct.unpack_from("<I", blob, 8)
+    return json.loads(blob[12 : 12 + header_len])
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        method=st.sampled_from(["vanilla", "ders_sm", "ders_lm"]),
+        pattern=st.sampled_from(["every_layer", "every_other_layer"]),
+        depth=st.integers(1, 3),
+        universal=st.sampled_from(["parallel", "extended", "neither"]),
+        frozen=st.booleans(),
+        activation=st.sampled_from(["gelu", "relu", "tanh", "identity"]),
+        dtype=st.sampled_from(["float64", "float32"]),
+        compression=st.sampled_from([None, "sparsify", "quantize"]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_records_follow_the_walk_and_round_trip(
+        self, method, pattern, depth, universal, frozen, activation, dtype, compression, seed
+    ):
+        """The header's records are ``model_arrays`` in order, the parameters
+        are its trainable entries, and save → load → save is byte-identical;
+        vanilla models are also checked sparsified and at 4 bits."""
+        model = _generated_model(method, pattern, depth, universal, frozen, activation, dtype,
+                                 seed)
+        if compression is not None and method == "vanilla":
+            kw = {"drop_rate": 0.5} if compression == "sparsify" else {"bit_width": 4}
+            model = ders_compress(model, CompressionSpec(compression, seed=seed, **kw))
+        walk = model_arrays(model)
+        trainable = [(name, arr) for name, arr, _, t in walk if t]
+        params = named_parameters(model)
+        assert [name for name, _ in params] == [name for name, _ in trainable]
+        assert all(a is b for (_, a), (_, b) in zip(params, trainable))
+        with tempfile.TemporaryDirectory() as tmp:
+            pa, pb = os.path.join(tmp, "a.ckpt"), os.path.join(tmp, "b.ckpt")
+            save_model(model, pa, meta={"seed": seed})
+            header = read_header(pa)
+            assert [rec["name"] for rec in header["records"]] == [name for name, *_ in walk]
+            for desc in header["model"]["blocks"]:
+                if desc["kind"] == "moe":
+                    alias = "alias" if desc["method"] == "vanilla" else None
+                    assert desc["init_base_in"] == desc["init_base_out"] == alias
+            loaded, meta = load_model(pa)
+            save_model(loaded, pb, meta=meta)
+            with open(pa, "rb") as fa, open(pb, "rb") as fb:
+                assert fa.read() == fb.read()
 
 
 class TestFailureModes:

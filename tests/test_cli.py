@@ -323,12 +323,14 @@ class TestExitCodes:
             ("topk_count", 9),
             ("activation", "foo"),
             ("trainable_base", "yes"),
+            ("trainable_base", True),
             ("d", 8.0),
         ],
     )
     def test_invalid_model_scalar_exit_3(self, tmp_path, pipeline, capsys, field, value):
         """A damaged size, flag or activation that keeps a valid JSON type is
-        refused as corruption; ``d`` is the model's, the rest the MoE layer's."""
+        refused as corruption; ``d`` is the model's, the rest the MoE layer's
+        (a vanilla layer, whose base must stay frozen)."""
         cfg, out = pipeline
 
         def edit(header):
@@ -360,6 +362,52 @@ class TestExitCodes:
             assert run(*cmd, "--out", str(tmp_path), "--ckpt", damaged) == 3, cmd
             err = capsys.readouterr().err
             assert "method" in err and "'foo'" in err, cmd
+
+    @pytest.mark.parametrize(
+        "part,command", [("header", "report-params"), ("delta", "report-params"), ("meta", "eval")]
+    )
+    def test_wrongly_shaped_header_exit_3(self, tmp_path, pipeline, capsys, part, command):
+        """Valid JSON of the wrong shape is corruption, not a traceback: a
+        header, a delta entry or a ``meta`` that is not a JSON object."""
+        cfg, out = pipeline
+
+        def edit(header):
+            if part == "header":
+                return [1]
+            if part == "delta":
+                moe = next(b for b in header["model"]["blocks"] if b["kind"] == "moe")
+                moe["group_in"]["deltas"][0] = 5
+            else:
+                header["meta"] = 3
+
+        damaged = str(tmp_path / "damaged.ckpt")
+        edit_header(os.path.join(out, "trained.ckpt"), edit, damaged)
+        assert run(command, "--config", cfg, "--out", str(tmp_path), "--ckpt", damaged) == 3
+        assert "damaged.ckpt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "method,value",
+        [("vanilla", "record"), ("vanilla", "foo"), ("vanilla", None), ("ders_sm", "alias")],
+    )
+    def test_wrong_init_base_field_exit_3(self, tmp_path, pipeline, capsys, method, value):
+        """A vanilla layer's init base is its group base, marked "alias" in the
+        header, and no other layer has one (null): any other value is corruption."""
+        cfg, out = pipeline
+        src = os.path.join(out, "trained.ckpt")
+        if method == "ders_sm":
+            sm = str(tmp_path / "sm")
+            copy_ckpt(out, "dense.ckpt", sm)
+            assert run("upcycle", "--config", cfg, "--out", sm, "--method", "ders-sm") == 0
+            src = os.path.join(sm, "moe.ckpt")
+
+        def edit(header):
+            next(b for b in header["model"]["blocks"] if b["kind"] == "moe")["init_base_in"] = value
+
+        damaged = str(tmp_path / "damaged.ckpt")
+        edit_header(src, edit, damaged)
+        assert run("eval", "--config", cfg, "--out", str(tmp_path), "--ckpt", damaged) == 3
+        err = capsys.readouterr().err
+        assert "init_base_in" in err and repr(value) in err
 
     def test_train_divergence_keeps_trace_exit_4(self, tmp_path, pipeline):
         """A diverging run exits 4 and still writes one metrics row per

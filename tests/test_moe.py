@@ -40,8 +40,6 @@ def make_vanilla_layer(d=4, d_h=6, n=3, k=2, seed=0, deltas_scale=0.0, universal
         group_out=ExpertGroup(base_out, deltas_out),
         n_experts=n,
         universal=uni,
-        init_base_in=base_in,
-        init_base_out=base_out,
     )
 
 

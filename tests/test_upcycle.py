@@ -5,6 +5,7 @@ import pytest
 
 from conftest import rng_mat
 from ders import numkern
+from ders.compress import choose_base
 from ders.deltas import LowRankDelta, SparseDelta
 from ders.errors import ConfigError, StateError
 from ders.moe import DenseBlock, MoELayer, build_dense_model, model_forward, named_parameters
@@ -77,7 +78,10 @@ class TestVanilla:
     def test_init_base_recorded_and_aliased(self):
         up = upcycle(dense_fixture(depth=1), cfg_for("vanilla"))
         layer = up.blocks[0]
-        assert layer.init_base_in is layer.group_in.base
+        bases = choose_base(up)
+        assert list(bases) == [0]
+        base_in, base_out = bases[0]
+        assert base_in is layer.group_in.base and base_out is layer.group_out.base
         assert layer.method == "vanilla"
         assert not layer.trainable_base
 
