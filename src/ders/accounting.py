@@ -24,7 +24,7 @@ import numpy as np
 
 from .deltas import init_lowrank_trainable, init_sparse_trainable, sparse_keep_count
 from .errors import ParameterError
-from .moe import DenseBlock, MoELayer, Model, named_parameters
+from .moe import DenseBlock, MoELayer, Model, block_arrays, named_parameters
 from .numkern import RngStream, derive_stream_id, dtype_bits
 
 SCHEMA_VERSION = 1
@@ -108,28 +108,26 @@ def _moe_layer_count(name: str, layer: MoELayer, bit_width: int) -> LayerCount:
 def count_report(model: Model, bit_width: int | None = None) -> ParamReport:
     """Exhaustive storage walk of ``model`` at float width ``bit_width`` (K).
 
-    K defaults to the bit width of the model's own arrays. Trainable counts
-    are attributed to layers by parameter-name prefix, so the totals row
-    always matches the trainable-parameter registry exactly.
+    K defaults to the bit width of the model's own arrays. A block's
+    trainable count sums its :func:`ders.moe.block_arrays` entries, the walk
+    that also yields the trainable-parameter registry, so the totals row
+    always matches that registry exactly.
     """
     if bit_width is None:
         bit_width = dtype_bits(model.embed.dtype)
 
-    trainable_by_prefix: dict[str, int] = {}
-    for pname, arr in named_parameters(model):
-        prefix = ".".join(pname.split(".")[:2]) if pname.startswith("blocks.") else pname
-        trainable_by_prefix[prefix] = trainable_by_prefix.get(prefix, 0) + int(arr.size)
-
-    layers: list[LayerCount] = []
-    embed_row = LayerCount(
-        name="embed",
-        kind="embed",
-        trainable_values=trainable_by_prefix.get("embed", 0),
-        stored_values=int(model.embed.size),
-        stored_bits=int(model.embed.size) * bit_width,
-    )
-    layers.append(embed_row)
-
+    # The embed and readout are always trainable (ders.moe.model_arrays).
+    layers: list[LayerCount] = [
+        LayerCount(
+            name="embed",
+            kind="embed",
+            trainable_values=int(model.embed.size),
+            stored_values=int(model.embed.size),
+            stored_bits=int(model.embed.size) * bit_width,
+        )
+    ]
+    ratio_num = 0.0
+    ratio_den = 0.0
     for j, block in enumerate(model.blocks):
         name = f"blocks.{j}"
         if isinstance(block, DenseBlock):
@@ -142,22 +140,27 @@ def count_report(model: Model, bit_width: int | None = None) -> ParamReport:
             )
         else:
             row = _moe_layer_count(name, block, bit_width)
-        row.trainable_values = trainable_by_prefix.get(name, 0)
+            if row.equivalent_expert_ratio is not None:
+                unit = float(
+                    len(block.group_in.deltas)
+                    * (block.group_in.base.size + block.group_out.base.size)
+                )
+                ratio_num += row.equivalent_expert_ratio * unit
+                ratio_den += unit
+        row.trainable_values = sum(int(arr.size) for _, arr, _, t in block_arrays(j, block) if t)
         layers.append(row)
 
     layers.append(
         LayerCount(
             name="readout",
             kind="readout",
-            trainable_values=trainable_by_prefix.get("readout", 0),
+            trainable_values=int(model.readout.size),
             stored_values=int(model.readout.size),
             stored_bits=int(model.readout.size) * bit_width,
         )
     )
 
     totals = LayerCount(name="total", kind="total")
-    ratio_num = 0.0
-    ratio_den = 0.0
     for row in layers:
         totals.trainable_values += row.trainable_values
         totals.stored_values += row.stored_values
@@ -166,14 +169,6 @@ def count_report(model: Model, bit_width: int | None = None) -> ParamReport:
         totals.scale_overhead_bits += row.scale_overhead_bits
         totals.index_entries += row.index_entries
         totals.scale_entries += row.scale_entries
-        if row.equivalent_expert_ratio is not None:
-            block = model.blocks[int(row.name.split(".")[1])]
-            unit = float(
-                len(block.group_in.deltas)
-                * (block.group_in.base.size + block.group_out.base.size)
-            )
-            ratio_num += row.equivalent_expert_ratio * unit
-            ratio_den += unit
     if ratio_den > 0:
         totals.equivalent_expert_ratio = ratio_num / ratio_den
 

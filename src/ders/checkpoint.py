@@ -17,15 +17,22 @@ them exactly via repr. A vanilla layer's init base, the dense FFN its
 experts were copied from, is its frozen group base: the header marks it
 ``"alias"`` (any other layer ``null``) and stores no second copy. Writes are
 atomic (``write_atomic``): a temp file in the target directory is renamed
-over the destination. Loading rejects wrong magic, truncation, checksum
-failures, a header of the wrong shape and unknown float dtypes as
-corruption, and any newer format version outright. A float record or delta
-header scalar that is not finite is refused as a numeric error.
+over the destination.
+
+Loading reads the record table in order: each array of the model that the
+topology describes takes the next record, whose dtype string, shape, byte
+count and offset (records tile the payload in table order) are checked
+before its bytes are decoded, and the table must equal the rebuilt model's
+``model_arrays``. Wrong magic, a format version below 1, truncation,
+checksum failures, a header of the wrong shape, unknown float dtypes and any
+other table are corruption; a newer version is refused outright. A float
+record or delta header scalar that is not finite is a numeric error.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import tempfile
@@ -44,20 +51,11 @@ FORMAT_VERSION = 1
 _FLOAT_TAGS = {"float64": "<f8", "float32": "<f4"}
 
 
-def _float_tag(model: Model) -> str:
-    name = model.embed.dtype.name
-    if name not in _FLOAT_TAGS:
-        raise StateError(f"cannot checkpoint dtype {name}; expected float64 or float32")
-    return name
-
-
-def _canonical(arr: np.ndarray, dtype: str) -> np.ndarray:
-    return np.ascontiguousarray(arr.astype(dtype, copy=False))
-
-
 def _walk_model(model: Model):
     """Topology header + ordered (name, canonical array) records."""
-    tag = _float_tag(model)
+    tag = model.embed.dtype.name
+    if tag not in _FLOAT_TAGS:
+        raise StateError(f"cannot checkpoint dtype {tag}; expected float64 or float32")
     fdt = _FLOAT_TAGS[tag]
     blocks = []
     for block in model.blocks:
@@ -83,7 +81,10 @@ def _walk_model(model: Model):
                 "group_out": {"deltas": [d.descriptor() for d in block.group_out.deltas]},
             }
         )
-    arrays = [(name, _canonical(arr, disk or fdt)) for name, arr, disk, _ in model_arrays(model)]
+    arrays = [
+        (name, np.ascontiguousarray(arr.astype(disk or fdt, copy=False)))
+        for name, arr, disk, _ in model_arrays(model)
+    ]
     topology = {
         "d": model.d,
         "d_h": model.d_h,
@@ -154,40 +155,6 @@ def save_model(model: Model, path: str, meta: dict | None = None) -> None:
     )
 
 
-def _take(records: dict, name: str, payload: bytes) -> np.ndarray:
-    if name not in records:
-        raise CorruptionError(f"checkpoint is missing record {name!r}")
-    rec = records[name]
-    start, nbytes = rec["offset"], rec["nbytes"]
-    if start < 0 or nbytes < 0 or start + nbytes > len(payload):
-        raise CorruptionError(
-            f"record {name!r} lies outside the payload (bad offset or truncated file)"
-        )
-    flat = np.frombuffer(payload[start : start + nbytes], dtype=np.dtype(rec["dtype"]))
-    expected = int(np.prod(rec["shape"])) if rec["shape"] else 1
-    if flat.size != expected:
-        raise CorruptionError(f"record {name!r} holds {flat.size} items, expected {expected}")
-    if flat.dtype.kind == "f":
-        check_finite(flat, f"checkpoint record {name!r}")
-    return flat.reshape(rec["shape"]).copy()
-
-
-def _load_float(records: dict, name: str, payload: bytes, dtype) -> np.ndarray:
-    return _take(records, name, payload).astype(dtype, copy=False)
-
-
-def _load_delta(desc: dict, name: str, records: dict, payload: bytes, dtype):
-    cls = DELTA_KINDS.get(desc["kind"])
-    if cls is None:
-        raise CorruptionError(f"checkpoint names unknown delta kind {desc['kind']!r}")
-
-    def read(field: str, disk_dtype: str | None) -> np.ndarray:
-        arr = _take(records, f"{name}.{field}", payload)
-        return arr if disk_dtype else arr.astype(dtype, copy=False)
-
-    return cls.from_records(desc, read)
-
-
 def load_model(path: str) -> tuple[Model, dict]:
     """Read a checkpoint; returns (model, meta). Rejects corruption, any
     format version newer than this library understands, and non-finite floats."""
@@ -196,6 +163,8 @@ def load_model(path: str) -> tuple[Model, dict]:
     if len(blob) < 12 or blob[:4] != MAGIC:
         raise CorruptionError(f"{path} is not a DERS checkpoint (bad magic)")
     (version,) = struct.unpack_from("<I", blob, 4)
+    if version < 1:
+        raise CorruptionError(f"{path} names format version {version}; versions start at 1")
     if version > FORMAT_VERSION:
         raise StateError(
             f"checkpoint format version {version} is newer than the supported {FORMAT_VERSION}"
@@ -224,54 +193,75 @@ def load_model(path: str) -> tuple[Model, dict]:
         return _build_model(header, payload), meta
     except KeyError as exc:
         raise CorruptionError(f"{path} header lacks the field {exc}") from exc
-    except (TypeError, ConfigError, DimensionError) as exc:
+    except (TypeError, ValueError, ConfigError, DimensionError) as exc:
         raise CorruptionError(f"{path} header has a field of the wrong type or value: {exc}") from exc
 
 
 def _build_model(header: dict, payload: bytes) -> Model:
-    """The model a checked header and payload describe."""
-    dtype = np.dtype(header["dtype"])
-    records = {rec["name"]: rec for rec in header["records"]}
+    """The model a checked header and payload describe. Each array takes the
+    next entry of the record table, so the table must equal the rebuilt
+    model's ``model_arrays``, entry for entry."""
+    float_tag = _FLOAT_TAGS[header["dtype"]]
+    table = header["records"]
+    cursor = iter(table)
+    end = 0  # records tile the payload in table order
+
+    def take(disk: str | None) -> np.ndarray:
+        nonlocal end
+        rec = next(cursor, None)
+        if rec is None:
+            raise CorruptionError(f"the record table ends after {len(table)} records")
+        name, shape, start, nbytes = rec["name"], rec["shape"], rec["offset"], rec["nbytes"]
+        dtype = np.dtype(disk or float_tag)
+        want = dtype.str.lstrip("|")
+        if rec["dtype"] != want:
+            raise CorruptionError(f"record {name!r} has dtype {rec['dtype']!r}, not {want!r}")
+        if not isinstance(shape, list) or not all(
+            type(n) is int and n >= 0 for n in (*shape, start, nbytes)
+        ):
+            raise CorruptionError(
+                f"record {name!r} has a shape, offset or byte count of the wrong type or value"
+            )
+        count = math.prod(shape)
+        if nbytes != count * dtype.itemsize:
+            raise CorruptionError(f"record {name!r} holds {nbytes} bytes, not {count} items")
+        if start != end or end + nbytes > len(payload):
+            raise CorruptionError(f"record {name!r} must start at byte {end}, inside the payload")
+        end += nbytes
+        arr = np.frombuffer(payload, dtype, count, start).reshape(shape)
+        if disk is None:
+            check_finite(arr, f"checkpoint record {name!r}")
+        return arr.copy()
+
+    def ffn(activation: str) -> FFN:
+        return FFN(take(None), take(None), activation)
+
+    def group(entry: dict) -> ExpertGroup:
+        base = take(None)
+        deltas = []
+        for desc in entry["deltas"]:
+            cls = DELTA_KINDS.get(desc["kind"])
+            if cls is None:
+                raise CorruptionError(f"checkpoint names unknown delta kind {desc['kind']!r}")
+            deltas.append(cls.from_records(desc, take))
+        return ExpertGroup(base, deltas)
+
     topo = header["model"]
+    embed = take(None)
     blocks = []
     for j, desc in enumerate(topo["blocks"]):
-        prefix = f"blocks.{j}"
         if desc["kind"] == "dense":
-            blocks.append(
-                DenseBlock(
-                    FFN(
-                        _load_float(records, f"{prefix}.ffn.w_in", payload, dtype),
-                        _load_float(records, f"{prefix}.ffn.w_out", payload, dtype),
-                        desc["activation"],
-                    )
-                )
-            )
+            blocks.append(DenseBlock(ffn(desc["activation"])))
             continue
-        groups = {}
-        for tag_g in ("group_in", "group_out"):
-            base = _load_float(records, f"{prefix}.{tag_g}.base", payload, dtype)
-            deltas = [
-                _load_delta(d, f"{prefix}.{tag_g}.delta{i}", records, payload, dtype)
-                for i, d in enumerate(desc[tag_g]["deltas"])
-            ]
-            groups[tag_g] = ExpertGroup(base, deltas)
-        universal = None
-        if desc["universal"] is not None:
-            universal = FFN(
-                _load_float(records, f"{prefix}.universal.w_in", payload, dtype),
-                _load_float(records, f"{prefix}.universal.w_out", payload, dtype),
-                desc["universal"]["activation"],
-            )
-        layer = MoELayer(
-            router=Router(
-                _load_float(records, f"{prefix}.router.w_r", payload, dtype),
-                desc["topk_count"],
-            ),
-            group_in=groups["group_in"],
-            group_out=groups["group_out"],
+        if desc["kind"] != "moe":
+            raise CorruptionError(f"block {j} has unknown kind {desc['kind']!r}")
+        layer = MoELayer(  # arguments evaluate, and so take records, in table order
+            router=Router(take(None), desc["topk_count"]),
+            group_in=group(desc["group_in"]),
+            group_out=group(desc["group_out"]),
             n_experts=desc["n_experts"],
             activation=desc["activation"],
-            universal=universal,
+            universal=None if desc["universal"] is None else ffn(desc["universal"]["activation"]),
             extended=desc["extended"],
             trainable_base=desc["trainable_base"],
             method=desc["method"],
@@ -285,14 +275,23 @@ def _build_model(header: dict, payload: bytes) -> Model:
                     f"{expected!r}, not {desc[side]!r}"
                 )
         blocks.append(layer)
-    return Model(
+    model = Model(
         d=topo["d"],
         d_h=topo["d_h"],
         in_width=topo["in_width"],
         out_width=topo["out_width"],
-        embed=_load_float(records, "embed", payload, dtype),
+        embed=embed,
         blocks=blocks,
-        readout=_load_float(records, "readout", payload, dtype),
+        readout=take(None),
         ancestor_params=topo["ancestor_params"],
         activation=topo["activation"],
     )
+    walk = [name for name, *_ in model_arrays(model)]
+    for rec, name in zip(table, walk):
+        if rec["name"] != name:
+            raise CorruptionError(f"record {rec['name']!r} stands where the model stores {name!r}")
+    if len(table) > len(walk):
+        raise CorruptionError(f"record {table[len(walk)]['name']!r} is not an array of the model")
+    if end != len(payload):
+        raise CorruptionError(f"the payload holds {len(payload) - end} bytes after the last record")
+    return model

@@ -375,7 +375,7 @@ def _cmd_compress(args, out: str) -> int:
         os.path.join(out, "compressed.ckpt"),
         meta={"stage": "compress", "technique": spec.technique, "seed": spec.seed},
     )
-    report = compression_report(trained, compressed, spec)
+    report = compression_report(compressed, spec)
     write_atomic(os.path.join(out, "compression_report.json"), _json_bytes(report))
     return 0
 
@@ -471,7 +471,7 @@ def _cmd_sweep(args, out: str) -> int:
             for value in values:
                 spec = CompressionSpec(technique, seed=seed, **{kind: value})
                 compressed = ders_compress(trained, spec)
-                totals = compression_report(trained, compressed, spec)["totals"]
+                totals = compression_report(compressed, spec)["totals"]
                 rows.append(
                     _sweep_row(
                         kind,

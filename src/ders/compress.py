@@ -111,26 +111,22 @@ def ders_compress(model: Model, spec: CompressionSpec) -> Model:
     """
     spec.validate()
     out = copy_model(model)
-    bases = choose_base(out)
-    for j, (base_in, base_out) in bases.items():
+    for j in choose_base(out):
         layer = out.blocks[j]
         if spec.extended and layer.universal is None:
             raise StateError(
                 f"block {j} has no universal FFN: extended compression needs one"
             )
         new_groups = {}
-        for mat_tag, group, base in (
-            ("w_in", layer.group_in, base_in),
-            ("w_out", layer.group_out, base_out),
-        ):
+        for mat_tag, group in (("w_in", layer.group_in), ("w_out", layer.group_out)):
             members = [synthesize(group.base, d) for d in group.deltas]
             if spec.extended:
                 uni = layer.universal
                 members.append(uni.w_in if mat_tag == "w_in" else uni.w_out)
             deltas = []
             for i, trained in enumerate(members):
-                deltas.append(_compress_delta(decompose(base, trained), spec, j, mat_tag, i))
-            new_groups[mat_tag] = ExpertGroup(base, deltas)
+                deltas.append(_compress_delta(decompose(group.base, trained), spec, j, mat_tag, i))
+            new_groups[mat_tag] = ExpertGroup(group.base, deltas)
         out.blocks[j] = replace(
             layer,
             group_in=new_groups["w_in"],
@@ -143,10 +139,9 @@ def ders_compress(model: Model, spec: CompressionSpec) -> Model:
     return out
 
 
-def compression_report(
-    before: Model, after: Model, spec: CompressionSpec, bit_width: int | None = None
-) -> dict:
-    """Storage accounting for a compression run, per layer and in total.
+def compression_report(model: Model, spec: CompressionSpec, bit_width: int | None = None) -> dict:
+    """Storage accounting for a compression run on the compressed ``model``,
+    per layer and in total, at ``bit_width`` (default: the model's own).
 
     "Before" counts every member's effective weight as a full matrix at K
     bits (the cost of shipping N independent experts); "after" counts the
@@ -157,7 +152,7 @@ def compression_report(
     figures are ``accounting.expert_groups_count`` of each layer.
     """
     if bit_width is None:
-        bit_width = dtype_bits(before.embed.dtype)
+        bit_width = dtype_bits(model.embed.dtype)
     layers = []
     totals = {
         "stored_values_before": 0,
@@ -167,7 +162,7 @@ def compression_report(
         "index_overhead_bits": 0,
         "scale_overhead_bits": 0,
     }
-    for j, block in enumerate(after.blocks):
+    for j, block in enumerate(model.blocks):
         if not isinstance(block, MoELayer):
             continue
         n_members = len(block.group_in.deltas)

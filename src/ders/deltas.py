@@ -67,7 +67,7 @@ class DeltaWeight:
 
     @classmethod
     def from_records(cls, desc: dict, read) -> DeltaWeight:
-        """Rebuild from a header entry; ``read(field, on_disk_dtype)`` loads a record.
+        """Rebuild from a header entry; ``read(on_disk_dtype)`` loads the next record.
 
         A header field that is missing or not of its declared type is corruption;
         a float field that is not finite is a numeric error.
@@ -82,7 +82,7 @@ class DeltaWeight:
             if kind is float and not np.isfinite(value):
                 raise NumericError(f"{cls.kind} delta header field {key!r} is {value!r}")
             fields[key] = value
-        fields.update((name, read(name, disk)) for name, disk in cls.RECORDS)
+        fields.update((name, read(disk)) for name, disk in cls.RECORDS)
         return cls(**fields)
 
     def weight_grads(self, d_w: np.ndarray) -> list[tuple[str, np.ndarray]]:
@@ -421,6 +421,10 @@ def decompose(base: np.ndarray, trained: np.ndarray) -> DenseDelta:
     exactly whenever ``trained`` lies in the image of float addition with
     ``base`` — always true for weights produced by this toolkit, which stores
     experts as base-plus-delta.
+
+    Exact means byte-equal, except at −0.0, where it is only value-equal: for
+    ``base = trained = −0.0`` the delta is ``−0.0 − (−0.0) = +0.0``, and
+    synthesis gives ``−0.0 + 0.0 = +0.0``.
     """
     if base.shape != trained.shape:
         raise DimensionError(f"decompose shape mismatch: {base.shape} vs {trained.shape}")

@@ -377,31 +377,36 @@ def _ffn_arrays(prefix: str, ffn: FFN) -> list:
     return [(f"{prefix}.w_in", ffn.w_in, None, True), (f"{prefix}.w_out", ffn.w_out, None, True)]
 
 
+def block_arrays(j: int, block) -> list[tuple[str, np.ndarray, str | None, bool]]:
+    """The :func:`model_arrays` entries of ``model.blocks[j]``, in its order."""
+    prefix = f"blocks.{j}"
+    if isinstance(block, DenseBlock):
+        return _ffn_arrays(f"{prefix}.ffn", block.ffn)
+    arrays = [(f"{prefix}.router.w_r", block.router.w_r, None, True)]
+    for tag, group in (("group_in", block.group_in), ("group_out", block.group_out)):
+        arrays.append((f"{prefix}.{tag}.base", group.base, None, block.trainable_base))
+        for i, delta in enumerate(group.deltas):
+            arrays += [
+                (f"{prefix}.{tag}.delta{i}.{field}", arr, disk, field in delta.TRAINABLE)
+                for field, arr, disk in delta.records()
+            ]
+    if block.universal is not None:
+        arrays += _ffn_arrays(f"{prefix}.universal", block.universal)
+    return arrays
+
+
 def model_arrays(model: Model) -> list[tuple[str, np.ndarray, str | None, bool]]:
     """Every stored array once, in checkpoint record order, as (name, live
     array, on-disk dtype or ``None`` for the model's float width, trainable).
 
     Frozen arrays are vanilla/compressed shared bases, quantized payloads,
-    sparse index vectors and (with a frozen shared FFN) the DeRS bases.
+    sparse index vectors and (with a frozen shared FFN) the DeRS bases. The
+    embed and readout are always trainable.
     """
     arrays = [("embed", model.embed, None, True)]
     for j, block in enumerate(model.blocks):
-        prefix = f"blocks.{j}"
-        if isinstance(block, DenseBlock):
-            arrays += _ffn_arrays(f"{prefix}.ffn", block.ffn)
-            continue
-        arrays.append((f"{prefix}.router.w_r", block.router.w_r, None, True))
-        for tag, group in (("group_in", block.group_in), ("group_out", block.group_out)):
-            arrays.append((f"{prefix}.{tag}.base", group.base, None, block.trainable_base))
-            for i, delta in enumerate(group.deltas):
-                arrays += [
-                    (f"{prefix}.{tag}.delta{i}.{field}", arr, disk, field in delta.TRAINABLE)
-                    for field, arr, disk in delta.records()
-                ]
-        if block.universal is not None:
-            arrays += _ffn_arrays(f"{prefix}.universal", block.universal)
-    arrays.append(("readout", model.readout, None, True))
-    return arrays
+        arrays += block_arrays(j, block)
+    return arrays + [("readout", model.readout, None, True)]
 
 
 def named_parameters(model: Model) -> list[tuple[str, np.ndarray]]:

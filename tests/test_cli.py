@@ -299,6 +299,19 @@ class TestExitCodes:
         assert run("eval", "--config", cfg, "--out", str(tmp_path), "--ckpt", damaged) == 3
         assert ("n_experts" if damage == "no n_experts" else "readout") in capsys.readouterr().err
 
+    def test_unparseable_record_dtype_exit_3(self, tmp_path, pipeline, capsys):
+        """A record's dtype string is compared with the expected one, never
+        parsed: numpy's parser raises SyntaxError on ",f8"."""
+        _, out = pipeline
+
+        def edit(header):
+            header["records"][0]["dtype"] = ",f8"
+
+        damaged = str(tmp_path / "damaged.ckpt")
+        edit_header(os.path.join(out, "trained.ckpt"), edit, damaged)
+        assert run("report-params", "--out", str(tmp_path), "--ckpt", damaged) == 3
+        assert "',f8'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("field", ["offset", "n_experts", "shape"])
     def test_mistyped_header_field_exit_3(self, tmp_path, pipeline, capsys, field):
         cfg, out = pipeline
@@ -325,12 +338,13 @@ class TestExitCodes:
             ("trainable_base", "yes"),
             ("trainable_base", True),
             ("d", 8.0),
+            ("kind", "moa"),
         ],
     )
     def test_invalid_model_scalar_exit_3(self, tmp_path, pipeline, capsys, field, value):
-        """A damaged size, flag or activation that keeps a valid JSON type is
-        refused as corruption; ``d`` is the model's, the rest the MoE layer's
-        (a vanilla layer, whose base must stay frozen)."""
+        """A damaged size, flag, activation or block kind that keeps a valid
+        JSON type is refused as corruption; ``d`` is the model's, the rest the
+        MoE layer's (a vanilla layer, whose base must stay frozen)."""
         cfg, out = pipeline
 
         def edit(header):

@@ -211,7 +211,7 @@ class TestReport:
         model, _ = trained
         spec = CompressionSpec("quantize", bit_width=2)
         compressed = ders_compress(model, spec)
-        report = compression_report(model, compressed, spec, bit_width=16)
+        report = compression_report(compressed, spec, bit_width=16)
         unit = 2 * 8 * 16  # both FFN matrices of one member
         for row in report["layers"]:
             assert row["stored_bits_before"] == 4 * 16 * unit
@@ -222,7 +222,7 @@ class TestReport:
     def test_sparsify_ratio_formula(self, trained):
         model, _ = trained
         spec = CompressionSpec("sparsify", drop_rate=0.9, seed=1)
-        report = compression_report(model, ders_compress(model, spec), spec)
+        report = compression_report(ders_compress(model, spec), spec)
         for row in report["layers"]:
             assert row["equivalent_expert_ratio_formula"] == pytest.approx(
                 (1 + 4 * 0.1) / 4, abs=1e-9
@@ -232,7 +232,7 @@ class TestReport:
     def test_realized_ratio_tracks_formula(self, trained):
         model, _ = trained
         spec = CompressionSpec("sparsify", drop_rate=0.9, seed=1)
-        report = compression_report(model, ders_compress(model, spec), spec)
+        report = compression_report(ders_compress(model, spec), spec)
         for row in report["layers"]:
             assert row["equivalent_expert_ratio"] == pytest.approx(
                 row["equivalent_expert_ratio_formula"], abs=0.05

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import rng_mat
 from ders import deltas, numkern
@@ -58,6 +59,34 @@ class TestDecompose:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
             decompose(np.zeros((2, 2)), np.zeros((2, 3)))
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        dtype=st.sampled_from([np.float64, np.float32]),
+        shape=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+        data=st.data(),
+    )
+    def test_round_trip_over_generated_sums(self, dtype, shape, data):
+        """synthesize(base, decompose(base, base + d)) is base + d, over
+        exponents from subnormal to near the overflow bound: byte-equal
+        wherever the sum is not −0.0, and value-equal there."""
+        width = np.dtype(dtype).itemsize * 8
+        limit = 2.0**1022 if width == 64 else 2.0**126  # base + d stays finite
+        elements = st.floats(-limit, limit, width=width)
+        base = data.draw(arrays(dtype, shape, elements=elements))
+        total = base + data.draw(arrays(dtype, shape, elements=elements))
+        back = synthesize(base, decompose(base, total))
+        assert np.array_equal(back, total)
+        signed = ~((total == 0) & np.signbit(total))
+        assert same_bytes(back[signed], total[signed])
+
+    def test_negative_zero_sum_comes_back_positive(self):
+        """The one value-equal case: −0.0 − (−0.0) is +0.0, and −0.0 + 0.0 too."""
+        base = np.array([[-0.0]])
+        total = base + np.array([[-0.0]])
+        back = synthesize(base, decompose(base, total))
+        assert np.signbit(total[0, 0]) and not np.signbit(back[0, 0])
+        assert np.array_equal(back, total)
 
 
 class TestMaterializeAndSynthesize:
