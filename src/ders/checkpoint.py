@@ -184,7 +184,9 @@ def load_model(path: str) -> tuple[Model, dict]:
 
     if not isinstance(header, dict):
         raise CorruptionError(f"{path} has a header of type {type(header).__name__}, not an object")
-    meta = header.get("meta", {})
+    if "meta" not in header:
+        raise CorruptionError(f"{path} header lacks the field 'meta'")
+    meta = header["meta"]
     if not isinstance(meta, dict):
         raise CorruptionError(f"{path} has a 'meta' of type {type(meta).__name__}, not an object")
     if header.get("dtype") not in _FLOAT_TAGS:

@@ -12,10 +12,14 @@ Subcommands chain through fixed artifact names inside ``--out``:
     sweep               sweep.csv         (drop rates / bit widths on trained.ckpt,
                                            ranks re-upcycled from dense.ckpt)
 
-The JSON config is validated before any compute: unknown keys are rejected
-with their full field path, and the top-level ``seed`` is mandatory (it is
-the default seed for every stage that does not set its own). Exit codes:
-0 success, 2 config error, 3 state error, 4 numeric error.
+The JSON config is validated before any compute: unknown and wrongly typed
+keys are rejected with their full field path, and the top-level ``seed`` is
+mandatory (it is the default seed for every stage that does not set its own).
+The ``pretrain``, ``train``, ``upcycle``, ``compress`` and ``task.params``
+keys are the fields of ``TrainConfig``, ``UpcycleConfig``, ``CompressionSpec``
+and ``SyntheticTask``, each typed by its annotation through
+``moe.FIELD_TYPES``; only ``model`` and ``sweep`` are listed by hand. Exit
+codes: 0 success, 2 config error, 3 state error, 4 numeric error.
 """
 
 from __future__ import annotations
@@ -24,15 +28,15 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 
 from .accounting import count_report, report_to_csv, report_to_json
 from .analysis import cosine_report, similarity_to_csv, similarity_to_json
 from .checkpoint import load_model, save_model, write_atomic
 from .compress import CompressionSpec, compression_report, ders_compress
 from .errors import ConfigError, DersError, DimensionError, NumericError, StateError
-from .moe import Model, build_dense_model
-from .train import TrainConfig, evaluate, make_task, train_loop
+from .moe import FIELD_TYPES, Model, build_dense_model
+from .train import SyntheticTask, TrainConfig, evaluate, make_task, train_loop
 from .upcycle import UpcycleConfig, upcycle
 
 SUBCOMMANDS = (
@@ -57,32 +61,16 @@ _METHOD_ALIASES = {
 }
 
 # A config value's type: (what the error message says it must be, test).
-_INT = ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
-# JSON reads NaN, Infinity and 1e400 as floats; none of them is a usable setting.
-_NUMBER = (
-    "a finite number",
-    lambda v: isinstance(v, (int, float))
-    and not isinstance(v, bool)
-    and abs(v) <= sys.float_info.max,
-)
-_STRING = ("a string", lambda v: isinstance(v, str))
-_BOOL = ("true or false", lambda v: isinstance(v, bool))
+_INT, _NUMBER, _STRING = (FIELD_TYPES[name] for name in ("int", "float", "str"))
 _NUMBERS = ("a list of numbers", lambda v: isinstance(v, list) and all(_NUMBER[1](x) for x in v))
 _INTS = ("a list of integers", lambda v: isinstance(v, list) and all(_INT[1](x) for x in v))
 
-_TRAIN_FIELDS = {
-    "steps": _INT,
-    "batch_size": _INT,
-    "lr": _NUMBER,
-    "optimizer": _STRING,
-    "beta1": _NUMBER,
-    "beta2": _NUMBER,
-    "eps": _NUMBER,
-    "aux_loss_coeff": _NUMBER,
-    "schedule": _STRING,
-    "eval_every": _INT,
-    "seed": _INT,
-}
+
+def _fields_schema(cls, skip=()) -> dict:
+    """The keys of a config section backed by dataclass ``cls``: its fields,
+    each typed by its annotation."""
+    return {f.name: FIELD_TYPES[f.type] for f in fields(cls) if f.init and f.name not in skip}
+
 
 # Every config key with its type; a nested dict is a JSON object with its own keys.
 _SCHEMA: dict = {
@@ -91,40 +79,18 @@ _SCHEMA: dict = {
     "task": {
         "kind": _STRING,
         "seed": _INT,
-        "params": {
-            "d": _INT,
-            "n_clusters": _INT,
-            "out_width": _INT,
-            "noise": _NUMBER,
-            "spread": _NUMBER,
-            "shift": _NUMBER,
-            "shift_seed": _INT,
-            "eval_size": _INT,
-        },
+        "params": _fields_schema(SyntheticTask, skip=("kind", "seed")),
     },
-    "pretrain": _TRAIN_FIELDS,
-    "train": _TRAIN_FIELDS,
-    "upcycle": {
-        "n_experts": _INT,
-        "topk_count": _INT,
-        "method": _STRING,
-        "sparse_rate": _NUMBER,
-        "rank": _INT,
-        "layer_pattern": _STRING,
-        "parallel_universal": _BOOL,
-        "extended": _BOOL,
-        "freeze_shared": _BOOL,
-        "seed": _INT,
-    },
-    "compress": {
-        "technique": _STRING,
-        "drop_rate": _NUMBER,
-        "bit_width": _INT,
-        "extended": _BOOL,
-        "seed": _INT,
-    },
+    "pretrain": _fields_schema(TrainConfig),
+    "train": _fields_schema(TrainConfig),
+    "upcycle": _fields_schema(UpcycleConfig),
+    "compress": _fields_schema(CompressionSpec),
     "sweep": {"drop_rates": _NUMBERS, "bit_widths": _INTS, "ranks": _INTS},
 }
+
+# The compression field each technique flag sets, with the technique it selects;
+# ``sweep`` lists that field's values under the field's name plus "s".
+_TECHNIQUE_FLAGS = {"drop_rate": "sparsify", "bit_width": "quantize"}
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +111,17 @@ def _validate(value, schema: dict, path: str = "") -> None:
             _validate(item, spec, f"{full}.")
         elif not spec[1](item):
             raise ConfigError(f"config field '{full}' must be {spec[0]}, got {item!r}")
+
+
+def _build(cls, name: str, section: dict):
+    """The stage config ``cls(**section)`` of config section ``name``, validated;
+    each field without a default must be in ``section``."""
+    for f in fields(cls):
+        if f.default is MISSING and f.name not in section:
+            raise ConfigError(f"config field '{name}.{f.name}' is required")
+    cfg = cls(**section)
+    cfg.validate()
+    return cfg
 
 
 def load_config(path: str | None) -> dict:
@@ -200,12 +177,7 @@ class Experiment:
         if not section:
             raise ConfigError(f"config section '{name}' is required for this subcommand")
         section.setdefault("seed", self.seed)
-        try:
-            cfg = TrainConfig(**section)
-        except TypeError as exc:
-            raise ConfigError(f"config section '{name}': {exc}") from exc
-        cfg.validate()
-        return cfg
+        return _build(TrainConfig, name, section)
 
     def upcycle_config(self, args) -> UpcycleConfig:
         section = self._section("upcycle")
@@ -221,41 +193,25 @@ class Experiment:
             section.setdefault("parallel_universal", True)
         if args.freeze_shared is not None:
             section["freeze_shared"] = args.freeze_shared
-        for field in ("n_experts", "topk_count"):
-            if field not in section:
-                raise ConfigError(f"config field 'upcycle.{field}' is required")
-        try:
-            cfg = UpcycleConfig(**section)
-        except TypeError as exc:
-            raise ConfigError(f"config section 'upcycle': {exc}") from exc
-        cfg.validate()
-        return cfg
+        return _build(UpcycleConfig, "upcycle", section)
 
     def compression_spec(self, args) -> CompressionSpec:
         section = self._section("compress")
         section.setdefault("seed", self.seed)
-        if args.drop_rate is not None and args.bit_width is not None:
-            raise ConfigError(
-                "--drop-rate selects the sparsify technique and --bit-width the quantize "
-                "technique: pass at most one"
-            )
-        if args.drop_rate is not None:
-            section.update(technique="sparsify", drop_rate=args.drop_rate)
-        elif args.bit_width is not None:
-            section.update(technique="quantize", bit_width=args.bit_width)
+        flags = " / ".join(f"--{key.replace('_', '-')}" for key in _TECHNIQUE_FLAGS)
+        chosen = [key for key in _TECHNIQUE_FLAGS if getattr(args, key) is not None]
+        if len(chosen) > 1:
+            raise ConfigError(f"each of {flags} selects a technique: pass at most one")
+        if chosen:
+            key = chosen[0]
+            section.update(technique=_TECHNIQUE_FLAGS[key], **{key: getattr(args, key)})
         elif "technique" not in section:
             raise ConfigError(
-                "compression technique unspecified: set 'compress.technique' or pass "
-                "one of --drop-rate / --bit-width"
+                f"compression technique unspecified: set 'compress.technique' or pass one of {flags}"
             )
         if args.extended is not None:
             section["extended"] = args.extended
-        try:
-            spec = CompressionSpec(**section)
-        except TypeError as exc:
-            raise ConfigError(f"config section 'compress': {exc}") from exc
-        spec.validate()
-        return spec
+        return _build(CompressionSpec, "compress", section)
 
 
 # ---------------------------------------------------------------------------
@@ -440,17 +396,16 @@ def _sweep_row(kind, value, metric, stored_values="", stored_bits="", trainable=
 def _cmd_sweep(args, out: str) -> int:
     exp = Experiment(load_config(args.config), args.seed)
     section = exp._section("sweep")
-    drop_rates = section.get("drop_rates") or []
-    bit_widths = section.get("bit_widths") or []
+    swept = [(key, tech, section.get(f"{key}s") or []) for key, tech in _TECHNIQUE_FLAGS.items()]
     ranks = section.get("ranks") or []
-    if not (drop_rates or bit_widths or ranks):
+    if not (ranks or any(values for *_, values in swept)):
         raise ConfigError(
             "config section 'sweep' must list at least one of drop_rates/bit_widths/ranks"
         )
     task = exp.task()
     rows = []
 
-    if drop_rates or bit_widths:
+    if any(values for *_, values in swept):
         trained, _ = _load_ckpt(os.path.join(out, "trained.ckpt"))
         base = count_report(trained)
         rows.append(
@@ -464,10 +419,7 @@ def _cmd_sweep(args, out: str) -> int:
             )
         )
         seed = exp._section("compress").get("seed", exp.seed)
-        for kind, technique, values in (
-            ("drop_rate", "sparsify", drop_rates),
-            ("bit_width", "quantize", bit_widths),
-        ):
+        for kind, technique, values in swept:
             for value in values:
                 spec = CompressionSpec(technique, seed=seed, **{kind: value})
                 compressed = ders_compress(trained, spec)

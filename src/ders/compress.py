@@ -31,7 +31,7 @@ from .deltas import (
     synthesize,
 )
 from .errors import ConfigError, StateError
-from .moe import MoELayer, Model, copy_model
+from .moe import MoELayer, Model, check_fields, copy_model
 from .numkern import RngStream, derive_stream_id, dtype_bits
 
 TECHNIQUES = ("dense", "sparsify", "quantize")
@@ -57,6 +57,7 @@ class CompressionSpec:
     seed: int = 0
 
     def validate(self) -> None:
+        check_fields(self)
         if self.technique not in TECHNIQUES:
             raise ConfigError(
                 f"technique={self.technique!r} not in {TECHNIQUES}"

@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import copy
 import numbers
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -72,18 +73,33 @@ def act_grad(name: str, x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+# A scalar field's annotation -> (what the error says it must be, test). Every
+# module declares ``from __future__ import annotations``, so an annotation is
+# its source text. JSON reads NaN, Infinity and 1e400 as floats; none of them
+# is a usable setting.
+FIELD_TYPES = {
+    "int": ("an integer", lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool)),
+    "float": (
+        "a finite number",
+        lambda v: isinstance(v, numbers.Real)
+        and not isinstance(v, bool)
+        and abs(v) <= sys.float_info.max,
+    ),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+}
 
 
-def _check_scalars(obj, ints=(), flags=(), activation: str | None = None) -> None:
-    """Sizes must be integers (not bools), flags bools, an activation known."""
-    for name in ints:
-        if not _is_int(getattr(obj, name)):
-            raise ParameterError(f"{name} must be an integer, got {getattr(obj, name)!r}")
-    for name in flags:
-        if not isinstance(getattr(obj, name), bool):
-            raise ParameterError(f"{name} must be true or false, got {getattr(obj, name)!r}")
+def check_fields(obj, activation: str | None = None) -> None:
+    """Check every field of the dataclass ``obj`` annotated ``int``, ``float``,
+    ``str`` or ``bool`` by :data:`FIELD_TYPES`, and, if given, that
+    ``activation`` is one of :data:`ACTIVATIONS`. Fields of any other
+    annotation (arrays, nested objects) are left to the caller."""
+    for f in fields(obj):
+        rule = FIELD_TYPES.get(f.type)
+        value = getattr(obj, f.name)
+        if rule is not None and not rule[1](value):
+            raise ParameterError(f"{f.name} must be {rule[0]}, got {value!r}")
     if activation is not None and activation not in ACTIVATIONS:
         raise ParameterError(f"unknown activation {activation!r}")
 
@@ -96,7 +112,7 @@ class Router:
     topk_count: int
 
     def __post_init__(self):
-        _check_scalars(self, ints=("topk_count",))
+        check_fields(self)
         if self.w_r.ndim != 2:
             raise DimensionError("router weight must be 2-D")
         if not 1 <= self.topk_count <= self.w_r.shape[1]:
@@ -120,7 +136,7 @@ class FFN:
             raise DimensionError(
                 f"FFN inner dims differ: w_in {self.w_in.shape}, w_out {self.w_out.shape}"
             )
-        _check_scalars(self, activation=self.activation)
+        check_fields(self, self.activation)
 
 
 @dataclass
@@ -153,7 +169,7 @@ class MoELayer:
     synthesis_count: int = 0
 
     def __post_init__(self):
-        _check_scalars(self, ("n_experts",), ("extended", "trainable_base"), self.activation)
+        check_fields(self, self.activation)
         if self.method not in METHODS:
             raise ParameterError(f"unknown upcycle method {self.method!r}; choose from {METHODS}")
         if self.method == "vanilla" and self.trainable_base:
@@ -196,8 +212,7 @@ class Model:
     activation: str = "gelu"
 
     def __post_init__(self):
-        sizes = ("d", "d_h", "in_width", "out_width", "ancestor_params")
-        _check_scalars(self, sizes, activation=self.activation)
+        check_fields(self, self.activation)
         if self.embed.shape != (self.in_width, self.d):
             raise DimensionError(f"embed is {self.embed.shape}, expected {(self.in_width, self.d)}")
         if self.readout.shape != (self.d, self.out_width):
@@ -206,6 +221,19 @@ class Model:
             )
         if self.ancestor_params <= 0:
             raise ParameterError("ancestor_params must be positive")
+        for j, block in enumerate(self.blocks):
+            if isinstance(block, DenseBlock):
+                sides = [("ffn", block.ffn.w_in, block.ffn.w_out)]
+            else:
+                sides = [("group base", block.group_in.base, block.group_out.base)]
+                if block.universal is not None:
+                    sides.append(("universal", block.universal.w_in, block.universal.w_out))
+            for name, w_in, w_out in sides:
+                if w_in.shape != (self.d, self.d_h) or w_out.shape != (self.d_h, self.d):
+                    raise DimensionError(
+                        f"block {j} {name} is {w_in.shape} then {w_out.shape}, expected "
+                        f"(d, d_h) then (d_h, d) for d={self.d}, d_h={self.d_h}"
+                    )
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,7 @@ disables it.
 
 from __future__ import annotations
 
-import numbers
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -37,8 +36,8 @@ from .errors import ConfigError, NumericError, ParameterError
 from .moe import (
     Model,
     MoELayer,
-    _is_int,
     act_grad,
+    check_fields,
     copy_model,
     forward_tape,
     model_forward,
@@ -80,15 +79,16 @@ class SyntheticTask:
     shift: float = 0.0
     shift_seed: int = 0
     eval_size: int = 256
-    _cache: dict = field(default_factory=dict, repr=False)
+    _cache: dict = field(default_factory=dict, repr=False, init=False)
 
     def __post_init__(self):
+        check_fields(self)
         if self.kind not in TASK_KINDS:
             raise ConfigError(f"task kind must be one of {TASK_KINDS}, got {self.kind!r}")
         if self.n_clusters < 1 or self.d < 1:
             raise ConfigError("n_clusters and d must be >= 1")
-        if not _is_int(self.eval_size) or self.eval_size < 1:
-            raise ConfigError(f"eval_size must be an integer >= 1, got {self.eval_size!r}")
+        if self.eval_size < 1:
+            raise ConfigError(f"eval_size must be >= 1, got {self.eval_size!r}")
         if self.noise < 0:
             raise ConfigError(f"noise must be >= 0, got {self.noise!r}")
         if self.kind == "modular_classification":
@@ -189,24 +189,16 @@ class SyntheticTask:
         return self._cache["eval_x"], self._cache["eval_y"]
 
 
-_TASK_PARAMS = {
-    "d",
-    "n_clusters",
-    "out_width",
-    "noise",
-    "spread",
-    "shift",
-    "shift_seed",
-    "eval_size",
-}
-
-
 def make_task(kind: str, params: dict, seed: int) -> SyntheticTask:
-    unknown = set(params) - _TASK_PARAMS
+    """The task ``kind`` with ``params``: any :class:`SyntheticTask` field but
+    ``kind`` and ``seed``, each required unless it has a default."""
+    known = [f for f in fields(SyntheticTask) if f.init and f.name not in ("kind", "seed")]
+    unknown = set(params) - {f.name for f in known}
     if unknown:
         raise ConfigError(f"unknown task parameters: {sorted(unknown)}")
-    if "d" not in params or "n_clusters" not in params:
-        raise ConfigError("task params need at least 'd' and 'n_clusters'")
+    for f in known:
+        if f.default is MISSING and f.name not in params:
+            raise ConfigError(f"task parameter '{f.name}' is required")
     return SyntheticTask(kind=kind, seed=seed, **params)
 
 
@@ -401,14 +393,7 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        for name in ("steps", "batch_size", "eval_every", "seed"):
-            value = getattr(self, name)
-            if not _is_int(value):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        for name in ("lr", "beta1", "beta2", "eps", "aux_loss_coeff"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or isinstance(value, bool):
-                raise ConfigError(f"{name} must be a real number, got {value!r}")
+        check_fields(self)
         if self.steps < 1:
             raise ConfigError(f"steps must be >= 1, got {self.steps}")
         if self.batch_size < 1:

@@ -28,7 +28,7 @@ import numpy as np
 from . import numkern
 from .deltas import DenseDelta, ExpertGroup, init_lowrank_trainable, init_sparse_trainable
 from .errors import ConfigError, StateError
-from .moe import FFN, METHODS, DenseBlock, Model, MoELayer, Router
+from .moe import FFN, METHODS, DenseBlock, Model, MoELayer, Router, check_fields
 
 LAYER_PATTERNS = ("every_layer", "every_other_layer")
 
@@ -47,6 +47,7 @@ class UpcycleConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        check_fields(self)
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.layer_pattern not in LAYER_PATTERNS:

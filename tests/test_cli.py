@@ -265,6 +265,20 @@ class TestExitCodes:
         assert run(command, "--config", cfg, "--out", str(tmp_path / "run")) == 2
         assert f"'{section}.{field}'" in capsys.readouterr().err
 
+    def test_missing_required_field_exit_2(self, tmp_path, pipeline, capsys):
+        """A stage config field without a default is named by its key path."""
+        _, src = pipeline
+        data = json.loads(json.dumps(BASE_CONFIG))
+        del data["train"]["steps"]
+        cfg = str(tmp_path / "config.json")
+        with open(cfg, "w") as fh:
+            json.dump(data, fh)
+        out = str(tmp_path / "run")
+        copy_ckpt(src, "moe.ckpt", out)
+        assert run("train", "--config", cfg, "--out", out) == 2
+        assert "'train.steps'" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, "trained.ckpt"))
+
     def test_negative_noise_exit_2(self, tmp_path, capsys):
         params = {"d": 1, "n_clusters": 8, "noise": -1.0}
         cfg = write_config(tmp_path, {"task": {"params": params}})
@@ -338,18 +352,20 @@ class TestExitCodes:
             ("trainable_base", "yes"),
             ("trainable_base", True),
             ("d", 8.0),
+            ("d_h", 25),
             ("kind", "moa"),
         ],
     )
     def test_invalid_model_scalar_exit_3(self, tmp_path, pipeline, capsys, field, value):
         """A damaged size, flag, activation or block kind that keeps a valid
-        JSON type is refused as corruption; ``d`` is the model's, the rest the
-        MoE layer's (a vanilla layer, whose base must stay frozen)."""
+        JSON type is refused as corruption; ``d`` and ``d_h`` are the model's,
+        the rest the MoE layer's (a vanilla layer, whose base must stay frozen)."""
         cfg, out = pipeline
 
         def edit(header):
             topo = header["model"]
-            entry = topo if field == "d" else next(b for b in topo["blocks"] if b["kind"] == "moe")
+            in_model = field in ("d", "d_h")
+            entry = topo if in_model else next(b for b in topo["blocks"] if b["kind"] == "moe")
             entry[field] = value
 
         damaged = str(tmp_path / "damaged.ckpt")
@@ -378,11 +394,18 @@ class TestExitCodes:
             assert "method" in err and "'foo'" in err, cmd
 
     @pytest.mark.parametrize(
-        "part,command", [("header", "report-params"), ("delta", "report-params"), ("meta", "eval")]
+        "part,command",
+        [
+            ("header", "report-params"),
+            ("delta", "report-params"),
+            ("meta", "eval"),
+            ("no-meta", "eval"),
+        ],
     )
     def test_wrongly_shaped_header_exit_3(self, tmp_path, pipeline, capsys, part, command):
-        """Valid JSON of the wrong shape is corruption, not a traceback: a
-        header, a delta entry or a ``meta`` that is not a JSON object."""
+        """Valid JSON of the wrong shape is corruption, not a traceback or a
+        silent load: a header, a delta entry or a ``meta`` that is not a JSON
+        object, or a header whose ``meta`` key is renamed away."""
         cfg, out = pipeline
 
         def edit(header):
@@ -391,8 +414,10 @@ class TestExitCodes:
             if part == "delta":
                 moe = next(b for b in header["model"]["blocks"] if b["kind"] == "moe")
                 moe["group_in"]["deltas"][0] = 5
-            else:
+            elif part == "meta":
                 header["meta"] = 3
+            else:
+                header["leta"] = header.pop("meta")
 
         damaged = str(tmp_path / "damaged.ckpt")
         edit_header(os.path.join(out, "trained.ckpt"), edit, damaged)

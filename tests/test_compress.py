@@ -43,6 +43,8 @@ class TestSpecValidation:
             CompressionSpec("sparsify", drop_rate=1.0).validate()
         with pytest.raises(ConfigError):
             CompressionSpec("sparsify", drop_rate=-0.1).validate()
+        with pytest.raises(ConfigError):
+            CompressionSpec("sparsify", drop_rate="0.5").validate()
 
     def test_bad_bit_width(self):
         with pytest.raises(ConfigError):

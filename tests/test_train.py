@@ -83,6 +83,10 @@ class TestMakeTask:
         with pytest.raises(ConfigError):
             make_task("cluster_regression", dict(d=4, n_clusters=2, frobnicate=1), 0)
 
+    def test_wrongly_typed_param_rejected(self):
+        with pytest.raises(ConfigError):
+            make_task("cluster_regression", dict(d=4.0, n_clusters=2), 0)
+
     def test_bad_kind_rejected(self):
         with pytest.raises(ConfigError):
             make_task("mystery", dict(d=4, n_clusters=2), 0)
@@ -411,6 +415,8 @@ class TestTrainLoop:
             TrainConfig(steps=1, optimizer="lion").validate()
         with pytest.raises(ConfigError):
             TrainConfig(steps=1, schedule="warmup").validate()
+        with pytest.raises(ConfigError):
+            TrainConfig(steps=1, lr=float("nan")).validate()
 
     def test_sgd_and_schedules_run(self):
         task = regression_task(seed=59, d=4, n_clusters=2, out_width=2)

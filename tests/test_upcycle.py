@@ -192,6 +192,10 @@ class TestPatternsAndValidation:
         with pytest.raises(ConfigError):
             cfg_for("vanilla", topk_count=5).validate()
 
+    def test_bool_n_experts_rejected(self):
+        with pytest.raises(ConfigError):
+            UpcycleConfig(n_experts=True, topk_count=1).validate()
+
     def test_extended_requires_universal(self):
         with pytest.raises(ConfigError):
             cfg_for("ders_sm", extended=True).validate()
