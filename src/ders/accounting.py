@@ -24,7 +24,7 @@ import numpy as np
 
 from .deltas import init_lowrank_trainable, init_sparse_trainable, sparse_keep_count
 from .errors import ParameterError
-from .moe import DenseBlock, MoELayer, Model, block_arrays, named_parameters
+from .moe import DenseBlock, MoELayer, Model, block_arrays
 from .numkern import RngStream, derive_stream_id, dtype_bits
 
 SCHEMA_VERSION = 1
@@ -182,11 +182,6 @@ def count_report(model: Model, bit_width: int | None = None) -> ParamReport:
         added_params_values_only=totals.stored_values - model.ancestor_params,
         added_params_with_overheads=totals.stored_values + overheads - model.ancestor_params,
     )
-
-
-def trainable_count(model: Model) -> int:
-    """Total trainable values (sum over the parameter registry)."""
-    return sum(int(arr.size) for _, arr in named_parameters(model))
 
 
 # ---------------------------------------------------------------------------

@@ -395,12 +395,6 @@ def copy_model(model: Model) -> Model:
     return copy.deepcopy(model)
 
 
-def reset_synthesis_counters(model: Model) -> None:
-    for block in model.blocks:
-        if isinstance(block, MoELayer):
-            block.synthesis_count = 0
-
-
 def _ffn_arrays(prefix: str, ffn: FFN) -> list:
     return [(f"{prefix}.w_in", ffn.w_in, None, True), (f"{prefix}.w_out", ffn.w_out, None, True)]
 

@@ -3,18 +3,14 @@
 Gradients are hand-derived reverse-mode derivatives computed from the forward
 tape — no autograd. One FFN backward, ``_ffn_backward``, serves every FFN the
 forward ran (dense block, routed expert, member N+1, parallel universal FFN)
-and returns (dX, dW_in, dW_out); the caller lands the weight gradients. Special
-cases the MoE stack needs:
+and returns (dX, dW_in, dW_out); the caller lands the weight gradients in one
+flat buffer per dtype (:class:`GradLayout`). Special cases the MoE stack needs:
 
 * the top-k routing mask is treated as a constant (straight-through): task-loss
   gradient flows only through surviving softmax entries;
 * a group member's (a routed expert's or member N+1's) weight gradient dW lands
-  on the delta's trainable arrays as the delta form says
-  (``DeltaWeight.weight_grads``): a SparseDelta takes it only on its value
-  vector at its fixed indices (chain rule through the rescale factor), a
-  LowRankDelta splits it into dA = dW·Bᵀ and dB = Aᵀ·dW;
-* a trainable shared base receives the sum of all members' weight gradients,
-  experts in index order, then member N+1;
+  on its delta's trainable arrays as ``DeltaWeight.weight_grads`` says, and on a
+  trainable shared base whole: experts in index order, then member N+1;
 * a dense block's or parallel universal FFN's gradients land on its own
   ``w_in`` and ``w_out``;
 * frozen parameters (vanilla/compressed bases, frozen shared FFNs, quantized
@@ -330,6 +326,22 @@ def _aux_loss(tape: dict, model: Model) -> float:
     return total
 
 
+class GradLayout:
+    """One flat gradient buffer per dtype, ``flats``, over ``params`` (a
+    :func:`ders.moe.named_parameters` walk) in walk order. ``grads`` maps each
+    name, and ``buffers`` the id of each live array, to its view of a buffer."""
+
+    def __init__(self, params: list[tuple[str, np.ndarray]]):
+        self.params, sizes, starts = params, {}, []
+        for _, arr in params:
+            starts.append(sizes.get(arr.dtype, 0))
+            sizes[arr.dtype] = starts[-1] + arr.size
+        self.flats = {dtype: np.zeros(size, dtype) for dtype, size in sizes.items()}
+        self.grads = {name: self.flats[arr.dtype][start : start + arr.size].reshape(arr.shape)
+                      for (name, arr), start in zip(params, starts)}
+        self.buffers = {id(arr): grad for (_, arr), grad in zip(params, self.grads.values())}
+
+
 def loss_and_grads(model: Model, batch, task: SyntheticTask, aux_loss_coeff: float = 0.0):
     """Total loss (task + aux_loss_coeff · balance penalty) and exact gradients.
 
@@ -341,8 +353,10 @@ def loss_and_grads(model: Model, batch, task: SyntheticTask, aux_loss_coeff: flo
     return loss, grads
 
 
-def loss_parts(model: Model, batch, task: SyntheticTask, aux_loss_coeff: float = 0.0):
-    """(total_loss, (task_loss, aux_raw), grads) — the full training quantity."""
+def loss_parts(model: Model, batch, task: SyntheticTask, aux_loss_coeff: float = 0.0, layout=None):
+    """(total_loss, (task_loss, aux_raw), grads) — the full training quantity.
+    ``grads`` are views of ``layout``, a :class:`GradLayout` of the model's
+    parameters, valid until its next step or call; by default a fresh one."""
     x, y = batch
     pred, tape = forward_tape(model, x)
     if task.loss_kind == "mse":
@@ -353,9 +367,10 @@ def loss_parts(model: Model, batch, task: SyntheticTask, aux_loss_coeff: float =
     if not np.isfinite(total):
         raise NumericError(f"non-finite loss {total!r} at the readout")
 
-    # Gradient buffers keyed by the live parameter array while backprop lands them.
-    params = named_parameters(model)
-    buffers = {id(arr): np.zeros_like(arr) for _, arr in params}
+    layout = layout or GradLayout(named_parameters(model))
+    for flat in layout.flats.values():
+        flat.fill(0)
+    buffers = layout.buffers  # keyed by the live parameter array while backprop lands them
     buffers[id(model.readout)] += numkern.matmul(tape["h_final"].T, d_pred)
     d_h = numkern.matmul(d_pred, model.readout.T)
     for block, rec in zip(reversed(model.blocks), reversed(tape["blocks"])):
@@ -367,10 +382,10 @@ def loss_parts(model: Model, batch, task: SyntheticTask, aux_loss_coeff: float =
             buffers[id(block.ffn.w_out)] += d_w_out
         d_h = d_h + d_block_in  # residual path
     buffers[id(model.embed)] += numkern.matmul(tape["x_in"].T, d_h)
-    grads = {name: buffers[id(arr)] for name, arr in params}
-    for name, grad in grads.items():
-        numkern.check_finite(grad, f"the gradient of {name}")
-    return total, (task_loss, aux_raw), grads
+    if not all(np.isfinite(flat).all() for flat in layout.flats.values()):
+        for name, grad in layout.grads.items():  # name the first non-finite one
+            numkern.check_finite(grad, f"the gradient of {name}")
+    return total, (task_loss, aux_raw), layout.grads
 
 
 # ---------------------------------------------------------------------------
@@ -416,36 +431,22 @@ class TrainConfig:
             raise ConfigError("seed must be a non-negative integer")
 
 
-class _Sgd:
-    def __init__(self, cfg: TrainConfig):
-        self.cfg = cfg
-
-    def step(self, params, grads, lr):
-        for name, arr in params:
-            arr -= lr * grads[name]
-
-
-class _Adam:
-    def __init__(self, cfg: TrainConfig):
-        self.cfg = cfg
-        self.t = 0
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
-
-    def step(self, params, grads, lr):
-        cfg = self.cfg
-        self.t += 1
-        b1t = 1.0 - cfg.beta1**self.t
-        b2t = 1.0 - cfg.beta2**self.t
-        for name, arr in params:
-            g = grads[name]
-            m = self.m.setdefault(name, np.zeros_like(arr))
-            v = self.v.setdefault(name, np.zeros_like(arr))
-            m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * g
-            v *= cfg.beta2
-            v += (1.0 - cfg.beta2) * (g * g)
-            arr -= lr * (m / b1t) / (np.sqrt(v / b2t) + cfg.eps)
+def _optimizer_step(cfg: TrainConfig, layout: GradLayout, moments: dict, t: int, lr: float):
+    """Step ``t`` of SGD or Adam, whose ``moments`` are (m, v) per dtype: each
+    flat gradient buffer turns into its update, which each parameter subtracts."""
+    b1t, b2t = 1.0 - cfg.beta1**t, 1.0 - cfg.beta2**t
+    for dtype, g in layout.flats.items():
+        if cfg.optimizer == "sgd":
+            g *= lr
+            continue
+        m, v = moments[dtype]
+        m *= cfg.beta1
+        m += (1.0 - cfg.beta1) * g
+        v *= cfg.beta2
+        v += (1.0 - cfg.beta2) * (g * g)
+        np.divide(lr * (m / b1t), np.sqrt(v / b2t) + cfg.eps, out=g)
+    for (_, arr), update in zip(layout.params, layout.grads.values()):
+        arr -= update
 
 
 def _lr_at(cfg: TrainConfig, step: int) -> float:
@@ -471,6 +472,7 @@ def train_loop(model: Model, task: SyntheticTask, cfg: TrainConfig) -> TrainResu
     The trace has one row per step: {step, loss, aux_loss, eval_metric} with
     eval_metric empty except at evaluation steps (every ``eval_every`` steps
     and at the end). Returns the final model plus the best-eval checkpoint.
+    Every step lands its gradients in one :class:`GradLayout`, walked once.
     """
     cfg.validate()
     if model.in_width != task.in_width or model.out_width != task.target_width:
@@ -479,8 +481,8 @@ def train_loop(model: Model, task: SyntheticTask, cfg: TrainConfig) -> TrainResu
             f"io ({task.in_width}->{task.target_width})"
         )
     model = copy_model(model)
-    params = named_parameters(model)
-    opt = _Adam(cfg) if cfg.optimizer == "adam" else _Sgd(cfg)
+    layout = GradLayout(named_parameters(model))
+    moments = {dtype: (np.zeros_like(g), np.zeros_like(g)) for dtype, g in layout.flats.items()}
     trace: list[dict] = []
     best_metric = -np.inf
     best_model = copy_model(model)
@@ -488,10 +490,8 @@ def train_loop(model: Model, task: SyntheticTask, cfg: TrainConfig) -> TrainResu
         for step in range(1, cfg.steps + 1):
             rng = numkern.RngStream(cfg.seed, numkern.derive_stream_id("batch", step))
             batch = task.sample_train(cfg.batch_size, rng)
-            total, (task_loss, aux_raw), grads = loss_parts(
-                model, batch, task, cfg.aux_loss_coeff
-            )
-            opt.step(params, grads, _lr_at(cfg, step))
+            total, (_, aux_raw), _ = loss_parts(model, batch, task, cfg.aux_loss_coeff, layout)
+            _optimizer_step(cfg, layout, moments, step, _lr_at(cfg, step))
             row = {"step": step, "loss": total, "aux_loss": aux_raw, "eval_metric": ""}
             if step % cfg.eval_every == 0 or step == cfg.steps:
                 metric = evaluate(model, task)

@@ -166,3 +166,70 @@ def routing_masks(model, batch):
     return [
         (bt["scores"] != 0.0) for bt in tape["blocks"] if bt is not None and bt["kind"] == "moe"
     ]
+
+
+def trainable_count(model):
+    """Total trainable values (sum over the parameter registry)."""
+    return sum(int(arr.size) for _, arr in named_parameters(model))
+
+
+def reset_synthesis_counters(model):
+    for block in model.blocks:
+        if isinstance(block, MoELayer):
+            block.synthesis_count = 0
+
+
+class OracleSgd:
+    """The per-array SGD step: the reference for ``train``'s flat-buffer one."""
+
+    def __init__(self, cfg):
+        self.cfg = cfg
+
+    def step(self, params, grads, lr):
+        for name, arr in params:
+            arr -= lr * grads[name]
+
+
+class OracleAdam:
+    """The per-array Adam step, ``m`` and ``v`` kept per name: the reference
+    for ``train``'s flat-buffer one."""
+
+    def __init__(self, cfg):
+        self.cfg = cfg
+        self.t = 0
+        self.m = {}
+        self.v = {}
+
+    def step(self, params, grads, lr):
+        cfg = self.cfg
+        self.t += 1
+        b1t = 1.0 - cfg.beta1**self.t
+        b2t = 1.0 - cfg.beta2**self.t
+        for name, arr in params:
+            g = grads[name]
+            m = self.m.setdefault(name, np.zeros_like(arr))
+            v = self.v.setdefault(name, np.zeros_like(arr))
+            m *= cfg.beta1
+            m += (1.0 - cfg.beta1) * g
+            v *= cfg.beta2
+            v += (1.0 - cfg.beta2) * (g * g)
+            arr -= lr * (m / b1t) / (np.sqrt(v / b2t) + cfg.eps)
+
+
+def oracle_train(model, task, cfg):
+    """(final model, trace) of ``train.train_loop``'s steps, each driven by
+    ``train.loss_parts`` without a caller's layout and by the per-array
+    oracle optimizer."""
+    model = copy_model(model)
+    params = named_parameters(model)
+    opt = OracleAdam(cfg) if cfg.optimizer == "adam" else OracleSgd(cfg)
+    trace = []
+    for step in range(1, cfg.steps + 1):
+        batch = task.sample_train(cfg.batch_size, RngStream(cfg.seed, derive_stream_id("batch", step)))
+        total, (_, aux_raw), grads = train.loss_parts(model, batch, task, cfg.aux_loss_coeff)
+        opt.step(params, grads, train._lr_at(cfg, step))
+        row = {"step": step, "loss": total, "aux_loss": aux_raw, "eval_metric": ""}
+        if step % cfg.eval_every == 0 or step == cfg.steps:
+            row["eval_metric"] = train.evaluate(model, task)
+        trace.append(row)
+    return model, trace

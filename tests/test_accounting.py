@@ -5,14 +5,13 @@ import json
 import numpy as np
 import pytest
 
-from conftest import build_mixed_moe_model
+from conftest import build_mixed_moe_model, trainable_count
 from ders.accounting import (
     INDEX_BITS,
     count_report,
     formula_check,
     report_to_csv,
     report_to_json,
-    trainable_count,
 )
 from ders.compress import CompressionSpec, ders_compress
 from ders.errors import ParameterError

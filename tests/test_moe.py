@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import rng_mat
+from conftest import reset_synthesis_counters, rng_mat
 from ders import moe, numkern
 from ders.deltas import DenseDelta, ExpertGroup, synthesize
 from ders.errors import DimensionError, ParameterError
@@ -21,7 +21,6 @@ from ders.moe import (
     model_forward,
     moe_forward,
     named_parameters,
-    reset_synthesis_counters,
     route,
 )
 

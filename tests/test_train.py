@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import (
     build_mixed_moe_model,
     fd_worst_relative_error,
+    oracle_train,
     rng_mat,
     routing_masks,
     to_float32,
@@ -26,6 +27,7 @@ from ders.moe import (
     Router,
     build_dense_model,
     forward_tape,
+    model_arrays,
     model_forward,
     named_parameters,
 )
@@ -240,6 +242,14 @@ class TestGradients:
         router_keys = [k for k in g0 if "router" in k]
         assert any(not np.allclose(g0[k], g1[k]) for k in router_keys)
 
+    def test_successive_calls_share_no_gradient_memory(self):
+        task = regression_task(seed=23, d=4, n_clusters=2, out_width=3)
+        model = build_mixed_moe_model(seed=3, d=5, d_h=7, n=3)
+        batch = task.sample_train(6, RngStream(3, 3))
+        _, first = loss_and_grads(model, batch, task, 0.01)
+        _, second = loss_and_grads(model, batch, task, 0.01)
+        assert not any(np.shares_memory(a, b) for a in first.values() for b in second.values())
+
 
 def _float_arrays(tree):
     """Every float ndarray in a nest of dicts, lists and tuples."""
@@ -344,6 +354,40 @@ class TestSharedFfnProperty:
         loss2, grads2 = loss_and_grads(model, (x, y), task, 0.01)
         assert loss2 == loss
         assert all(grads[k].tobytes() == grads2[k].tobytes() for k in grads)
+
+
+class TestFlatOptimizerOracle:
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("method", ["vanilla", "ders_sm", "ders_lm"])
+    @settings(max_examples=4, deadline=None, derandomize=True, database=None)
+    @given(
+        pattern=st.sampled_from(["every_layer", "every_other_layer"]),
+        depth=st.integers(1, 3),
+        universal=st.sampled_from(["parallel", "extended", "neither"]),
+        frozen=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_train_loop_matches_the_per_array_oracle(
+        self, method, dtype, optimizer, pattern, depth, universal, frozen, seed
+    ):
+        """The flat-buffer optimizer leaves the same model bytes and trace as
+        the per-array one driving the same steps."""
+        model = _generated_model(method, pattern, depth, universal, frozen, "gelu", dtype, seed)
+        task = regression_task(seed=1, d=3, n_clusters=2, out_width=2)
+
+        def stored(m):
+            return [(name, arr.dtype, arr.tobytes()) for name, arr, _, _ in model_arrays(m)]
+
+        for aux_loss_coeff in (0.0, 0.01):
+            for schedule in ("constant", "cosine"):
+                cfg = TrainConfig(steps=4, batch_size=5, lr=2e-2, optimizer=optimizer,
+                                  aux_loss_coeff=aux_loss_coeff, schedule=schedule,
+                                  eval_every=2, seed=seed)
+                result = train_loop(model, task, cfg)
+                oracle_model, oracle_trace = oracle_train(model, task, cfg)
+                assert result.trace == oracle_trace
+                assert stored(result.model) == stored(oracle_model)
 
 
 class TestTrainLoop:
@@ -497,6 +541,28 @@ class TestFiniteness:
             model_forward(model, x)
         with pytest.raises(NumericError, match="input batch"):
             loss_and_grads(model, (x, y), task)
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_first_poisoned_gradient_is_named_though_not_embed(self, dtype, task, monkeypatch):
+        """A NaN planted in one expert's weight gradient poisons its delta's a
+        and b only. The one check over a flat gradient buffer fails, and the
+        error names the first of the two in parameter order."""
+        dense = build_dense_model(d=5, d_h=7, depth=2, in_width=4, out_width=3, seed=23)
+        if dtype == "float32":
+            dense = to_float32(dense)
+        model = upcycle(dense, UpcycleConfig(n_experts=3, topk_count=2, method="ders_lm",
+                                             rank=2, seed=1))
+        delta = model.blocks[1].group_out.deltas[2]
+        exact = delta.weight_grads
+
+        def planted(d_w):
+            d_w = d_w.copy()
+            d_w.flat[0] = np.nan
+            return exact(d_w)
+
+        monkeypatch.setattr(delta, "weight_grads", planted)
+        with pytest.raises(NumericError, match=r"the gradient of blocks\.1\.group_out\.delta2\.a$"):
+            loss_and_grads(model, task.sample_train(16, RngStream(5, 0)), task)
 
     def test_inf_that_tanh_absorbs_reaches_the_gradients_only(self, task):
         """In memory, an intermediate ±inf that the activation maps to a finite
