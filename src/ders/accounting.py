@@ -1,12 +1,12 @@
 """Parameter, storage-bit, and added-parameter accounting.
 
-Walks every stored array in a model and reports, per layer and in total:
+``count_report`` folds over the blocks and reports, per layer and in total:
 trainable value counts, stored value counts, payload bits at a container
 width of K bits per float, index overhead (sparse positions persist as
 unsigned 32-bit integers) and scale overhead (one K-bit scalar per sparse
 rescale or quantizer scale) flagged separately, and the equivalent-expert
-ratio of each MoE layer. Closed-form counting laws for sparse and low-rank
-delta layers are checked against exhaustive walks by ``formula_check``.
+ratio of each MoE layer. Float arrays count K bits per value; expert groups
+count each delta's own storage counts (``ders.deltas``).
 
 Added parameters relative to the dense ancestor are reported under two
 conventions side by side: values only, and values plus index vectors plus
@@ -18,14 +18,10 @@ from __future__ import annotations
 import io
 import csv
 import json
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 
-import numpy as np
-
-from .deltas import init_lowrank_trainable, init_sparse_trainable, sparse_keep_count
-from .errors import ParameterError
 from .moe import DenseBlock, MoELayer, Model, block_arrays
-from .numkern import RngStream, derive_stream_id, dtype_bits
+from .numkern import dtype_bits
 
 SCHEMA_VERSION = 1
 
@@ -54,6 +50,10 @@ class LayerCount:
     equivalent_expert_ratio: float | None = None
 
 
+# The fields a row adds into the totals row.
+_COUNT_FIELDS = tuple(f.name for f in fields(LayerCount) if f.type == "int")
+
+
 @dataclass
 class ParamReport:
     """Full accounting walk of a model at container width ``bit_width``."""
@@ -68,6 +68,17 @@ class ParamReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+def _add_counts(into: LayerCount, row: LayerCount) -> None:
+    for key in _COUNT_FIELDS:
+        setattr(into, key, getattr(into, key) + getattr(row, key))
+
+
+def _float_count(name: str, kind: str, arrays, bit_width: int, trainable: bool = False) -> LayerCount:
+    """Arrays stored at the model's float width: their values at K bits each."""
+    values = sum(int(arr.size) for arr in arrays)
+    return LayerCount(name, kind, values if trainable else 0, values, values * bit_width)
 
 
 def expert_groups_count(layer: MoELayer, bit_width: int) -> LayerCount:
@@ -93,54 +104,34 @@ def expert_groups_count(layer: MoELayer, bit_width: int) -> LayerCount:
     return out
 
 
-def _moe_layer_count(name: str, layer: MoELayer, bit_width: int) -> LayerCount:
-    out = expert_groups_count(layer, bit_width)
-    out.name = name
-    extra = [layer.router.w_r]
-    if layer.universal is not None:
-        extra += [layer.universal.w_in, layer.universal.w_out]
-    for arr in extra:
-        out.stored_values += int(arr.size)
-        out.stored_bits += int(arr.size) * bit_width
-    return out
-
-
 def count_report(model: Model, bit_width: int | None = None) -> ParamReport:
     """Exhaustive storage walk of ``model`` at float width ``bit_width`` (K).
 
     K defaults to the bit width of the model's own arrays. A block's
     trainable count sums its :func:`ders.moe.block_arrays` entries, the walk
     that also yields the trainable-parameter registry, so the totals row
-    always matches that registry exactly.
+    always matches that registry exactly. The embed and readout are always
+    trainable (``ders.moe.model_arrays``).
     """
     if bit_width is None:
         bit_width = dtype_bits(model.embed.dtype)
 
-    # The embed and readout are always trainable (ders.moe.model_arrays).
-    layers: list[LayerCount] = [
-        LayerCount(
-            name="embed",
-            kind="embed",
-            trainable_values=int(model.embed.size),
-            stored_values=int(model.embed.size),
-            stored_bits=int(model.embed.size) * bit_width,
-        )
-    ]
+    layers = [_float_count("embed", "embed", [model.embed], bit_width, trainable=True)]
     ratio_num = 0.0
     ratio_den = 0.0
     for j, block in enumerate(model.blocks):
         name = f"blocks.{j}"
         if isinstance(block, DenseBlock):
-            values = int(block.ffn.w_in.size + block.ffn.w_out.size)
-            row = LayerCount(
-                name=name,
-                kind="dense",
-                stored_values=values,
-                stored_bits=values * bit_width,
-            )
+            row = _float_count(name, "dense", [block.ffn.w_in, block.ffn.w_out], bit_width)
         else:
-            row = _moe_layer_count(name, block, bit_width)
+            row = expert_groups_count(block, bit_width)
+            row.name = name
+            floats = [block.router.w_r]
+            if block.universal is not None:
+                floats += [block.universal.w_in, block.universal.w_out]
+            _add_counts(row, _float_count(name, "moe", floats, bit_width))
             if row.equivalent_expert_ratio is not None:
+                # Weighted by expert size; this float expression fixes params.json's bytes.
                 unit = float(
                     len(block.group_in.deltas)
                     * (block.group_in.base.size + block.group_out.base.size)
@@ -149,26 +140,11 @@ def count_report(model: Model, bit_width: int | None = None) -> ParamReport:
                 ratio_den += unit
         row.trainable_values = sum(int(arr.size) for _, arr, _, t in block_arrays(j, block) if t)
         layers.append(row)
-
-    layers.append(
-        LayerCount(
-            name="readout",
-            kind="readout",
-            trainable_values=int(model.readout.size),
-            stored_values=int(model.readout.size),
-            stored_bits=int(model.readout.size) * bit_width,
-        )
-    )
+    layers.append(_float_count("readout", "readout", [model.readout], bit_width, trainable=True))
 
     totals = LayerCount(name="total", kind="total")
     for row in layers:
-        totals.trainable_values += row.trainable_values
-        totals.stored_values += row.stored_values
-        totals.stored_bits += row.stored_bits
-        totals.index_overhead_bits += row.index_overhead_bits
-        totals.scale_overhead_bits += row.scale_overhead_bits
-        totals.index_entries += row.index_entries
-        totals.scale_entries += row.scale_entries
+        _add_counts(totals, row)
     if ratio_den > 0:
         totals.equivalent_expert_ratio = ratio_num / ratio_den
 
@@ -182,60 +158,6 @@ def count_report(model: Model, bit_width: int | None = None) -> ParamReport:
         added_params_values_only=totals.stored_values - model.ancestor_params,
         added_params_with_overheads=totals.stored_values + overheads - model.ancestor_params,
     )
-
-
-# ---------------------------------------------------------------------------
-# Closed-form counting laws
-# ---------------------------------------------------------------------------
-
-
-def formula_check(entries, seed: int = 0) -> list[dict]:
-    """Check the per-matrix counting laws against actually built containers.
-
-    ``entries`` is an iterable of (d, d_h, n_experts, kind, value) tuples with
-    kind "p" (sparse, value = drop rate) or "r" (low rank, value = rank). For
-    each entry one d×d_h matrix group is built: a base plus n_experts deltas.
-    Sparse law: (1 + n·(1−p))·d·d_h stored values, allowed to deviate by up to
-    n from per-expert rounding. Low-rank law: d·d_h + n·r·(d+d_h), exact.
-    """
-    rows = []
-    for idx, (d, d_h, n_experts, kind, value) in enumerate(entries):
-        total = d * d_h
-        walk = total  # the shared base matrix
-        if kind == "p":
-            formula = (1.0 + n_experts * (1.0 - value)) * total
-            allowed = float(n_experts)
-            for i in range(n_experts):
-                if sparse_keep_count(d, d_h, value) == 0:
-                    continue  # degenerate: nothing kept for this expert
-                rng = RngStream(seed, derive_stream_id("formula", idx, i))
-                delta = init_sparse_trainable(d, d_h, value, rng, np.float64)
-                walk += delta.stored_values()
-        elif kind == "r":
-            formula = float(total + n_experts * value * (d + d_h))
-            allowed = 0.0
-            for i in range(n_experts):
-                rng = RngStream(seed, derive_stream_id("formula", idx, i))
-                delta = init_lowrank_trainable(d, d_h, value, rng, np.float64)
-                walk += delta.stored_values()
-        else:
-            raise ParameterError(f"formula_check kind must be 'p' or 'r', got {kind!r}")
-        deviation = abs(walk - formula)
-        rows.append(
-            {
-                "d": d,
-                "d_h": d_h,
-                "n_experts": n_experts,
-                "kind": kind,
-                "value": value,
-                "formula": formula,
-                "walk": walk,
-                "deviation": deviation,
-                "allowed": allowed,
-                "ok": deviation <= allowed,
-            }
-        )
-    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -39,16 +39,18 @@ from .moe import FIELD_TYPES, Model, build_dense_model
 from .train import SyntheticTask, TrainConfig, evaluate, make_task, train_loop
 from .upcycle import UpcycleConfig, upcycle
 
-SUBCOMMANDS = (
-    "pretrain-dense",
-    "upcycle",
-    "train",
-    "compress",
-    "eval",
-    "report-params",
-    "analyze-similarity",
-    "sweep",
-)
+# Each subcommand with the only flags it takes besides --config, --seed and --out.
+SUBCOMMANDS = {
+    "pretrain-dense": (),
+    "upcycle": ("method", "drop_rate", "rank", "extended", "freeze_shared"),
+    "train": (),
+    "compress": ("drop_rate", "bit_width", "extended"),
+    "eval": ("ckpt",),
+    "report-params": ("ckpt", "format"),
+    "analyze-similarity": ("ckpt", "format"),
+    # The rank arms upcycle: the upcycle flags the sweep does not set itself.
+    "sweep": ("extended", "freeze_shared"),
+}
 
 _CKPT_CHAIN = ("compressed.ckpt", "trained.ckpt", "moe.ckpt", "dense.ckpt")
 
@@ -382,15 +384,12 @@ def _cmd_analyze_similarity(args, out: str) -> int:
     return 0
 
 
-def _sweep_row(kind, value, metric, stored_values="", stored_bits="", trainable=""):
-    return {
-        "kind": kind,
-        "value": value,
-        "eval_metric": metric,
-        "stored_values": stored_values,
-        "stored_bits": stored_bits,
-        "trainable_values": trainable,
-    }
+def _sweep_row(kind: str, value, model: Model, task) -> str:
+    """One ``sweep.csv`` line: the eval metric and the ``report-params``
+    totals of the model the row evaluates."""
+    totals = count_report(model).totals
+    counts = (totals.stored_values, totals.stored_bits, totals.trainable_values)
+    return ",".join([kind, str(value), _float_cell(evaluate(model, task)), *map(str, counts)])
 
 
 def _cmd_sweep(args, out: str) -> int:
@@ -403,36 +402,16 @@ def _cmd_sweep(args, out: str) -> int:
             "config section 'sweep' must list at least one of drop_rates/bit_widths/ranks"
         )
     task = exp.task()
-    rows = []
+    lines = ["kind,value,eval_metric,stored_values,stored_bits,trainable_values"]
 
     if any(values for *_, values in swept):
         trained, _ = _load_ckpt(os.path.join(out, "trained.ckpt"))
-        base = count_report(trained)
-        rows.append(
-            _sweep_row(
-                "baseline",
-                "",
-                evaluate(trained, task),
-                base.totals.stored_values,
-                base.totals.stored_bits,
-                base.totals.trainable_values,
-            )
-        )
+        lines.append(_sweep_row("baseline", "", trained, task))
         seed = exp._section("compress").get("seed", exp.seed)
         for kind, technique, values in swept:
             for value in values:
                 spec = CompressionSpec(technique, seed=seed, **{kind: value})
-                compressed = ders_compress(trained, spec)
-                totals = compression_report(compressed, spec)["totals"]
-                rows.append(
-                    _sweep_row(
-                        kind,
-                        value,
-                        evaluate(compressed, task),
-                        totals["stored_values_after"],
-                        totals["stored_bits_after"],
-                    )
-                )
+                lines.append(_sweep_row(kind, value, ders_compress(trained, spec), task))
 
     if ranks:
         dense, _ = _load_ckpt(os.path.join(out, "dense.ckpt"))
@@ -440,32 +419,8 @@ def _cmd_sweep(args, out: str) -> int:
         for r in ranks:
             cfg = replace(exp.upcycle_config(args), method="ders_lm", rank=int(r))
             result = train_loop(upcycle(dense, cfg), task, train_cfg)
-            report = count_report(result.model)
-            rows.append(
-                _sweep_row(
-                    "rank",
-                    r,
-                    evaluate(result.model, task),
-                    report.totals.stored_values,
-                    report.totals.stored_bits,
-                    report.totals.trainable_values,
-                )
-            )
+            lines.append(_sweep_row("rank", r, result.model, task))
 
-    lines = ["kind,value,eval_metric,stored_values,stored_bits,trainable_values"]
-    for row in rows:
-        lines.append(
-            ",".join(
-                [
-                    row["kind"],
-                    str(row["value"]),
-                    _float_cell(row["eval_metric"]),
-                    str(row["stored_values"]),
-                    str(row["stored_bits"]),
-                    str(row["trainable_values"]),
-                ]
-            )
-        )
     write_atomic(os.path.join(out, "sweep.csv"), ("\n".join(lines) + "\n").encode())
     return 0
 
@@ -487,25 +442,35 @@ _COMMANDS = {
 # ---------------------------------------------------------------------------
 
 
+# The keyword arguments of each optional flag; every one defaults to None.
+_FLAGS = {
+    "method": {"choices": sorted(_METHOD_ALIASES)},
+    "drop_rate": {"type": float},
+    "bit_width": {"type": int},
+    "rank": {"type": int},
+    "extended": {"action": "store_const", "const": True},
+    "freeze_shared": {"action": "store_const", "const": True},
+    "format": {"choices": ("csv", "json")},
+    "ckpt": {"help": "explicit checkpoint path"},
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ders",
         description="Desk-scale mixture-of-experts upcycling, training, and delta compression.",
     )
+    # A flag a subcommand does not take reads as None, so the config views it
+    # shares with other subcommands (``Experiment.upcycle_config``) still work.
+    parser.set_defaults(**dict.fromkeys(_FLAGS))
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in SUBCOMMANDS:
+    for name, flags in SUBCOMMANDS.items():
         sp = sub.add_parser(name)
         sp.add_argument("--config", default=None, help="path to the JSON experiment config")
         sp.add_argument("--seed", type=int, default=None, help="override the config seed")
         sp.add_argument("--out", default=".", help="artifact directory")
-        sp.add_argument("--method", choices=sorted(_METHOD_ALIASES), default=None)
-        sp.add_argument("--drop-rate", dest="drop_rate", type=float, default=None)
-        sp.add_argument("--bit-width", dest="bit_width", type=int, default=None)
-        sp.add_argument("--rank", type=int, default=None)
-        sp.add_argument("--extended", action="store_const", const=True, default=None)
-        sp.add_argument("--freeze-shared", dest="freeze_shared", action="store_const", const=True, default=None)
-        sp.add_argument("--format", choices=("csv", "json"), default=None)
-        sp.add_argument("--ckpt", default=None, help="explicit checkpoint path for eval/report stages")
+        for flag in flags:
+            sp.add_argument(f"--{flag.replace('_', '-')}", dest=flag, default=None, **_FLAGS[flag])
     return parser
 
 

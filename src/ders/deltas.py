@@ -18,10 +18,10 @@ toolkit produces, because trained experts are stored as base-plus-delta in the
 first place.
 
 Everything that differs by form lives on the form's class (``DeltaWeight``
-lists it): the checkpoint tag and record layout, the trainable arrays and
-their gradients, the storage counts, and ``materialize``. Checkpoints,
-training, accounting and compression use only that interface, so a new form
-is one new class here, listed in ``DELTA_KINDS``.
+lists it): the checkpoint tag and record layout, from which the storage counts
+follow, the trainable arrays and their gradients, and ``materialize``.
+Checkpoints, training, accounting and compression use only that interface, so
+a new form is one new class here, listed in ``DELTA_KINDS``.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ class DeltaWeight:
     kept in the checkpoint's JSON header, each with its type, and ``RECORDS``
     the array fields stored as payload records, in record order, each with its
     on-disk dtype (``None``: the model's own float width). ``TRAINABLE`` names
-    the arrays an optimizer updates.
+    the arrays an optimizer updates. The storage counts are read off both.
     """
 
     kind: ClassVar[str]
@@ -90,21 +90,26 @@ class DeltaWeight:
         synthesized expert weight."""
         return []
 
+    def _record_size(self, disk: str | None) -> int:
+        return sum(int(getattr(self, name).size) for name, d in self.RECORDS if d == disk)
+
     def stored_values(self) -> int:
-        """Stored value count: floats, or codes for a quantized delta."""
-        raise NotImplementedError
+        """Stored value count: the size of the records kept at the model's
+        float width."""
+        return self._record_size(None)
 
     def value_bits(self, bit_width: int) -> int:
         """Payload bits of the stored values at ``bit_width`` bits per float."""
         return self.stored_values() * bit_width
 
     def index_entries(self) -> int:
-        """Positions stored alongside the values."""
-        return 0
+        """Positions stored alongside the values: the size of the ``<u4`` records."""
+        return self._record_size("<u4")
 
     def scale_entries(self) -> int:
-        """Per-container scalars (sparse rescale, quantizer scale)."""
-        return 0
+        """Per-container scalars (sparse rescale, quantizer scale): the
+        ``float`` header fields."""
+        return sum(kind is float for kind in self.HEADER.values())
 
     def materialize(self, dtype) -> np.ndarray:
         """The full delta matrix, in ``dtype``."""
@@ -131,9 +136,6 @@ class DenseDelta(DeltaWeight):
 
     def weight_grads(self, d_w):
         return [("mat", d_w)]
-
-    def stored_values(self) -> int:
-        return int(self.mat.size)
 
     def materialize(self, dtype) -> np.ndarray:
         return self.mat.astype(dtype)
@@ -190,15 +192,6 @@ class SparseDelta(DeltaWeight):
         # Chain rule through the rescale, at the fixed positions only.
         return [("value", d_w.reshape(-1)[self.index] * self.rescale)]
 
-    def stored_values(self) -> int:
-        return int(self.value.size)
-
-    def index_entries(self) -> int:
-        return int(self.index.size)
-
-    def scale_entries(self) -> int:
-        return 1
-
     def materialize(self, dtype) -> np.ndarray:
         dtype = np.dtype(dtype)
         out = np.zeros(self.rows * self.cols, dtype=dtype)
@@ -238,9 +231,6 @@ class LowRankDelta(DeltaWeight):
 
     def weight_grads(self, d_w):
         return [("a", numkern.matmul(d_w, self.b.T)), ("b", numkern.matmul(self.a.T, d_w))]
-
-    def stored_values(self) -> int:
-        return int(self.a.size + self.b.size)
 
     def materialize(self, dtype) -> np.ndarray:
         return numkern.matmul(self.a, self.b).astype(dtype, copy=False)
@@ -286,13 +276,12 @@ class QuantizedDelta(DeltaWeight):
         return (self.rows, self.cols)
 
     def stored_values(self) -> int:
+        """One code per element: the codes replace the floats one for one."""
         return int(self.rows * self.cols)
 
     def value_bits(self, bit_width: int) -> int:
-        return int(self.rows * self.cols * self.bit_width)
-
-    def scale_entries(self) -> int:
-        return 1
+        """Codes are ``self.bit_width`` bits each, whatever the float width."""
+        return self.stored_values() * self.bit_width
 
     def materialize(self, dtype) -> np.ndarray:
         dtype = np.dtype(dtype)

@@ -270,14 +270,6 @@ def ffn_forward(ffn: FFN, x: np.ndarray, tape: dict | None = None) -> np.ndarray
     return _ffn(tape, x, ffn.w_in, ffn.w_out, ffn.activation)
 
 
-def moe_forward(layer: MoELayer, x: np.ndarray) -> np.ndarray:
-    """MoE block output for a single row vector or a batch (no residual)."""
-    arr = np.asarray(x)
-    if arr.ndim == 1:
-        return _moe_forward(layer, arr.reshape(1, -1), None)[0]
-    return _moe_forward(layer, arr, None)
-
-
 def _moe_forward(layer: MoELayer, x: np.ndarray, tape: dict | None) -> np.ndarray:
     """Batched MoE forward; with a ``tape``, records intermediates for backprop.
 

@@ -6,11 +6,18 @@ import struct
 import numpy as np
 
 from ders import train
-from ders.deltas import ExpertGroup, init_lowrank_trainable, init_sparse_trainable
+from ders.deltas import (
+    ExpertGroup,
+    init_lowrank_trainable,
+    init_sparse_trainable,
+    sparse_keep_count,
+)
+from ders.errors import ParameterError
 from ders.moe import (
     FFN,
     MoELayer,
     Router,
+    _moe_forward,
     build_dense_model,
     copy_model,
     forward_tape,
@@ -171,6 +178,63 @@ def routing_masks(model, batch):
 def trainable_count(model):
     """Total trainable values (sum over the parameter registry)."""
     return sum(int(arr.size) for _, arr in named_parameters(model))
+
+
+def moe_forward(layer: MoELayer, x: np.ndarray) -> np.ndarray:
+    """MoE block output for a single row vector or a batch (no residual)."""
+    arr = np.asarray(x)
+    if arr.ndim == 1:
+        return _moe_forward(layer, arr.reshape(1, -1), None)[0]
+    return _moe_forward(layer, arr, None)
+
+
+def formula_check(entries, seed: int = 0) -> list[dict]:
+    """Check the per-matrix counting laws against actually built containers.
+
+    ``entries`` is an iterable of (d, d_h, n_experts, kind, value) tuples with
+    kind "p" (sparse, value = drop rate) or "r" (low rank, value = rank). For
+    each entry one d×d_h matrix group is built: a base plus n_experts deltas.
+    Sparse law: (1 + n·(1−p))·d·d_h stored values, allowed to deviate by up to
+    n from per-expert rounding. Low-rank law: d·d_h + n·r·(d+d_h), exact.
+    """
+    rows = []
+    for idx, (d, d_h, n_experts, kind, value) in enumerate(entries):
+        total = d * d_h
+        walk = total  # the shared base matrix
+        if kind == "p":
+            formula = (1.0 + n_experts * (1.0 - value)) * total
+            allowed = float(n_experts)
+            for i in range(n_experts):
+                if sparse_keep_count(d, d_h, value) == 0:
+                    continue  # degenerate: nothing kept for this expert
+                rng = RngStream(seed, derive_stream_id("formula", idx, i))
+                delta = init_sparse_trainable(d, d_h, value, rng, np.float64)
+                walk += delta.stored_values()
+        elif kind == "r":
+            formula = float(total + n_experts * value * (d + d_h))
+            allowed = 0.0
+            for i in range(n_experts):
+                rng = RngStream(seed, derive_stream_id("formula", idx, i))
+                delta = init_lowrank_trainable(d, d_h, value, rng, np.float64)
+                walk += delta.stored_values()
+        else:
+            raise ParameterError(f"formula_check kind must be 'p' or 'r', got {kind!r}")
+        deviation = abs(walk - formula)
+        rows.append(
+            {
+                "d": d,
+                "d_h": d_h,
+                "n_experts": n_experts,
+                "kind": kind,
+                "value": value,
+                "formula": formula,
+                "walk": walk,
+                "deviation": deviation,
+                "allowed": allowed,
+                "ok": deviation <= allowed,
+            }
+        )
+    return rows
 
 
 def reset_synthesis_counters(model):

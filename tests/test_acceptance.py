@@ -15,11 +15,11 @@ import pytest
 from conftest import (
     build_mixed_moe_model,
     fd_worst_relative_error,
+    formula_check,
     routing_masks,
     trainable_count,
 )
 
-from ders.accounting import formula_check
 from ders.analysis import cosine_report
 from ders.checkpoint import load_model, save_model
 from ders.cli import main as cli_main

@@ -5,11 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from conftest import build_mixed_moe_model, trainable_count
+from conftest import build_mixed_moe_model, formula_check, trainable_count
 from ders.accounting import (
     INDEX_BITS,
     count_report,
-    formula_check,
     report_to_csv,
     report_to_json,
 )
@@ -29,28 +28,33 @@ def upcycled(method, *, d=8, d_h=16, depth=2, n=4, **kw):
 
 def walk_arrays(model):
     """Independent oracle: enumerate every stored array (no double-counting
-    of aliased init-base records) and sum element counts."""
-    total = model.embed.size + model.readout.size
+    of aliased init-base records) and sum element counts, index entries and
+    scale entries, each delta by its kind."""
+    values = model.embed.size + model.readout.size
+    index = scale = 0
     for block in model.blocks:
         if isinstance(block, DenseBlock):
-            total += block.ffn.w_in.size + block.ffn.w_out.size
+            values += block.ffn.w_in.size + block.ffn.w_out.size
             continue
-        total += block.router.w_r.size
+        values += block.router.w_r.size
         for group in (block.group_in, block.group_out):
-            total += group.base.size
+            values += group.base.size
             for delta in group.deltas:
                 kind = type(delta).__name__
                 if kind == "DenseDelta":
-                    total += delta.mat.size
+                    values += delta.mat.size
                 elif kind == "SparseDelta":
-                    total += delta.value.size
+                    values += delta.value.size
+                    index += delta.index.size
+                    scale += 1  # the rescale
                 elif kind == "LowRankDelta":
-                    total += delta.a.size + delta.b.size
+                    values += delta.a.size + delta.b.size
                 else:
-                    total += delta.rows * delta.cols
+                    values += delta.rows * delta.cols
+                    scale += 1  # the quantizer scale
         if block.universal is not None:
-            total += block.universal.w_in.size + block.universal.w_out.size
-    return int(total)
+            values += block.universal.w_in.size + block.universal.w_out.size
+    return {"stored_values": int(values), "index_entries": int(index), "scale_entries": scale}
 
 
 class TestCountReport:
@@ -71,12 +75,21 @@ class TestCountReport:
             ("ders_sm", {"sparse_rate": 0.9, "extended": True, "parallel_universal": True}),
             ("ders_lm", {"rank": 3}),
             ("ders_lm", {"rank": 2, "freeze_shared": True}),
+            ("vanilla", {"compress": CompressionSpec("sparsify", drop_rate=0.5)}),
+            ("vanilla", {"compress": CompressionSpec("quantize", bit_width=4)}),
+            ("vanilla", {"compress": CompressionSpec("dense")}),
         ],
     )
     def test_walk_matches_independent_oracle(self, method, kw):
+        kw = dict(kw)
+        spec = kw.pop("compress", None)
         model = upcycled(method, **kw)
+        if spec is not None:
+            model = ders_compress(model, spec)
         rep = count_report(model)
-        assert rep.totals.stored_values == walk_arrays(model)
+        oracle = walk_arrays(model)
+        for field, want in oracle.items():
+            assert getattr(rep.totals, field) == want, field
         assert rep.totals.trainable_values == trainable_count(model)
         assert rep.totals.trainable_values == sum(
             arr.size for _, arr in named_parameters(model)

@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 from conftest import edit_header
+from ders.accounting import count_report
 from ders.checkpoint import load_model
 from ders.cli import Experiment, load_config, main
+from ders.compress import CompressionSpec, ders_compress
 from ders.deltas import LowRankDelta, QuantizedDelta, SparseDelta
 from ders.errors import NumericError
 from ders.train import train_loop
@@ -129,6 +131,34 @@ class TestPipeline:
         assert lines[0] == "kind,value,eval_metric,stored_values,stored_bits,trainable_values"
         kinds = [line.split(",")[0] for line in lines[1:]]
         assert kinds == ["baseline", "drop_rate", "bit_width"]
+
+    def test_sweep_counts_are_report_totals_of_each_row_model(self, pipeline):
+        """Every row's three count cells are ``count_report(m).totals`` of the
+        model ``m`` it evaluates: the trained model, or its compression with
+        the sweep's own spec."""
+        cfg, out = pipeline
+        assert run("sweep", "--config", cfg, "--out", out) == 0
+        with open(os.path.join(out, "sweep.csv")) as fh:
+            rows = [line.split(",") for line in fh.read().splitlines()[1:]]
+        trained, _ = load_model(os.path.join(out, "trained.ckpt"))
+        seed = load_config(cfg)["seed"]  # the config sets no compress.seed
+        techniques = {"drop_rate": "sparsify", "bit_width": "quantize"}
+        for kind, value, _, *counts in rows:
+            if kind == "baseline":
+                model = trained
+            else:
+                number = float(value) if kind == "drop_rate" else int(value)
+                spec = CompressionSpec(techniques[kind], seed=seed, **{kind: number})
+                model = ders_compress(trained, spec)
+            totals = count_report(model).totals
+            assert counts == [
+                str(totals.stored_values),
+                str(totals.stored_bits),
+                str(totals.trainable_values),
+            ], kind
+        # 8-bit codes replace the delta floats one for one.
+        stored = {kind: counts[0] for kind, _, _, *counts in rows}
+        assert stored["bit_width"] == stored["baseline"]
 
     def test_eval_prefers_newest_stage_artifact(self, pipeline):
         cfg, out = pipeline
@@ -497,6 +527,36 @@ class TestDeterminismAndThreads:
 
 
 class TestFlagOverrides:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("pretrain-dense", "--extended"),
+            ("upcycle", "--bit-width", "4"),
+            ("upcycle", "--format", "csv"),
+            ("train", "--method", "ders-lm"),
+            ("compress", "--rank", "2"),
+            ("compress", "--freeze-shared"),
+            ("eval", "--drop-rate", "0.5"),
+            ("report-params", "--rank", "2"),
+            ("analyze-similarity", "--method", "vanilla"),
+            ("sweep", "--bit-width", "4"),
+        ],
+        ids=" ".join,
+    )
+    def test_flag_a_subcommand_does_not_read_exits_2_and_writes_nothing(
+        self, tmp_path, pipeline, capsys, argv
+    ):
+        _, src = pipeline
+        cfg = write_config(tmp_path)
+        out = str(tmp_path / "run")
+        for name in ("dense.ckpt", "moe.ckpt", "trained.ckpt"):
+            copy_ckpt(src, name, out)
+        before = {name: os.path.getmtime(os.path.join(out, name)) for name in os.listdir(out)}
+        assert run(argv[0], "--config", cfg, "--out", out, *argv[1:]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        after = {name: os.path.getmtime(os.path.join(out, name)) for name in os.listdir(out)}
+        assert after == before
+
     def test_method_and_rank_flags(self, tmp_path, pipeline):
         _, src = pipeline
         cfg = write_config(tmp_path)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import reset_synthesis_counters, rng_mat
+from conftest import moe_forward, reset_synthesis_counters, rng_mat
 from ders import moe, numkern
 from ders.deltas import DenseDelta, ExpertGroup, synthesize
 from ders.errors import DimensionError, ParameterError
@@ -19,7 +19,6 @@ from ders.moe import (
     copy_model,
     ffn_forward,
     model_forward,
-    moe_forward,
     named_parameters,
     route,
 )

@@ -17,9 +17,10 @@ ders-sm and ders-lm upcycled with ``--extended``, and ders-lm with
 After each stage, every file of its arm's directory whose bytes are new is
 hashed under the key ``<arm>/<running index>:<stage args>:<file>``. A digest
 is the sha256 of the manifest as ``json.dumps(manifest, sort_keys=True,
-separators=(",", ":"))``. The recorded digests are ``7a3e9711…`` and
-``5ad9d392…``; they were taken on x86-64, and another libm may give other
-bytes.
+separators=(",", ":"))``. After the two digest lines, each file's sha256 is
+printed with its manifest's label and key, so two runs can be compared file
+by file. The recorded digests are ``bb133b62…`` and ``5ad9d392…``; they were
+taken on x86-64, and another libm may give other bytes.
 """
 
 from __future__ import annotations
@@ -143,10 +144,14 @@ def digest(manifest: dict[str, str]) -> str:
 
 
 def main() -> int:
+    manifests = {}
     for label, steps in (("pipeline", PIPELINE), ("extra_arms", EXTRA_ARMS)):
         with tempfile.TemporaryDirectory(prefix="ders-manifest-") as out:
-            manifest = run(steps, out)
-        print(f"{label}: {digest(manifest)} ({len(manifest)} files)")
+            manifests[label] = run(steps, out)
+        print(f"{label}: {digest(manifests[label])} ({len(manifests[label])} files)")
+    for label, manifest in manifests.items():
+        for key, sha in manifest.items():
+            print(f"{sha}  {label} {key}")
     return 0
 
 
