@@ -395,22 +395,21 @@ def _sweep_row(kind: str, value, model: Model, task) -> str:
 def _cmd_sweep(args, out: str) -> int:
     exp = Experiment(load_config(args.config), args.seed)
     section = exp._section("sweep")
-    swept = [(key, tech, section.get(f"{key}s") or []) for key, tech in _TECHNIQUE_FLAGS.items()]
+    swept = [(key, section.get(f"{key}s") or []) for key in _TECHNIQUE_FLAGS]
     ranks = section.get("ranks") or []
-    if not (ranks or any(values for *_, values in swept)):
+    if not (ranks or any(values for _, values in swept)):
         raise ConfigError(
             "config section 'sweep' must list at least one of drop_rates/bit_widths/ranks"
         )
     task = exp.task()
     lines = ["kind,value,eval_metric,stored_values,stored_bits,trainable_values"]
 
-    if any(values for *_, values in swept):
+    if any(values for _, values in swept):
         trained, _ = _load_ckpt(os.path.join(out, "trained.ckpt"))
         lines.append(_sweep_row("baseline", "", trained, task))
-        seed = exp._section("compress").get("seed", exp.seed)
-        for kind, technique, values in swept:
+        for kind, values in swept:
             for value in values:
-                spec = CompressionSpec(technique, seed=seed, **{kind: value})
+                spec = exp.compression_spec(argparse.Namespace(**{**vars(args), kind: value}))
                 lines.append(_sweep_row(kind, value, ders_compress(trained, spec), task))
 
     if ranks:

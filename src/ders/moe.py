@@ -41,8 +41,18 @@ _GELU_A = 0.044715
 
 def act_forward(name: str, x: np.ndarray) -> np.ndarray:
     if name == "gelu":
-        u = _GELU_C * (x + _GELU_A * x * x * x)
-        return 0.5 * x * (1.0 + np.tanh(u))
+        # 0.5·x·(1 + tanh(C·(x + A·x·x·x))), each operation in that order and
+        # rounding, in two buffers and never in ``x`` (a tape records it).
+        u = np.multiply(_GELU_A, x)
+        u *= x
+        u *= x
+        u += x
+        u *= _GELU_C
+        np.tanh(u, out=u)
+        u += 1.0
+        out = np.multiply(0.5, x)
+        out *= u
+        return out
     if name == "relu":
         return np.maximum(x, 0.0)
     if name == "tanh":
@@ -278,18 +288,18 @@ def _moe_forward(layer: MoELayer, x: np.ndarray, tape: dict | None) -> np.ndarra
     once per call, only if some row routes to them.
     """
     scores = route(layer.router, x, tape)
-    if tape is not None:
-        tape.update(x=x, scores=scores, experts=[], universal=None)
     n = layer.n_experts
+    if tape is not None:
+        tape.update(x=x, scores=scores, experts=[None] * n, universal=None)
     y = np.zeros((x.shape[0], layer.group_out.base.shape[1]), dtype=x.dtype)
-    for i in range(n):
-        rows = np.flatnonzero(scores[:, i] != 0.0)
-        rec = None if tape is None or rows.size == 0 else {"rows": rows}
+    routed = scores != 0.0
+    for i in np.flatnonzero(routed.any(axis=0)):
+        rows = np.flatnonzero(routed[:, i])
+        rec = None
         if tape is not None:
-            tape["experts"].append(rec)
-        if rows.size:
-            out = _ffn(rec, x[rows], *layer.synthesized_weights(i), layer.activation)
-            y[rows] += scores[rows, i : i + 1] * out
+            rec = tape["experts"][i] = {"rows": rows}
+        out = _ffn(rec, x[rows], *layer.synthesized_weights(i), layer.activation)
+        y[rows] += scores[rows, i : i + 1] * out
     if layer.extended or layer.universal is not None:
         rec = None if tape is None else {}
         if layer.extended:

@@ -9,9 +9,12 @@ are bit-reproducible:
 * ``matmul`` accumulates over the inner dimension in increasing index order,
   starting from +0.0, which is exactly the naive triple-loop order per output
   element. ``np.einsum`` adds the products in that order, checked by an
-  import-time probe; 1×1 outputs, and all outputs where the probe fails, take
-  a Python loop of rank-1 updates. BLAS is deliberately not used (its blocked
-  summation is not bit-stable across shapes).
+  import-time probe in both operand orders; a narrow output with more rows
+  than columns is computed transposed, ``(bᵀ·aᵀ)ᵀ``, which sums the same
+  products (x·y == y·x exactly) in the same order. 1×1 outputs, and all
+  outputs where the probe fails, take a Python loop of rank-1 updates. BLAS
+  is deliberately not used (its blocked summation is not bit-stable across
+  shapes).
 * ``matmul`` does not check finiteness. Values are checked where they enter
   and leave a stage: the input batch and the prediction of a forward pass, the
   loss and each gradient, and every float of a loaded checkpoint. ``softmax``
@@ -101,40 +104,60 @@ def _einsum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _einsum_is_k_ordered(product=_einsum) -> bool:
-    """Whether ``product`` gives the k-loop's bytes, in float64 and float32, on a
-    multiply-add witness (0 unfused, 2⁻⁶⁰ fused), −0.0 products and wide exponents."""
+    """Whether ``product`` gives the k-loop's bytes, in float64 and float32, in
+    both operand orders :func:`matmul` uses (``a·b``, and ``(bᵀ·aᵀ)ᵀ`` where
+    that has two or more columns), on a multiply-add witness (0 unfused, 2⁻⁶⁰
+    fused), −0.0 products and wide exponents."""
     e, g = 1.0 + 2.0**-30, np.random.default_rng(20251)
-    cases = [([[1.0, e]], [[-(1.0 + 2.0**-29), 0.0], [e, 1.0]])]
-    cases.append(([[-0.0, 1.0]], [[1.0, 2.0], [-0.0, -0.0]]))
-    for shapes in [((1, 300), (300, 3)), ((2, 70), (70, 3)), ((5, 300), (300, 2))]:
+    cases = [([[1.0, e]] * rows, [[-(1.0 + 2.0**-29), 0.0], [e, 1.0]]) for rows in (1, 2)]
+    cases += [([[-0.0, 1.0]] * rows, [[1.0, 2.0], [-0.0, -0.0]]) for rows in (1, 2)]
+    for shapes in [((1, 300), (300, 3)), ((2, 70), (70, 3)), ((5, 300), (300, 2)), ((40, 33), (33, 4))]:
         cases.append([g.standard_normal(s) * 2.0 ** g.integers(-30, 30, s) for s in shapes])
     cast = [[np.asarray(x, dtype=t) for x in case] for t in (np.float64, np.float32) for case in cases]
-    return all(product(a, b).tobytes() == _k_loop(a, b).tobytes() for a, b in cast)
+    for a, b in cast:
+        expected = _k_loop(a, b).tobytes()
+        if product(a, b).tobytes() != expected:
+            return False
+        if a.shape[0] >= 2 and product(b.T, a.T).T.tobytes() != expected:
+            return False
+    return True
 
 
 _EINSUM_K_ORDERED = _einsum_is_k_ordered()  # False where einsum fuses (FMA builds) or reorders
 
+# Outputs this narrow, with more rows than columns, are computed transposed:
+# einsum's inner loop then runs along the n rows instead of the few columns.
+# tools/kernel_bench.py measures both orientations on the benchmark's shapes:
+# wider outputs (512×32·32×128) are slower transposed.
+_NARROW_COLUMNS = 32
+
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with a deterministic summation order.
+    """Matrix product with a deterministic summation order, C-contiguous.
 
     Every output element is ``((0.0 + a[i,0]·b[0,j]) + a[i,1]·b[1,j]) + …``,
     in increasing k, exactly the naive triple loop. ``einsum`` gives those
-    bytes for two or more output columns; one column of n rows is the
-    transpose of ``bᵀ·aᵀ`` (x·y == y·x exactly). A 1×1 output, whose sum
+    bytes whenever its output has two or more columns. An output of n rows
+    and m ≤ 32 columns with n > m is computed as ``(bᵀ·aᵀ)ᵀ``: the same
+    k-ordered sums with the operands swapped (x·y == y·x exactly), which is
+    the faster orientation when the columns are few. A 1×1 output, whose sum
     einsum would unroll, and every output if the probe rejected einsum take
     the k-loop.
 
-    Rows are independent, so the product of a batch equals the stacked
-    products of its rows bit-for-bit.
+    Rows are independent and every orientation gives the triple loop's bytes,
+    so the product of a batch equals the stacked products of its rows
+    bit-for-bit, whichever orientation each of them took.
     """
     if a.ndim != 2 or b.ndim != 2:
         raise DimensionError(f"matmul needs 2-D operands, got ndim {a.ndim} and {b.ndim}")
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    if not _EINSUM_K_ORDERED or a.shape[0] == b.shape[1] == 1:
+    n, m = a.shape[0], b.shape[1]
+    if not _EINSUM_K_ORDERED or n == m == 1:
         return _k_loop(a, b)
-    return _einsum(a, b) if b.shape[1] >= 2 else _einsum(b.T, a.T).T
+    if m <= _NARROW_COLUMNS and n > m:
+        return np.ascontiguousarray(_einsum(b.T, a.T).T)
+    return _einsum(a, b)
 
 
 def softmax(v: np.ndarray) -> np.ndarray:
@@ -176,7 +199,7 @@ def topk_mask(v: np.ndarray, topk_count: int) -> np.ndarray:
         raise ParameterError(f"topk_count={topk_count} out of range [1, {n}]")
     order = np.argsort(-arr, axis=1, kind="stable")
     keep = np.zeros(arr.shape, dtype=bool)
-    np.put_along_axis(keep, order[:, :topk_count], True, axis=1)
+    keep[np.arange(arr.shape[0])[:, None], order[:, :topk_count]] = True
     out = np.where(keep, arr, np.zeros((), dtype=arr.dtype))
     return out[0] if squeeze else out
 

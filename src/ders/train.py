@@ -431,20 +431,35 @@ class TrainConfig:
             raise ConfigError("seed must be a non-negative integer")
 
 
-def _optimizer_step(cfg: TrainConfig, layout: GradLayout, moments: dict, t: int, lr: float):
-    """Step ``t`` of SGD or Adam, whose ``moments`` are (m, v) per dtype: each
-    flat gradient buffer turns into its update, which each parameter subtracts."""
+def optimizer_state(layout: GradLayout) -> dict:
+    """Adam's state for ``layout``: per dtype, ``(m, v, scratch)``, each as
+    long as that dtype's flat gradient buffer and zero."""
+    return {dtype: tuple(np.zeros_like(g) for _ in range(3)) for dtype, g in layout.flats.items()}
+
+
+def _optimizer_step(cfg: TrainConfig, layout: GradLayout, state: dict, t: int, lr: float):
+    """Step ``t`` of SGD or Adam, whose ``state`` is :func:`optimizer_state`:
+    each flat gradient buffer turns into its update, which each parameter
+    subtracts. Adam evaluates ``lr·(m/b1t) / (√(v/b2t) + eps)`` operation by
+    operation in its scratch buffer and the gradient's own."""
     b1t, b2t = 1.0 - cfg.beta1**t, 1.0 - cfg.beta2**t
     for dtype, g in layout.flats.items():
         if cfg.optimizer == "sgd":
             g *= lr
             continue
-        m, v = moments[dtype]
+        m, v, s = state[dtype]
         m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
+        m += np.multiply(1.0 - cfg.beta1, g, out=s)
         v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * (g * g)
-        np.divide(lr * (m / b1t), np.sqrt(v / b2t) + cfg.eps, out=g)
+        np.multiply(g, g, out=s)
+        s *= 1.0 - cfg.beta2
+        v += s
+        np.divide(v, b2t, out=s)
+        np.sqrt(s, out=s)
+        s += cfg.eps
+        np.divide(m, b1t, out=g)
+        g *= lr
+        g /= s
     for (_, arr), update in zip(layout.params, layout.grads.values()):
         arr -= update
 
@@ -482,7 +497,7 @@ def train_loop(model: Model, task: SyntheticTask, cfg: TrainConfig) -> TrainResu
         )
     model = copy_model(model)
     layout = GradLayout(named_parameters(model))
-    moments = {dtype: (np.zeros_like(g), np.zeros_like(g)) for dtype, g in layout.flats.items()}
+    state = optimizer_state(layout)
     trace: list[dict] = []
     best_metric = -np.inf
     best_model = copy_model(model)
@@ -491,7 +506,7 @@ def train_loop(model: Model, task: SyntheticTask, cfg: TrainConfig) -> TrainResu
             rng = numkern.RngStream(cfg.seed, numkern.derive_stream_id("batch", step))
             batch = task.sample_train(cfg.batch_size, rng)
             total, (_, aux_raw), _ = loss_parts(model, batch, task, cfg.aux_loss_coeff, layout)
-            _optimizer_step(cfg, layout, moments, step, _lr_at(cfg, step))
+            _optimizer_step(cfg, layout, state, step, _lr_at(cfg, step))
             row = {"step": step, "loss": total, "aux_loss": aux_raw, "eval_metric": ""}
             if step % cfg.eval_every == 0 or step == cfg.steps:
                 metric = evaluate(model, task)

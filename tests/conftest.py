@@ -14,6 +14,8 @@ from ders.deltas import (
 )
 from ders.errors import ParameterError
 from ders.moe import (
+    _GELU_A,
+    _GELU_C,
     FFN,
     MoELayer,
     Router,
@@ -39,6 +41,13 @@ def triple_loop_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                 acc += a[i, k] * b[k, j]
             out[i, j] = acc
     return out
+
+
+def gelu_oracle(x: np.ndarray) -> np.ndarray:
+    """The tanh GELU as one expression, 0.5·x·(1 + tanh(C·(x + A·x·x·x))),
+    evaluated left to right by numpy with a fresh temporary per operation."""
+    u = _GELU_C * (x + _GELU_A * x * x * x)
+    return 0.5 * x * (1.0 + np.tanh(u))
 
 
 def rng_mat(shape, seed, scale=1.0):

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from conftest import edit_header
+from ders import cli
 from ders.accounting import count_report
-from ders.checkpoint import load_model
+from ders.checkpoint import load_model, save_model
 from ders.cli import Experiment, load_config, main
 from ders.compress import CompressionSpec, ders_compress
 from ders.deltas import LowRankDelta, QuantizedDelta, SparseDelta
@@ -166,6 +167,57 @@ class TestPipeline:
         assert read_json(out, "eval.json")["stage"] == "compress"
         run("eval", "--config", cfg, "--out", out, "--ckpt", os.path.join(out, "moe.ckpt"))
         assert read_json(out, "eval.json")["checkpoint"] == "moe.ckpt"
+
+
+class TestSweepRowsAreStageModels:
+    @pytest.mark.parametrize("extended", [False, True], ids=["plain", "extended"])
+    def test_each_compression_row_is_the_compress_stage_checkpoint(
+        self, tmp_path, monkeypatch, extended
+    ):
+        """A compression row's model, saved, is byte-identical to what ``ders
+        compress --drop-rate v`` (``--bit-width v``) writes under the same
+        config, and its count cells are ``report-params`` on that checkpoint."""
+        cfg = write_config(
+            tmp_path,
+            {
+                "model": {"d": 8, "d_h": 16, "depth": 2},
+                "pretrain": {"steps": 20, "lr": 0.01, "eval_every": 20},
+                "upcycle": {"n_experts": 2, "topk_count": 1, "parallel_universal": True},
+                "train": {"steps": 10, "lr": 0.005, "eval_every": 10},
+                "compress": {"technique": "sparsify", "drop_rate": 0.5, "extended": extended},
+                "sweep": {"drop_rates": [0.5], "bit_widths": [4]},
+            },
+        )
+        out = str(tmp_path / "run")
+        for cmd in ("pretrain-dense", "upcycle", "train"):
+            assert run(cmd, "--config", cfg, "--out", out) == 0
+        row_models = {}
+        sweep_row = cli._sweep_row
+
+        def recording_row(kind, value, model, task):
+            row_models[kind] = model
+            return sweep_row(kind, value, model, task)
+
+        monkeypatch.setattr(cli, "_sweep_row", recording_row)
+        assert run("sweep", "--config", cfg, "--out", out) == 0
+        with open(os.path.join(out, "sweep.csv")) as fh:
+            rows = {r[0]: r for r in (line.split(",") for line in fh.read().splitlines()[1:])}
+        for kind in ("drop_rate", "bit_width"):
+            stage_out = str(tmp_path / kind)
+            copy_ckpt(out, "trained.ckpt", stage_out)
+            flag = "--" + kind.replace("_", "-")
+            assert run("compress", "--config", cfg, "--out", stage_out, flag, rows[kind][1]) == 0
+            assert run("report-params", "--out", stage_out) == 0
+            stage_ckpt = os.path.join(stage_out, "compressed.ckpt")
+            _, meta = load_model(stage_ckpt)
+            assert meta["stage"] == "compress"
+            row_ckpt = str(tmp_path / f"{kind}_row.ckpt")
+            save_model(row_models[kind], row_ckpt, meta=meta)
+            with open(stage_ckpt, "rb") as stage, open(row_ckpt, "rb") as row:
+                assert row.read() == stage.read(), kind
+            totals = read_json(stage_out, "params.json")["totals"]
+            fields = ("stored_values", "stored_bits", "trainable_values")
+            assert rows[kind][3:] == [str(totals[f]) for f in fields], kind
 
 
 class TestIdentityAndChance:

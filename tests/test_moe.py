@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import moe_forward, reset_synthesis_counters, rng_mat
+from conftest import gelu_oracle, moe_forward, reset_synthesis_counters, rng_mat
 from ders import moe, numkern
 from ders.deltas import DenseDelta, ExpertGroup, synthesize
 from ders.errors import DimensionError, ParameterError
@@ -95,6 +95,24 @@ class TestActivations:
         h = 1e-6
         fd = (act_forward(name, x + h) - act_forward(name, x - h)) / (2 * h)
         assert np.allclose(act_grad(name, x), fd, atol=1e-8)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (16, 64), (512, 128)])
+    def test_gelu_bytes_equal_the_expression(self, dtype, shape):
+        """The buffered GELU gives the one-line expression's bytes, on signed
+        zeros and where tanh saturates, and leaves its input unchanged."""
+        g = np.random.default_rng(shape[0] * 1000 + shape[1])
+        magnitude = 10.0 ** g.uniform(-4.0, np.log10(40.0), shape)
+        x = (np.where(g.random(shape) < 0.5, -1.0, 1.0) * magnitude).astype(dtype)
+        specials = np.array([-0.0, 0.0, 40.0, -40.0, 9.0, -9.0, 1e-30, -1e-30], dtype)
+        x.reshape(-1)[: specials.size] = specials[: x.size]
+        before = x.copy()
+        out = act_forward("gelu", x)
+        assert out.dtype == dtype and out.shape == shape
+        assert out.tobytes() == gelu_oracle(x).tobytes()
+        assert x.tobytes() == before.tobytes()
+        if x.size > 1:
+            assert np.signbit(out.flat[0]) and not np.signbit(out.flat[1])  # −0.0 and +0.0 kept
 
     def test_unknown_activation(self):
         with pytest.raises(ParameterError):

@@ -120,9 +120,19 @@ class TestMatmul:
     @example(case=_case(1, 300, 2, dtype="float32", transpose_a=True))
     @example(case=_case(70, 70, 70, transpose_b=True))
     @example(case=_case(33, 64, 2, dtype="float32", transpose_a=True, zeros=0.3))
+    # The benchmark's tall-narrow products, which matmul computes transposed.
+    @example(case=_case(512, 128, 32))
+    @example(case=_case(512, 128, 32, dtype="float32", transpose_a=True, transpose_b=True))
+    @example(case=_case(2048, 32, 8, transpose_a=True))
+    @example(case=_case(2048, 32, 8, dtype="float32", transpose_b=True, zeros=0.1))
+    @example(case=_case(2048, 32, 4, transpose_b=True))
+    @example(case=_case(2048, 32, 4, dtype="float32", transpose_a=True))
+    @example(case=_case(64, 16, 32, transpose_a=True, transpose_b=True, neg_zero_row=True))
+    @example(case=_case(64, 16, 32, dtype="float32"))
     def test_bytes_match_triple_loop_oracle(self, einsum, case):
-        """Either evaluation, any layout, float32 or float64, signed zeros:
-        the bytes of the naive triple loop, and batch == stacked rows."""
+        """Either evaluation, either orientation, any layout, float32 or
+        float64, signed zeros: the bytes of the naive triple loop in a
+        C-contiguous array, and batch == stacked rows."""
         a, b = _operands(case)
         with pytest.MonkeyPatch.context() as mp:
             if not einsum:
@@ -132,6 +142,7 @@ class TestMatmul:
             rows = [numkern.matmul(a[i : i + 1], b) for i in range(a.shape[0])]
         expected = triple_loop_matmul(a, b)
         assert out.dtype == expected.dtype and out.shape == expected.shape
+        assert out.flags.c_contiguous
         assert out.tobytes() == expected.tobytes()
         assert np.concatenate(rows).tobytes() == out.tobytes()
 
@@ -153,6 +164,17 @@ class TestMatmul:
         """The import-time decision is reproducible, and the reference passes."""
         assert numkern._einsum_is_k_ordered() is numkern._EINSUM_K_ORDERED
         assert numkern._einsum_is_k_ordered(numkern._k_loop)
+
+    def test_probe_checks_the_transposed_orientation(self):
+        """A product right in ``a·b`` but wrong in ``(bᵀ·aᵀ)ᵀ`` fails the probe."""
+
+        def wrong_when_transposed(a, b):
+            out = numkern._k_loop(a, b)
+            if not a.flags.c_contiguous:  # called as (bᵀ·aᵀ): bᵀ is a view
+                out = np.nextafter(out, np.inf)
+            return out
+
+        assert not numkern._einsum_is_k_ordered(wrong_when_transposed)
 
     def test_probe_rejects_blas(self):
         assert not numkern._einsum_is_k_ordered(lambda a, b: a @ b)

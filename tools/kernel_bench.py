@@ -1,0 +1,244 @@
+"""Time ``numkern.matmul`` on every product shape of the two benchmark
+workloads, in both orientations, and ``act_forward`` on two shapes; print JSON.
+
+    python3 tools/kernel_bench.py [--repeat N] [--seed S]
+
+Run from anywhere in a source checkout: the program is imported from the
+checkout's ``src/`` directory.
+
+First a census. Each workload's operations are replayed in-process at the
+benchmark's shapes and counts, with every ``numkern.matmul`` call recorded by
+its shape (n × k · k × m) and operand layouts (``C`` for C-contiguous, ``F``
+for a transposed view):
+
+* ``upcycle_train``: set-up is a dense pretrain of 150 32-row steps (d = 32,
+  d_h = 64, two blocks, the README regression task, 256 eval rows); a round
+  upcycles ``vanilla``, ``ders_sm`` (drop rate 0.75) and ``ders_lm`` (rank 4)
+  with N = 4, k = 2 and trains each for 60 Adam steps of 32 rows.
+* ``compress_serve``: set-up is a 40-step dense pretrain (d = 32, d_h = 128,
+  eight clusters, 2,048 eval rows), a ders_lm and a vanilla MoE (N = 8,
+  k = 2) trained 10 steps each, and the vanilla one sparsified (p = 0.9) and
+  quantized (4 bits); a round compresses (p = 0.9), evaluates the result,
+  sweeps drop rates {0.5, 0.9, 0.99} and bit widths {1, 2, 4, 8} with an eval
+  each, and serves 240 requests of 1–8 rows round-robin over the sparse,
+  4-bit and low-rank models.
+
+Then every recorded key is timed in both orientations: ``ab``, einsum over
+``(aᵀ, b)`` as ``matmul`` computes wide outputs, and ``ba``, the C-contiguous
+transpose of the product over ``(b, aᵀ)`` as it computes narrow ones; and
+through ``matmul`` itself. An orientation whose einsum output would have one
+column is not timed (it would not give the triple loop's bytes), and 1×1
+outputs take the k-loop. Times are medians over ``--repeat`` interleaved
+calls, in microseconds.
+
+``rules`` sums calls × time per workload and phase for each rule "compute
+the product as ``ba`` when m ≤ T and n > m" (T = 0 is ``ab`` wherever it is
+exact), for the best orientation of each shape, and for ``matmul`` as it
+stands. ``act_forward`` times each activation at 16×64 and 512×128 float64.
+"""
+
+from __future__ import annotations
+
+import argparse
+import collections
+import json
+import os
+import statistics
+import sys
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+import numpy as np  # noqa: E402
+
+from ders import moe, numkern, train  # noqa: E402
+from ders.compress import CompressionSpec, ders_compress  # noqa: E402
+from ders.moe import build_dense_model  # noqa: E402
+from ders.upcycle import UpcycleConfig, upcycle  # noqa: E402
+
+THRESHOLDS = (0, 1, 2, 4, 8, 16, 32, 64, 128)
+ACT_SHAPES = ((16, 64), (512, 128))
+
+
+def _layout(x: np.ndarray) -> str:
+    return "C" if x.flags.c_contiguous else "F" if x.flags.f_contiguous else "strided"
+
+
+class Census:
+    """Counts ``numkern.matmul`` calls per (phase, n, k, m, layout of a, of b)."""
+
+    def __init__(self):
+        self.calls: collections.Counter = collections.Counter()
+        self.phase = ""
+
+    def __enter__(self):
+        inner = self.inner = numkern.matmul
+
+        def recording(a, b):
+            self.calls[(self.phase, a.shape[0], a.shape[1], b.shape[1], _layout(a), _layout(b))] += 1
+            return inner(a, b)
+
+        numkern.matmul = recording
+        return self
+
+    def __exit__(self, *exc):
+        numkern.matmul = self.inner
+
+
+def _task(seed: int, n_clusters: int, eval_size: int):
+    params = {"d": 8, "n_clusters": n_clusters, "out_width": 4, "eval_size": eval_size}
+    return train.make_task("cluster_regression", params, seed)
+
+
+def _pretrained(task, d_h: int, steps: int, seed: int):
+    dense = build_dense_model(d=32, d_h=d_h, depth=2, in_width=task.in_width,
+                              out_width=task.target_width, seed=seed)
+    return train.train_loop(dense, task, train.TrainConfig(steps=steps, lr=0.01, seed=seed)).model
+
+
+def upcycle_train(census: Census, seed: int) -> None:
+    task = _task(seed, 4, 256)
+    census.phase = "setup"
+    dense = _pretrained(task, 64, 150, seed)
+    census.phase = "round"
+    for method in ("vanilla", "ders_sm", "ders_lm"):
+        cfg = UpcycleConfig(n_experts=4, topk_count=2, method=method, sparse_rate=0.75, rank=4, seed=seed)
+        train.train_loop(upcycle(dense, cfg), task, train.TrainConfig(steps=60, lr=0.003, seed=seed))
+
+
+def compress_serve(census: Census, seed: int) -> None:
+    task = _task(seed, 8, 2048)
+    train_cfg = train.TrainConfig(steps=10, lr=0.003, seed=seed)
+    census.phase = "setup"
+    dense = _pretrained(task, 128, 40, seed)
+    models = {}
+    for method in ("ders_lm", "vanilla"):
+        cfg = UpcycleConfig(n_experts=8, topk_count=2, method=method, rank=4, seed=seed)
+        models[method] = train.train_loop(upcycle(dense, cfg), task, train_cfg).model
+    trained = models["vanilla"]
+    served = [
+        ders_compress(trained, CompressionSpec("sparsify", drop_rate=0.9, seed=seed)),
+        ders_compress(trained, CompressionSpec("quantize", bit_width=4, seed=seed)),
+        models["ders_lm"],
+    ]
+    rng = np.random.default_rng(seed)
+    requests = [2.0 * rng.standard_normal((int(n), task.in_width)) for n in rng.integers(1, 9, 240)]
+    census.phase = "round"
+    train.evaluate(ders_compress(trained, CompressionSpec("sparsify", drop_rate=0.9, seed=seed)), task)
+    train.evaluate(trained, task)  # the sweep's baseline row
+    specs = [CompressionSpec("sparsify", drop_rate=p, seed=seed) for p in (0.5, 0.9, 0.99)]
+    specs += [CompressionSpec("quantize", bit_width=k, seed=seed) for k in (1, 2, 4, 8)]
+    for spec in specs:
+        train.evaluate(ders_compress(trained, spec), task)
+    for i, x in enumerate(requests):
+        moe.model_forward(served[i % len(served)], x)
+
+
+WORKLOADS = {"upcycle_train": upcycle_train, "compress_serve": compress_serve}
+
+
+def _operand(rng, rows: int, cols: int, layout: str) -> np.ndarray:
+    if layout == "F":
+        return np.ascontiguousarray(rng.standard_normal((cols, rows))).T
+    return rng.standard_normal((rows, cols))
+
+
+def _orientations(a: np.ndarray, b: np.ndarray) -> dict:
+    """The timed callables of one product: each exact orientation, and matmul."""
+    n, m = a.shape[0], b.shape[1]
+    calls = {}
+    if n == m == 1:
+        calls["k_loop"] = lambda: numkern._k_loop(a, b)
+    else:
+        if m >= 2:
+            calls["ab"] = lambda: numkern._einsum(a, b)
+        if n >= 2:
+            calls["ba"] = lambda: np.ascontiguousarray(numkern._einsum(b.T, a.T).T)
+    calls["matmul"] = lambda: numkern.matmul(a, b)
+    return calls
+
+
+def _median_us(fns: dict, repeat: int) -> dict:
+    samples = {name: [] for name in fns}
+    for fn in fns.values():
+        fn()  # warm-up
+    for _ in range(repeat):
+        for name, fn in fns.items():
+            t0 = time.perf_counter()
+            fn()
+            samples[name].append(time.perf_counter() - t0)
+    return {name: round(1e6 * statistics.median(s), 2) for name, s in samples.items()}
+
+
+def _rule_us(row: dict, threshold: int) -> float:
+    """One call's time under "``ba`` when m ≤ threshold and n > m, else ``ab``
+    where it is exact"."""
+    if "k_loop" in row:
+        return row["k_loop"]
+    n, m = row["n"], row["m"]
+    use_ba = "ab" not in row or (m <= threshold and n > m)
+    return row["ba"] if use_ba else row["ab"]
+
+
+def bench(repeat: int, seed: int) -> dict:
+    census = {}
+    for name, replay in WORKLOADS.items():
+        with Census() as c:
+            replay(c, seed)
+        census[name] = c.calls
+    keys = sorted({key[1:] for calls in census.values() for key in calls})
+    rng = np.random.default_rng(seed)
+    table = []
+    for n, k, m, layout_a, layout_b in keys:
+        a, b = _operand(rng, n, k, layout_a), _operand(rng, k, m, layout_b)
+        row = {"n": n, "k": k, "m": m, "a": layout_a, "b": layout_b}
+        row.update(_median_us(_orientations(a, b), repeat))
+        for name, calls in census.items():
+            for phase in ("setup", "round"):
+                count = calls.get((phase, n, k, m, layout_a, layout_b), 0)
+                if count:
+                    row[f"{name}.{phase}.calls"] = count
+        table.append(row)
+
+    rules = {}
+    for name in census:
+        for phase in ("setup", "round"):
+            col = f"{name}.{phase}.calls"
+            rows = [r for r in table if col in r]
+            totals = {f"ba_if_m_le_{t}_us": sum(r[col] * _rule_us(r, t) for r in rows) for t in THRESHOLDS}
+            totals["best_orientation_us"] = sum(
+                r[col] * min(r.get(o, np.inf) for o in ("ab", "ba", "k_loop")) for r in rows
+            )
+            totals["matmul_us"] = sum(r[col] * r["matmul"] for r in rows)
+            totals["calls"] = sum(r[col] for r in rows)
+            rules[f"{name}.{phase}"] = {key: round(v, 1) for key, v in totals.items()}
+
+    act = {}
+    for rows, cols in ACT_SHAPES:
+        x = rng.standard_normal((rows, cols))
+        fns = {name: (lambda name=name: moe.act_forward(name, x)) for name in moe.ACTIVATIONS}
+        act[f"{rows}x{cols}"] = _median_us(fns, repeat)
+    return {
+        "repeat": repeat,
+        "seed": seed,
+        "einsum_k_ordered": numkern._EINSUM_K_ORDERED,
+        "rules": rules,
+        "act_forward_us": act,
+        "matmul_us": table,
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeat", type=int, default=100, help="timed calls per shape")
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args(argv)
+    if args.repeat < 1:
+        parser.error("--repeat must be >= 1")
+    print(json.dumps(bench(args.repeat, args.seed), indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -53,7 +53,7 @@ def bench_method(method: str, steps: int, seed: int) -> dict:
                                          sparse_rate=0.75, rank=4, seed=seed))
     cfg = train.TrainConfig(steps=steps + 1, lr=0.003, seed=seed)
     layout = train.GradLayout(named_parameters(model))
-    moments = {dtype: (np.zeros_like(g), np.zeros_like(g)) for dtype, g in layout.flats.items()}
+    state = train.optimizer_state(layout)
     times = {"loss_parts_us": [], "optimizer_us": [], "zero_check_us": []}
     for step in range(1, cfg.steps + 1):
         rng = numkern.RngStream(cfg.seed, numkern.derive_stream_id("batch", step))
@@ -61,7 +61,7 @@ def bench_method(method: str, steps: int, seed: int) -> dict:
         t0 = time.perf_counter()
         train.loss_parts(model, batch, task, cfg.aux_loss_coeff, layout)
         t1 = time.perf_counter()
-        train._optimizer_step(cfg, layout, moments, step, train._lr_at(cfg, step))
+        train._optimizer_step(cfg, layout, state, step, train._lr_at(cfg, step))
         t2 = time.perf_counter()
         # The buffers now hold the update, which the next step zero-fills anyway.
         for flat in layout.flats.values():
