@@ -11,13 +11,14 @@ count each delta's own storage counts (``ders.deltas``).
 Added parameters relative to the dense ancestor are reported under two
 conventions side by side: values only, and values plus index vectors plus
 scale scalars.
+
+The module computes and returns data only: ``ParamReport.to_dict`` is the
+content of ``params.json`` and ``PARAMS_CSV_FIELDS`` names the columns of
+``params.csv``; ``ders.cli`` writes both.
 """
 
 from __future__ import annotations
 
-import io
-import csv
-import json
 from dataclasses import dataclass, asdict, fields
 
 from .moe import DenseBlock, MoELayer, Model, block_arrays
@@ -52,6 +53,12 @@ class LayerCount:
 
 # The fields a row adds into the totals row.
 _COUNT_FIELDS = tuple(f.name for f in fields(LayerCount) if f.type == "int")
+
+# The columns of ``params.csv``, one row per layer and then the totals row:
+# every field but the raw index and scale entry counts.
+PARAMS_CSV_FIELDS = tuple(
+    f.name for f in fields(LayerCount) if f.name not in ("index_entries", "scale_entries")
+)
 
 
 @dataclass
@@ -159,44 +166,3 @@ def count_report(model: Model, bit_width: int | None = None) -> ParamReport:
         added_params_with_overheads=totals.stored_values + overheads - model.ancestor_params,
     )
 
-
-# ---------------------------------------------------------------------------
-# Emitters
-# ---------------------------------------------------------------------------
-
-
-def report_to_json(report: ParamReport) -> str:
-    return json.dumps(report.to_dict(), indent=2, sort_keys=True)
-
-
-_CSV_FIELDS = (
-    "name",
-    "kind",
-    "trainable_values",
-    "stored_values",
-    "stored_bits",
-    "index_overhead_bits",
-    "scale_overhead_bits",
-    "equivalent_expert_ratio",
-)
-
-
-def report_to_csv(report: ParamReport) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_CSV_FIELDS)
-    for row in list(report.layers) + [report.totals]:
-        ratio = row.equivalent_expert_ratio
-        writer.writerow(
-            [
-                row.name,
-                row.kind,
-                row.trainable_values,
-                row.stored_values,
-                row.stored_bits,
-                row.index_overhead_bits,
-                row.scale_overhead_bits,
-                "" if ratio is None else repr(ratio),
-            ]
-        )
-    return buf.getvalue()

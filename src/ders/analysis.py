@@ -10,15 +10,18 @@ matrices only.
 Cosines are computed with deterministic pairwise-summation dot products,
 are exactly 1.0 for bitwise-equal members, and are invariant under
 positive power-of-two rescaling of any single member. Zero-norm members
-yield explicitly "undefined" entries (flagged in a mask and emitted as the
-string "undefined"), never silently propagated NaNs.
+yield explicitly "undefined" entries (flagged in a mask, null in
+``SimilarityReport.to_dict`` and the string "undefined" in
+``similarity_rows``), never silently propagated NaNs.
+
+The module computes and returns data only: ``to_dict`` is the content of
+``similarity.json`` and ``similarity_rows`` the rows of ``similarity.csv``,
+whose first line is a comment carrying the report's scope note; ``ders.cli``
+writes both.
 """
 
 from __future__ import annotations
 
-import io
-import csv
-import json
 import math
 from dataclasses import dataclass
 
@@ -160,26 +163,18 @@ def cosine_report(model: Model) -> SimilarityReport:
     return SimilarityReport(schema_version=SCHEMA_VERSION, note=NOTE, layers=layers)
 
 
-def similarity_to_csv(report: SimilarityReport) -> str:
-    """Heatmap-ready rows: block, matrix, row, col, value.
+# The columns of ``similarity.csv``, one row per cosine entry.
+SIMILARITY_CSV_FIELDS = ("block", "matrix", "row", "col", "value")
 
-    The first line is a comment carrying the report's scope note. Undefined
-    entries emit the literal string "undefined".
-    """
-    buf = io.StringIO()
-    buf.write(f"# {report.note}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["block", "matrix", "row", "col", "value"])
+
+def similarity_rows(report: SimilarityReport):
+    """Heatmap-ready rows of ``SIMILARITY_CSV_FIELDS``: every entry of each
+    layer's w_in, w_out and mean cosine matrices, "undefined" where masked."""
     for layer in report.layers:
         for tag in ("w_in", "w_out", "mean"):
             mat = layer.cosine[tag]
             mask = layer.undefined[tag]
             for a, row_label in enumerate(layer.labels):
                 for b, col_label in enumerate(layer.labels):
-                    value = "undefined" if mask[a, b] else repr(float(mat[a, b]))
-                    writer.writerow([layer.block, tag, row_label, col_label, value])
-    return buf.getvalue()
-
-
-def similarity_to_json(report: SimilarityReport) -> str:
-    return json.dumps(report.to_dict(), indent=2, sort_keys=True)
+                    value = "undefined" if mask[a, b] else mat[a, b]
+                    yield [layer.block, tag, row_label, col_label, value]

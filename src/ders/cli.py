@@ -19,19 +19,23 @@ The ``pretrain``, ``train``, ``upcycle``, ``compress`` and ``task.params``
 keys are the fields of ``TrainConfig``, ``UpcycleConfig``, ``CompressionSpec``
 and ``SyntheticTask``, each typed by its annotation through
 ``moe.FIELD_TYPES``; only ``model`` and ``sweep`` are listed by hand. Exit
-codes: 0 success, 2 config error, 3 state error, 4 numeric error.
+codes: 0 success, 2 config error, 3 state error, 4 numeric error, 1 any other
+toolkit error or running out of memory. Every text artifact is written by
+``_write_json`` or ``_write_csv``.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import sys
 from dataclasses import MISSING, fields, replace
 
-from .accounting import count_report, report_to_csv, report_to_json
-from .analysis import cosine_report, similarity_to_csv, similarity_to_json
+from .accounting import PARAMS_CSV_FIELDS, count_report
+from .analysis import SIMILARITY_CSV_FIELDS, cosine_report, similarity_rows
 from .checkpoint import load_model, save_model, write_atomic
 from .compress import CompressionSpec, compression_report, ders_compress
 from .errors import ConfigError, DersError, DimensionError, NumericError, StateError
@@ -239,29 +243,33 @@ def _resolve_ckpt(out: str, explicit: str | None) -> str:
     raise StateError(f"no checkpoint found in {out}")
 
 
-def _float_cell(value) -> str:
-    return repr(float(value))
+def _write_json(path: str, data) -> None:
+    """Indented, key-sorted JSON with a trailing newline."""
+    write_atomic(path, (json.dumps(data, indent=2, sort_keys=True) + "\n").encode())
 
 
-def _metrics_csv(trace: list[dict]) -> str:
-    lines = ["step,loss,aux_loss,eval_metric"]
-    for row in trace:
-        metric = row["eval_metric"]
-        lines.append(
-            ",".join(
-                [
-                    str(row["step"]),
-                    _float_cell(row["loss"]),
-                    _float_cell(row["aux_loss"]),
-                    "" if metric == "" else _float_cell(metric),
-                ]
-            )
+def _write_csv(path: str, header, rows, comment: str | None = None) -> None:
+    """An optional ``# comment`` line, ``header``, then ``rows``. A cell is
+    empty for None, ``repr`` for a float (``np.float64`` too, through
+    ``float``: numpy 2 spells its own repr ``np.float64(…)``), else ``str``."""
+    buf = io.StringIO()
+    if comment is not None:
+        buf.write(f"# {comment}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow(
+            "" if v is None else repr(float(v)) if isinstance(v, float) else str(v) for v in row
         )
-    return "\n".join(lines) + "\n"
+    write_atomic(path, buf.getvalue().encode())
 
 
-def _json_bytes(data) -> bytes:
-    return (json.dumps(data, indent=2, sort_keys=True) + "\n").encode()
+_METRICS_FIELDS = ("step", "loss", "aux_loss", "eval_metric")
+
+
+def _write_metrics(out: str, trace: list[dict]) -> None:
+    rows = ([row[key] for key in _METRICS_FIELDS] for row in trace)
+    _write_csv(os.path.join(out, "metrics.csv"), _METRICS_FIELDS, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -312,14 +320,14 @@ def _cmd_train(args, out: str) -> int:
         result = train_loop(moe, task, exp.train_config("train"))
     except NumericError as exc:
         # Divergence: keep the steps that completed before it.
-        write_atomic(os.path.join(out, "metrics.csv"), _metrics_csv(exc.trace).encode())
+        _write_metrics(out, exc.trace)
         raise
     save_model(
         result.model,
         os.path.join(out, "trained.ckpt"),
         meta={"stage": "train", "seed": exp.seed, "best_metric": result.best_metric},
     )
-    write_atomic(os.path.join(out, "metrics.csv"), _metrics_csv(result.trace).encode())
+    _write_metrics(out, result.trace)
     return 0
 
 
@@ -334,7 +342,7 @@ def _cmd_compress(args, out: str) -> int:
         meta={"stage": "compress", "technique": spec.technique, "seed": spec.seed},
     )
     report = compression_report(compressed, spec)
-    write_atomic(os.path.join(out, "compression_report.json"), _json_bytes(report))
+    _write_json(os.path.join(out, "compression_report.json"), report)
     return 0
 
 
@@ -345,17 +353,15 @@ def _cmd_eval(args, out: str) -> int:
     model, meta = _load_ckpt(path)
     metric = evaluate(model, task)
     x, _ = task.eval_set()
-    write_atomic(
+    _write_json(
         os.path.join(out, "eval.json"),
-        _json_bytes(
-            {
-                "eval_metric": metric,
-                "task_kind": task.kind,
-                "eval_size": int(x.shape[0]),
-                "checkpoint": os.path.basename(path),
-                "stage": meta.get("stage"),
-            }
-        ),
+        {
+            "eval_metric": metric,
+            "task_kind": task.kind,
+            "eval_size": int(x.shape[0]),
+            "checkpoint": os.path.basename(path),
+            "stage": meta.get("stage"),
+        },
     )
     return 0
 
@@ -363,33 +369,35 @@ def _cmd_eval(args, out: str) -> int:
 def _cmd_report_params(args, out: str) -> int:
     model, _ = _load_ckpt(_resolve_ckpt(out, args.ckpt))
     report = count_report(model)
-    fmt = args.format or "json"
-    if fmt == "json":
-        name, text = "params.json", report_to_json(report) + "\n"
+    if (args.format or "json") == "json":
+        _write_json(os.path.join(out, "params.json"), report.to_dict())
     else:
-        name, text = "params.csv", report_to_csv(report)
-    write_atomic(os.path.join(out, name), text.encode())
+        layers = [*report.layers, report.totals]
+        rows = ([getattr(row, key) for key in PARAMS_CSV_FIELDS] for row in layers)
+        _write_csv(os.path.join(out, "params.csv"), PARAMS_CSV_FIELDS, rows)
     return 0
 
 
 def _cmd_analyze_similarity(args, out: str) -> int:
     model, _ = _load_ckpt(_resolve_ckpt(out, args.ckpt))
     report = cosine_report(model)
-    fmt = args.format or "csv"
-    if fmt == "csv":
-        name, text = "similarity.csv", similarity_to_csv(report)
+    if (args.format or "csv") == "csv":
+        path = os.path.join(out, "similarity.csv")
+        _write_csv(path, SIMILARITY_CSV_FIELDS, similarity_rows(report), comment=report.note)
     else:
-        name, text = "similarity.json", similarity_to_json(report) + "\n"
-    write_atomic(os.path.join(out, name), text.encode())
+        _write_json(os.path.join(out, "similarity.json"), report.to_dict())
     return 0
 
 
-def _sweep_row(kind: str, value, model: Model, task) -> str:
-    """One ``sweep.csv`` line: the eval metric and the ``report-params``
+_SWEEP_FIELDS = ("kind", "value", "eval_metric", "stored_values", "stored_bits", "trainable_values")
+
+
+def _sweep_row(kind: str, value, model: Model, task) -> list:
+    """One ``sweep.csv`` row: the eval metric and the ``report-params``
     totals of the model the row evaluates."""
     totals = count_report(model).totals
-    counts = (totals.stored_values, totals.stored_bits, totals.trainable_values)
-    return ",".join([kind, str(value), _float_cell(evaluate(model, task)), *map(str, counts)])
+    counts = [totals.stored_values, totals.stored_bits, totals.trainable_values]
+    return [kind, value, evaluate(model, task), *counts]
 
 
 def _cmd_sweep(args, out: str) -> int:
@@ -402,15 +410,15 @@ def _cmd_sweep(args, out: str) -> int:
             "config section 'sweep' must list at least one of drop_rates/bit_widths/ranks"
         )
     task = exp.task()
-    lines = ["kind,value,eval_metric,stored_values,stored_bits,trainable_values"]
+    rows = []
 
     if any(values for _, values in swept):
         trained, _ = _load_ckpt(os.path.join(out, "trained.ckpt"))
-        lines.append(_sweep_row("baseline", "", trained, task))
+        rows.append(_sweep_row("baseline", "", trained, task))
         for kind, values in swept:
             for value in values:
                 spec = exp.compression_spec(argparse.Namespace(**{**vars(args), kind: value}))
-                lines.append(_sweep_row(kind, value, ders_compress(trained, spec), task))
+                rows.append(_sweep_row(kind, value, ders_compress(trained, spec), task))
 
     if ranks:
         dense, _ = _load_ckpt(os.path.join(out, "dense.ckpt"))
@@ -418,9 +426,9 @@ def _cmd_sweep(args, out: str) -> int:
         for r in ranks:
             cfg = replace(exp.upcycle_config(args), method="ders_lm", rank=int(r))
             result = train_loop(upcycle(dense, cfg), task, train_cfg)
-            lines.append(_sweep_row("rank", r, result.model, task))
+            rows.append(_sweep_row("rank", r, result.model, task))
 
-    write_atomic(os.path.join(out, "sweep.csv"), ("\n".join(lines) + "\n").encode())
+    _write_csv(os.path.join(out, "sweep.csv"), _SWEEP_FIELDS, rows)
     return 0
 
 
@@ -493,6 +501,9 @@ def main(argv=None) -> int:
         return 4
     except DersError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -39,16 +39,21 @@ _GELU_C = 0.7978845608028654  # sqrt(2/pi)
 _GELU_A = 0.044715
 
 
+def _gelu_tanh(x: np.ndarray) -> np.ndarray:
+    """tanh(C·(x + A·x·x·x)) in one fresh buffer, each operation in that order
+    and rounding, never written into ``x`` (a tape records it)."""
+    t = np.multiply(_GELU_A, x)
+    t *= x
+    t *= x
+    t += x
+    t *= _GELU_C
+    return np.tanh(t, out=t)
+
+
 def act_forward(name: str, x: np.ndarray) -> np.ndarray:
     if name == "gelu":
-        # 0.5·x·(1 + tanh(C·(x + A·x·x·x))), each operation in that order and
-        # rounding, in two buffers and never in ``x`` (a tape records it).
-        u = np.multiply(_GELU_A, x)
-        u *= x
-        u *= x
-        u += x
-        u *= _GELU_C
-        np.tanh(u, out=u)
+        # 0.5·x·(1 + tanh(C·(x + A·x·x·x))) in two buffers.
+        u = _gelu_tanh(x)
         u += 1.0
         out = np.multiply(0.5, x)
         out *= u
@@ -65,9 +70,22 @@ def act_forward(name: str, x: np.ndarray) -> np.ndarray:
 def act_grad(name: str, x: np.ndarray) -> np.ndarray:
     """Derivative of the activation, evaluated at the pre-activation x."""
     if name == "gelu":
-        u = _GELU_C * (x + _GELU_A * x * x * x)
-        t = np.tanh(u)
-        return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _GELU_C * (1.0 + 3.0 * _GELU_A * x * x)
+        # 0.5·(1 + t) + 0.5·x·(1 − t·t)·C·(1 + 3A·x·x) with t = tanh(C·(x + A·x·x·x)),
+        # each operation in that order and rounding, in three buffers.
+        t = _gelu_tanh(x)
+        b = np.multiply(t, t)
+        np.subtract(1.0, b, out=b)
+        out = np.multiply(0.5, x)
+        out *= b
+        out *= _GELU_C
+        np.multiply(3.0 * _GELU_A, x, out=b)
+        b *= x
+        b += 1.0
+        out *= b
+        t += 1.0
+        t *= 0.5
+        out += t
+        return out
     if name == "relu":
         return (x > 0).astype(x.dtype)
     if name == "tanh":

@@ -1,11 +1,14 @@
 """Shared fixtures and oracles."""
 
+import csv
+import io
 import json
 import struct
 
 import numpy as np
 
-from ders import train
+from ders import cli, train
+from ders.checkpoint import save_model
 from ders.deltas import (
     ExpertGroup,
     init_lowrank_trainable,
@@ -48,6 +51,25 @@ def gelu_oracle(x: np.ndarray) -> np.ndarray:
     evaluated left to right by numpy with a fresh temporary per operation."""
     u = _GELU_C * (x + _GELU_A * x * x * x)
     return 0.5 * x * (1.0 + np.tanh(u))
+
+
+def gelu_grad_oracle(x: np.ndarray) -> np.ndarray:
+    """The tanh GELU's derivative as one expression, evaluated left to right by
+    numpy with a fresh temporary per operation."""
+    u = _GELU_C * (x + _GELU_A * x * x * x)
+    t = np.tanh(u)
+    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _GELU_C * (1.0 + 3.0 * _GELU_A * x * x)
+
+
+def cli_report(tmp_path, model, command, fmt):
+    """The text that ``ders <command> --format <fmt>`` writes for ``model``:
+    ``report-params`` (params.*) or ``analyze-similarity`` (similarity.*)."""
+    ckpt = str(tmp_path / "model.ckpt")
+    save_model(model, ckpt)
+    assert cli.main([command, "--ckpt", ckpt, "--format", fmt, "--out", str(tmp_path)]) == 0
+    stem = {"report-params": "params", "analyze-similarity": "similarity"}[command]
+    with open(tmp_path / f"{stem}.{fmt}", encoding="utf-8") as fh:
+        return fh.read()
 
 
 def rng_mat(shape, seed, scale=1.0):
@@ -306,3 +328,100 @@ def oracle_train(model, task, cfg):
             row["eval_metric"] = train.evaluate(model, task)
         trace.append(row)
     return model, trace
+
+
+# ---------------------------------------------------------------------------
+# The per-artifact text emitters that ``cli._write_csv`` and ``cli._write_json``
+# replaced, kept as the oracles of those two writers' bytes.
+# ---------------------------------------------------------------------------
+
+
+def report_to_json(report):
+    return json.dumps(report.to_dict(), indent=2, sort_keys=True)
+
+
+_CSV_FIELDS = (
+    "name",
+    "kind",
+    "trainable_values",
+    "stored_values",
+    "stored_bits",
+    "index_overhead_bits",
+    "scale_overhead_bits",
+    "equivalent_expert_ratio",
+)
+
+
+def report_to_csv(report):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(_CSV_FIELDS)
+    for row in list(report.layers) + [report.totals]:
+        ratio = row.equivalent_expert_ratio
+        writer.writerow(
+            [
+                row.name,
+                row.kind,
+                row.trainable_values,
+                row.stored_values,
+                row.stored_bits,
+                row.index_overhead_bits,
+                row.scale_overhead_bits,
+                "" if ratio is None else repr(ratio),
+            ]
+        )
+    return buf.getvalue()
+
+
+def similarity_to_csv(report):
+    buf = io.StringIO()
+    buf.write(f"# {report.note}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["block", "matrix", "row", "col", "value"])
+    for layer in report.layers:
+        for tag in ("w_in", "w_out", "mean"):
+            mat = layer.cosine[tag]
+            mask = layer.undefined[tag]
+            for a, row_label in enumerate(layer.labels):
+                for b, col_label in enumerate(layer.labels):
+                    value = "undefined" if mask[a, b] else repr(float(mat[a, b]))
+                    writer.writerow([layer.block, tag, row_label, col_label, value])
+    return buf.getvalue()
+
+
+def similarity_to_json(report):
+    return json.dumps(report.to_dict(), indent=2, sort_keys=True)
+
+
+def _float_cell(value) -> str:
+    return repr(float(value))
+
+
+def metrics_csv(trace):
+    lines = ["step,loss,aux_loss,eval_metric"]
+    for row in trace:
+        metric = row["eval_metric"]
+        lines.append(
+            ",".join(
+                [
+                    str(row["step"]),
+                    _float_cell(row["loss"]),
+                    _float_cell(row["aux_loss"]),
+                    "" if metric == "" else _float_cell(metric),
+                ]
+            )
+        )
+    return "\n".join(lines) + "\n"
+
+
+def json_bytes(data) -> bytes:
+    return (json.dumps(data, indent=2, sort_keys=True) + "\n").encode()
+
+
+def sweep_csv(cells):
+    """``sweep.csv`` from each row's (kind, value, eval metric, three counts),
+    joined as the emitter's ``_sweep_row`` lines were."""
+    lines = ["kind,value,eval_metric,stored_values,stored_bits,trainable_values"]
+    for kind, value, metric, *counts in cells:
+        lines.append(",".join([kind, str(value), _float_cell(metric), *map(str, counts)]))
+    return "\n".join(lines) + "\n"

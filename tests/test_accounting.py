@@ -5,13 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from conftest import build_mixed_moe_model, formula_check, trainable_count
-from ders.accounting import (
-    INDEX_BITS,
-    count_report,
-    report_to_csv,
-    report_to_json,
-)
+from conftest import build_mixed_moe_model, cli_report, formula_check, trainable_count
+from ders.accounting import INDEX_BITS, count_report
 from ders.compress import CompressionSpec, ders_compress
 from ders.errors import ParameterError
 from ders.moe import DenseBlock, MoELayer, build_dense_model, named_parameters
@@ -204,15 +199,17 @@ class TestFormulaCheck:
 
 
 class TestEmitters:
-    def test_json_round_trips(self):
-        rep = count_report(upcycled("ders_sm", sparse_rate=0.75, depth=1))
-        data = json.loads(report_to_json(rep))
+    def test_json_round_trips(self, tmp_path):
+        model = upcycled("ders_sm", sparse_rate=0.75, depth=1)
+        rep = count_report(model)
+        data = json.loads(cli_report(tmp_path, model, "report-params", "json"))
         assert data["totals"]["stored_values"] == rep.totals.stored_values
         assert data["schema_version"] == 1
 
-    def test_csv_shape_and_total_row(self):
-        rep = count_report(build_mixed_moe_model(seed=2))
-        lines = report_to_csv(rep).splitlines()
+    def test_csv_shape_and_total_row(self, tmp_path):
+        model = build_mixed_moe_model(seed=2)
+        rep = count_report(model)
+        lines = cli_report(tmp_path, model, "report-params", "csv").splitlines()
         assert len(lines) == 1 + len(rep.layers) + 1
         assert lines[0].startswith("name,kind,trainable_values")
         assert lines[-1].startswith("total,total,")

@@ -6,12 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from ders.analysis import (
-    cosine_report,
-    pairwise_cosine,
-    similarity_to_csv,
-    similarity_to_json,
-)
+from conftest import cli_report
+from ders.analysis import cosine_report, pairwise_cosine
 from ders.compress import choose_base
 from ders.errors import StateError
 from ders.moe import build_dense_model, named_parameters
@@ -180,27 +176,27 @@ class TestDeltaStats:
 
 
 class TestEmitters:
-    def test_csv_header_and_scope_note(self):
+    def test_csv_header_and_scope_note(self, tmp_path):
         model, _ = trained_model(seed=3, steps=40)
-        text = similarity_to_csv(cosine_report(model))
+        text = cli_report(tmp_path, model, "analyze-similarity", "csv")
         lines = text.splitlines()
         assert lines[0].startswith("# cosine similarity over FFN matrices only")
         assert lines[1] == "block,matrix,row,col,value"
         n_layers = len(cosine_report(model).layers)
         assert len(lines) == 2 + n_layers * 3 * 16  # 4 members -> 16 cells per matrix
 
-    def test_csv_marks_undefined(self):
+    def test_csv_marks_undefined(self, tmp_path):
         model = vanilla_model(n=2, depth=1)
         layer = next(b for b in model.blocks if hasattr(b, "group_in"))
         layer.group_in.deltas[0].mat[...] = -layer.group_in.base  # zero-norm member
-        text = similarity_to_csv(cosine_report(model))
+        text = cli_report(tmp_path, model, "analyze-similarity", "csv")
         assert "undefined" in text
 
-    def test_json_nulls_for_undefined(self):
+    def test_json_nulls_for_undefined(self, tmp_path):
         model = vanilla_model(n=2, depth=1)
         layer = next(b for b in model.blocks if hasattr(b, "group_in"))
         layer.group_in.deltas[0].mat[...] = -layer.group_in.base
-        data = json.loads(similarity_to_json(cosine_report(model)))
+        data = json.loads(cli_report(tmp_path, model, "analyze-similarity", "json"))
         cell = data["layers"][0]["cosine"]["w_in"][0][1]
         assert cell is None
         assert data["note"].startswith("cosine similarity")

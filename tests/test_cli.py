@@ -5,18 +5,37 @@ import os
 import re
 import shutil
 import struct
+import subprocess
+import sys
+import tempfile
+import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from conftest import edit_header
+import ders
+from conftest import (
+    edit_header,
+    json_bytes,
+    metrics_csv,
+    report_to_csv,
+    report_to_json,
+    similarity_to_csv,
+    similarity_to_json,
+    sweep_csv,
+)
 from ders import cli
-from ders.accounting import count_report
+from ders.accounting import LayerCount, ParamReport, count_report
+from ders.analysis import NOTE, LayerSimilarity, SimilarityReport
 from ders.checkpoint import load_model, save_model
 from ders.cli import Experiment, load_config, main
 from ders.compress import CompressionSpec, ders_compress
 from ders.deltas import LowRankDelta, QuantizedDelta, SparseDelta
 from ders.errors import NumericError
+from ders.moe import build_dense_model
 from ders.train import train_loop
 
 BASE_CONFIG = {
@@ -252,6 +271,29 @@ class TestIdentityAndChance:
 
 
 class TestExitCodes:
+    def test_out_of_memory_exits_1_with_one_error_line(self, tmp_path):
+        """A config whose first array does not fit the address space fails as
+        one ``error:`` line and exit 1, not a traceback, and writes nothing."""
+        cfg = write_config(tmp_path, {"model": {"d": 32, "d_h": 10**7, "depth": 2}})
+        out = str(tmp_path / "run")
+        code = (
+            "import resource, sys\n"
+            "limit = 3 * 2**29  # 1.5 GiB; one 32 x 10**7 float64 matrix is 2.38 GiB\n"
+            "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (limit, hard))\n"
+            "from ders.cli import main\n"
+            f"sys.exit(main(['pretrain-dense', '--config', {cfg!r}, '--out', {out!r}]))\n"
+        )
+        src = os.path.dirname(os.path.dirname(ders.__file__))
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 1, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: out of memory"), proc.stderr
+        assert not os.path.exists(os.path.join(out, "dense.ckpt"))
+
     def test_unknown_config_key_exit_2_with_path(self, tmp_path, capsys):
         path = str(tmp_path / "bad.json")
         with open(path, "w") as fh:
@@ -713,3 +755,190 @@ class TestFlagOverrides:
         )
         assert code == 2
         assert "technique" in capsys.readouterr().err
+
+
+# Float cells the writers must spell as the emitters they replaced did: signed
+# zeros, subnormals, the extremes, and ordinary values.
+_SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.0**-1060, 1e308, -1e308, 0.1, 1 / 3]
+_PY_FLOATS = st.sampled_from(_SPECIAL_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
+_FLOATS = _PY_FLOATS | _PY_FLOATS.map(np.float64)
+_COUNTS = st.integers(0, 2**62)
+
+_LAYER_COUNTS = st.builds(
+    LayerCount,
+    name=st.sampled_from(["embed", "blocks.0", "blocks.1", "readout", "total"]),
+    kind=st.sampled_from(["embed", "dense", "moe", "readout", "total"]),
+    trainable_values=_COUNTS,
+    stored_values=_COUNTS,
+    stored_bits=_COUNTS,
+    index_overhead_bits=_COUNTS,
+    scale_overhead_bits=_COUNTS,
+    index_entries=_COUNTS,
+    scale_entries=_COUNTS,
+    # Reports hold Python floats here: the emitter spelled the ratio with repr.
+    equivalent_expert_ratio=st.none() | _PY_FLOATS,
+)
+
+_PARAM_REPORTS = st.builds(
+    ParamReport,
+    schema_version=st.just(1),
+    bit_width=st.sampled_from([32, 64]),
+    layers=st.lists(_LAYER_COUNTS, max_size=4),
+    totals=_LAYER_COUNTS,
+    ancestor_params=_COUNTS,
+    added_params_values_only=st.integers(-(2**62), 2**62),
+    added_params_with_overheads=st.integers(-(2**62), 2**62),
+)
+
+
+@st.composite
+def _similarity_reports(draw):
+    """Reports of up to two layers of 1-4 members, with masked (undefined)
+    cosine entries and ``None`` norm ratios."""
+    layers = []
+    for block in draw(st.lists(st.integers(0, 9), max_size=2, unique=True)):
+        m = draw(st.integers(1, 4))
+        cosine, undefined = {}, {}
+        for tag in ("w_in", "w_out", "mean"):
+            mask = draw(arrays(bool, (m, m)))
+            values = draw(arrays(np.float64, (m, m), elements=_PY_FLOATS))
+            cosine[tag] = np.where(mask, np.nan, values)
+            undefined[tag] = mask
+        norms = st.lists(_PY_FLOATS, min_size=m - 1, max_size=m - 1)
+        ratios = st.lists(st.none() | _PY_FLOATS, min_size=m - 1, max_size=m - 1)
+        layers.append(
+            LayerSimilarity(
+                block=block,
+                labels=["init"] + [f"E{i}" for i in range(1, m)],
+                cosine=cosine,
+                undefined=undefined,
+                delta_norms={tag: draw(norms) for tag in ("w_in", "w_out")},
+                base_norms={tag: draw(_PY_FLOATS) for tag in ("w_in", "w_out")},
+                ratios={tag: draw(ratios) for tag in ("w_in", "w_out")},
+            )
+        )
+    return SimilarityReport(schema_version=1, note=NOTE, layers=layers)
+
+
+_TRACES = st.lists(
+    st.fixed_dictionaries(
+        {"loss": _FLOATS, "aux_loss": _FLOATS, "eval_metric": st.just("") | _FLOATS}
+    ),
+    max_size=5,
+).map(lambda rows: [{"step": i + 1, **row} for i, row in enumerate(rows)])
+
+_SWEEP_CELLS = st.tuples(_FLOATS, _COUNTS, _COUNTS, _COUNTS)  # eval metric, three counts
+_SWEEP_ROWS = st.tuples(
+    _SWEEP_CELLS.map(lambda cells: ["baseline", "", *cells]),
+    st.lists(
+        st.tuples(
+            st.sampled_from(["drop_rate", "bit_width", "rank"]),
+            st.integers(1, 64) | _PY_FLOATS,
+            _SWEEP_CELLS,
+        ).map(lambda row: [row[0], row[1], *row[2]]),
+        min_size=1,
+        max_size=4,
+    ),
+).map(lambda rows: [rows[0], *rows[1]])
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | _FLOATS | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+@pytest.fixture(scope="module")
+def writer_run(tmp_path_factory):
+    """A run directory whose config and checkpoints the writer properties
+    drive each command with; the report each command writes is generated."""
+    tmp = tmp_path_factory.mktemp("writers")
+    cfg = write_config(tmp, {"sweep": {"drop_rates": [0.5]}})
+    out = str(tmp / "run")
+    model = build_dense_model(d=2, d_h=3, depth=1, in_width=1, out_width=8, seed=0)
+    for name in ("moe.ckpt", "trained.ckpt"):
+        save_model(model, os.path.join(out, name))
+    return cfg, out
+
+
+def _read_bytes(out, name):
+    with open(os.path.join(out, name), "rb") as fh:
+        return fh.read()
+
+
+class TestWriters:
+    """Each command writes, through ``_write_csv`` and ``_write_json``, the
+    bytes of the per-artifact emitter it replaced (``conftest``)."""
+
+    _SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+    @_SETTINGS
+    @given(report=_PARAM_REPORTS)
+    def test_report_params_bytes(self, writer_run, report):
+        _, out = writer_run
+        ckpt = os.path.join(out, "trained.ckpt")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "count_report", lambda model: report)
+            for fmt in ("json", "csv"):
+                assert run("report-params", "--ckpt", ckpt, "--out", out, "--format", fmt) == 0
+        assert _read_bytes(out, "params.json") == (report_to_json(report) + "\n").encode()
+        assert _read_bytes(out, "params.csv") == report_to_csv(report).encode()
+
+    @_SETTINGS
+    @given(report=_similarity_reports())
+    def test_analyze_similarity_bytes(self, writer_run, report):
+        _, out = writer_run
+        ckpt = os.path.join(out, "trained.ckpt")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "cosine_report", lambda model: report)
+            for fmt in ("json", "csv"):
+                assert run("analyze-similarity", "--ckpt", ckpt, "--out", out, "--format", fmt) == 0
+        assert _read_bytes(out, "similarity.json") == (similarity_to_json(report) + "\n").encode()
+        assert _read_bytes(out, "similarity.csv") == similarity_to_csv(report).encode()
+
+    @_SETTINGS
+    @given(trace=_TRACES, diverged=st.booleans())
+    def test_metrics_bytes(self, writer_run, trace, diverged):
+        """Both ``metrics.csv`` writes: after training, and the partial trace
+        of a diverged run."""
+        cfg, out = writer_run
+
+        def train_loop(model, task, train_cfg):
+            if diverged:
+                exc = NumericError("diverged")
+                exc.trace = trace
+                raise exc
+            return types.SimpleNamespace(model=model, trace=trace, best_metric=0.0)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "train_loop", train_loop)
+            assert run("train", "--config", cfg, "--out", out) == (4 if diverged else 0)
+        assert _read_bytes(out, "metrics.csv") == metrics_csv(trace).encode()
+
+    @_SETTINGS
+    @given(rows=_SWEEP_ROWS)
+    def test_sweep_bytes(self, writer_run, rows):
+        """``sweep.csv`` from the rows ``_sweep_row`` returns, whatever their
+        cells: the config lists one drop rate per row after the baseline."""
+        cfg, out = writer_run
+        data = load_config(cfg)
+        data["sweep"] = {"drop_rates": [0.5] * (len(rows) - 1)}
+        sweep_cfg = os.path.join(os.path.dirname(cfg), "sweep.json")
+        with open(sweep_cfg, "w") as fh:
+            json.dump(data, fh)
+        returned = iter(rows)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "ders_compress", lambda model, spec: model)
+            mp.setattr(cli, "_sweep_row", lambda kind, value, model, task: next(returned))
+            assert run("sweep", "--config", sweep_cfg, "--out", out) == 0
+        assert _read_bytes(out, "sweep.csv") == sweep_csv(rows).encode()
+
+    @_SETTINGS
+    @given(data=st.dictionaries(st.text(max_size=8), _JSON, max_size=4))
+    def test_json_bytes(self, data):
+        """``compression_report.json`` and ``eval.json`` pass their dicts to
+        ``_write_json`` unchanged."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "report.json")
+            cli._write_json(path, data)
+            assert _read_bytes(tmp, "report.json") == json_bytes(data)

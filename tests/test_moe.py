@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from conftest import gelu_oracle, moe_forward, reset_synthesis_counters, rng_mat
+from conftest import (
+    gelu_grad_oracle,
+    gelu_oracle,
+    moe_forward,
+    reset_synthesis_counters,
+    rng_mat,
+)
 from ders import moe, numkern
 from ders.deltas import DenseDelta, ExpertGroup, synthesize
 from ders.errors import DimensionError, ParameterError
@@ -22,6 +28,16 @@ from ders.moe import (
     named_parameters,
     route,
 )
+
+
+def gelu_input(dtype, shape):
+    """Signed values with |x| from 1e-4 to 40, led by ±0.0, ±40, ±9 and ±1e-30."""
+    g = np.random.default_rng(shape[0] * 1000 + shape[1])
+    magnitude = 10.0 ** g.uniform(-4.0, np.log10(40.0), shape)
+    x = (np.where(g.random(shape) < 0.5, -1.0, 1.0) * magnitude).astype(dtype)
+    specials = np.array([-0.0, 0.0, 40.0, -40.0, 9.0, -9.0, 1e-30, -1e-30], dtype)
+    x.reshape(-1)[: specials.size] = specials[: x.size]
+    return x
 
 
 def make_vanilla_layer(d=4, d_h=6, n=3, k=2, seed=0, deltas_scale=0.0, universal=False):
@@ -101,11 +117,7 @@ class TestActivations:
     def test_gelu_bytes_equal_the_expression(self, dtype, shape):
         """The buffered GELU gives the one-line expression's bytes, on signed
         zeros and where tanh saturates, and leaves its input unchanged."""
-        g = np.random.default_rng(shape[0] * 1000 + shape[1])
-        magnitude = 10.0 ** g.uniform(-4.0, np.log10(40.0), shape)
-        x = (np.where(g.random(shape) < 0.5, -1.0, 1.0) * magnitude).astype(dtype)
-        specials = np.array([-0.0, 0.0, 40.0, -40.0, 9.0, -9.0, 1e-30, -1e-30], dtype)
-        x.reshape(-1)[: specials.size] = specials[: x.size]
+        x = gelu_input(dtype, shape)
         before = x.copy()
         out = act_forward("gelu", x)
         assert out.dtype == dtype and out.shape == shape
@@ -113,6 +125,18 @@ class TestActivations:
         assert x.tobytes() == before.tobytes()
         if x.size > 1:
             assert np.signbit(out.flat[0]) and not np.signbit(out.flat[1])  # −0.0 and +0.0 kept
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (32, 64), (512, 128)])
+    def test_gelu_grad_bytes_equal_the_expression(self, dtype, shape):
+        """The buffered GELU derivative gives the one-line expression's bytes
+        on the same inputs, and leaves its input unchanged."""
+        x = gelu_input(dtype, shape)
+        before = x.copy()
+        out = act_grad("gelu", x)
+        assert out.dtype == dtype and out.shape == shape
+        assert out.tobytes() == gelu_grad_oracle(x).tobytes()
+        assert x.tobytes() == before.tobytes()
 
     def test_unknown_activation(self):
         with pytest.raises(ParameterError):

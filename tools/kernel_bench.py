@@ -1,5 +1,5 @@
 """Time ``numkern.matmul`` on every product shape of the two benchmark
-workloads, in both orientations, and ``act_forward`` on two shapes; print JSON.
+workloads, in both orientations, and the activations on three shapes; print JSON.
 
     python3 tools/kernel_bench.py [--repeat N] [--seed S]
 
@@ -34,7 +34,8 @@ calls, in microseconds.
 ``rules`` sums calls × time per workload and phase for each rule "compute
 the product as ``ba`` when m ≤ T and n > m" (T = 0 is ``ab`` wherever it is
 exact), for the best orientation of each shape, and for ``matmul`` as it
-stands. ``act_forward`` times each activation at 16×64 and 512×128 float64.
+stands. ``act_forward`` and ``act_grad`` time each activation and its
+derivative at 16×64, 32×64 and 512×128 float64.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from ders.moe import build_dense_model  # noqa: E402
 from ders.upcycle import UpcycleConfig, upcycle  # noqa: E402
 
 THRESHOLDS = (0, 1, 2, 4, 8, 16, 32, 64, 128)
-ACT_SHAPES = ((16, 64), (512, 128))
+ACT_SHAPES = ((16, 64), (32, 64), (512, 128))
 
 
 def _layout(x: np.ndarray) -> str:
@@ -214,17 +215,18 @@ def bench(repeat: int, seed: int) -> dict:
             totals["calls"] = sum(r[col] for r in rows)
             rules[f"{name}.{phase}"] = {key: round(v, 1) for key, v in totals.items()}
 
-    act = {}
+    act = {"act_forward_us": {}, "act_grad_us": {}}
     for rows, cols in ACT_SHAPES:
         x = rng.standard_normal((rows, cols))
-        fns = {name: (lambda name=name: moe.act_forward(name, x)) for name in moe.ACTIVATIONS}
-        act[f"{rows}x{cols}"] = _median_us(fns, repeat)
+        for key, fn in (("act_forward_us", moe.act_forward), ("act_grad_us", moe.act_grad)):
+            fns = {name: (lambda name=name, fn=fn: fn(name, x)) for name in moe.ACTIVATIONS}
+            act[key][f"{rows}x{cols}"] = _median_us(fns, repeat)
     return {
         "repeat": repeat,
         "seed": seed,
         "einsum_k_ordered": numkern._EINSUM_K_ORDERED,
         "rules": rules,
-        "act_forward_us": act,
+        **act,
         "matmul_us": table,
     }
 
@@ -241,4 +243,12 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (``| head``): stop without a traceback, and
+        # point stdout at /dev/null so the exit's own flush cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
