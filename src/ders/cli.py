@@ -19,9 +19,10 @@ The ``pretrain``, ``train``, ``upcycle``, ``compress`` and ``task.params``
 keys are the fields of ``TrainConfig``, ``UpcycleConfig``, ``CompressionSpec``
 and ``SyntheticTask``, each typed by its annotation through
 ``moe.FIELD_TYPES``; only ``model`` and ``sweep`` are listed by hand. Exit
-codes: 0 success, 2 config error, 3 state error, 4 numeric error, 1 any other
-toolkit error or running out of memory. Every text artifact is written by
-``_write_json`` or ``_write_csv``.
+codes: 0 success, 2 config error, 3 state error or ``OSError`` (a path that
+is a directory, say), 4 numeric error, 1 any other toolkit error or running
+out of memory. Every text artifact is written by ``_write_json`` or
+``_write_csv``.
 """
 
 from __future__ import annotations
@@ -502,6 +503,9 @@ def main(argv=None) -> int:
     except DersError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1

@@ -135,7 +135,6 @@ def ders_compress(model: Model, spec: CompressionSpec) -> Model:
             extended=layer.extended or spec.extended,
             universal=None if spec.extended else layer.universal,
             trainable_base=False,
-            synthesis_count=0,
         )
     return out
 

@@ -18,21 +18,22 @@ toolkit produces, because trained experts are stored as base-plus-delta in the
 first place.
 
 Everything that differs by form lives on the form's class (``DeltaWeight``
-lists it): the checkpoint tag and record layout, from which the storage counts
-follow, the trainable arrays and their gradients, and ``materialize``.
+lists it): the checkpoint tag, header scalars (its ``int`` and ``float``
+fields) and record layout, from which the storage counts follow, the
+trainable arrays and their gradients, and ``materialize``.
 Checkpoints, training, accounting and compression use only that interface, so
 a new form is one new class here, listed in ``DELTA_KINDS``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import ClassVar
 
 import numpy as np
 
 from . import numkern
-from .errors import CorruptionError, DimensionError, NumericError, ParameterError, StateError
+from .errors import CorruptionError, DimensionError, ParameterError, StateError
 
 SUPPORTED_BIT_WIDTHS = (1, 2, 4, 8, 16)
 
@@ -45,45 +46,21 @@ SUPPORTED_BIT_WIDTHS = (1, 2, 4, 8, 16)
 class DeltaWeight:
     """What every delta form defines; the four forms below fill it in.
 
-    ``kind`` tags the form in checkpoints, ``HEADER`` names the scalar fields
-    kept in the checkpoint's JSON header, each with its type, and ``RECORDS``
-    the array fields stored as payload records, in record order, each with its
-    on-disk dtype (``None``: the model's own float width). ``TRAINABLE`` names
-    the arrays an optimizer updates. The storage counts are read off both.
+    ``kind`` tags the form in checkpoints. Its fields annotated ``int`` or
+    ``float`` are the header scalars a checkpoint keeps in its JSON header,
+    and ``RECORDS`` names the array fields stored as payload records, in
+    record order, each with its on-disk dtype (``None``: the model's own
+    float width). ``TRAINABLE`` names the arrays an optimizer updates. The
+    storage counts are read off the records and the ``float`` fields.
     """
 
     kind: ClassVar[str]
-    HEADER: ClassVar[dict[str, type]] = {}
     RECORDS: ClassVar[tuple[tuple[str, str | None], ...]]
     TRAINABLE: ClassVar[tuple[str, ...]] = ()
-
-    def descriptor(self) -> dict:
-        """Checkpoint header entry: the kind tag plus the header scalars."""
-        return {"kind": self.kind, **{key: getattr(self, key) for key in self.HEADER}}
 
     def records(self) -> list[tuple[str, np.ndarray, str | None]]:
         """(field, array, on-disk dtype) for each record, in record order."""
         return [(name, getattr(self, name), disk) for name, disk in self.RECORDS]
-
-    @classmethod
-    def from_records(cls, desc: dict, read) -> DeltaWeight:
-        """Rebuild from a header entry; ``read(on_disk_dtype)`` loads the next record.
-
-        A header field that is missing or not of its declared type is corruption;
-        a float field that is not finite is a numeric error.
-        """
-        fields = {}
-        for key, kind in cls.HEADER.items():
-            value = desc.get(key)
-            if type(value) is not kind:
-                raise CorruptionError(
-                    f"{cls.kind} delta header field {key!r} is {value!r}, expected {kind.__name__}"
-                )
-            if kind is float and not np.isfinite(value):
-                raise NumericError(f"{cls.kind} delta header field {key!r} is {value!r}")
-            fields[key] = value
-        fields.update((name, read(disk)) for name, disk in cls.RECORDS)
-        return cls(**fields)
 
     def weight_grads(self, d_w: np.ndarray) -> list[tuple[str, np.ndarray]]:
         """(field, gradient) for each trainable field, given dLoss/dW of the
@@ -108,8 +85,8 @@ class DeltaWeight:
 
     def scale_entries(self) -> int:
         """Per-container scalars (sparse rescale, quantizer scale): the
-        ``float`` header fields."""
-        return sum(kind is float for kind in self.HEADER.values())
+        ``float`` fields."""
+        return sum(f.type == "float" for f in fields(self))
 
     def materialize(self, dtype) -> np.ndarray:
         """The full delta matrix, in ``dtype``."""
@@ -153,7 +130,6 @@ class SparseDelta(DeltaWeight):
     """
 
     kind = "sparse"
-    HEADER = {"rows": int, "cols": int, "rescale": float}
     RECORDS = (("index", "<u4"), ("value", None))
     TRAINABLE = ("value",)
 
@@ -247,7 +223,6 @@ class QuantizedDelta(DeltaWeight):
     """
 
     kind = "quantized"
-    HEADER = {"rows": int, "cols": int, "bit_width": int, "scale": float}
     RECORDS = (("packed", "u1"),)
 
     rows: int

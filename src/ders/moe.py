@@ -24,7 +24,7 @@ from __future__ import annotations
 import copy
 import numbers
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -194,7 +194,7 @@ class MoELayer:
     extended: bool = False
     trainable_base: bool = False
     method: str = "vanilla"
-    synthesis_count: int = 0
+    synthesis_count: int = field(default=0, init=False)
 
     def __post_init__(self):
         check_fields(self, self.activation)

@@ -20,6 +20,7 @@ from ders.moe import (
     _GELU_A,
     _GELU_C,
     FFN,
+    DenseBlock,
     MoELayer,
     Router,
     _moe_forward,
@@ -91,6 +92,29 @@ def edit_header(path, edit, dest):
     edited = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(dest, "wb") as fh:
         fh.write(blob[:8] + struct.pack("<I", len(edited)) + edited + blob[12 + header_len :])
+
+
+HEADER_LEVELS = ("top", "model", "block", "group", "delta", "record")
+
+
+def header_level(header, level):
+    """The key path ("" for the header itself) of an entry at ``level``, one
+    of :data:`HEADER_LEVELS`, of a parsed header with a MoE block, and the
+    entry."""
+    j = next(j for j, b in enumerate(header["model"]["blocks"]) if b["kind"] == "moe")
+    block = f"model.blocks.{j}"
+    path = {
+        "top": "",
+        "model": "model",
+        "block": block,
+        "group": f"{block}.group_in",
+        "delta": f"{block}.group_in.deltas.1",
+        "record": "records.2",
+    }[level]
+    entry = header
+    for part in filter(None, path.split(".")):
+        entry = entry[int(part)] if isinstance(entry, list) else entry[part]
+    return path, entry
 
 
 def to_float32(dense):
@@ -425,3 +449,57 @@ def sweep_csv(cells):
     for kind, value, metric, *counts in cells:
         lines.append(",".join([kind, str(value), _float_cell(metric), *map(str, counts)]))
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# The hand-written checkpoint topology walk and the two per-form header dicts
+# that ``checkpoint._entry``, over each class's annotated fields, replaced,
+# kept as the oracle of the header a checkpoint writes.
+# ---------------------------------------------------------------------------
+
+DELTA_HEADERS = {
+    "sparse": {"rows": int, "cols": int, "rescale": float},
+    "quantized": {"rows": int, "cols": int, "bit_width": int, "scale": float},
+}
+
+
+def _descriptor(delta):
+    header = DELTA_HEADERS.get(delta.kind, {})
+    return {"kind": delta.kind, **{key: getattr(delta, key) for key in header}}
+
+
+def topology_oracle(model):
+    """The ``model`` entry of the checkpoint header of ``model``."""
+    blocks = []
+    for block in model.blocks:
+        if isinstance(block, DenseBlock):
+            blocks.append({"kind": "dense", "activation": block.ffn.activation})
+            continue
+        alias = "alias" if block.method == "vanilla" else None
+        blocks.append(
+            {
+                "kind": "moe",
+                "n_experts": block.n_experts,
+                "topk_count": block.router.topk_count,
+                "activation": block.activation,
+                "extended": block.extended,
+                "trainable_base": block.trainable_base,
+                "method": block.method,
+                "universal": (
+                    None if block.universal is None else {"activation": block.universal.activation}
+                ),
+                "init_base_in": alias,
+                "init_base_out": alias,
+                "group_in": {"deltas": [_descriptor(d) for d in block.group_in.deltas]},
+                "group_out": {"deltas": [_descriptor(d) for d in block.group_out.deltas]},
+            }
+        )
+    return {
+        "d": model.d,
+        "d_h": model.d_h,
+        "in_width": model.in_width,
+        "out_width": model.out_width,
+        "ancestor_params": model.ancestor_params,
+        "activation": model.activation,
+        "blocks": blocks,
+    }

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import struct
 import tempfile
 import zlib
@@ -11,11 +12,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_mixed_moe_model, edit_header, rng_mat, to_float32
+from dataclasses import fields
+
+from conftest import (
+    DELTA_HEADERS,
+    HEADER_LEVELS,
+    build_mixed_moe_model,
+    edit_header,
+    header_level,
+    rng_mat,
+    to_float32,
+    topology_oracle,
+)
 from ders.checkpoint import FORMAT_VERSION, MAGIC, load_model, save_model
 from ders.compress import CompressionSpec, choose_base, ders_compress
+from ders.deltas import DELTA_KINDS
 from ders.errors import CorruptionError, StateError
-from ders.moe import MoELayer, build_dense_model, model_arrays, model_forward, named_parameters
+from ders.moe import (
+    FFN,
+    FIELD_TYPES,
+    Model,
+    MoELayer,
+    Router,
+    build_dense_model,
+    model_arrays,
+    model_forward,
+    named_parameters,
+)
 from ders.train import TrainConfig, make_task, train_loop
 from ders.upcycle import UpcycleConfig, upcycle
 from test_train import _generated_model
@@ -217,6 +240,11 @@ class TestRoundTrip:
         assert not np.array_equal(loaded.embed, model.embed)
 
 
+def canonical(value) -> str:
+    """JSON text that tells 2 from 2.0 and 1 from true."""
+    return json.dumps(value, sort_keys=True)
+
+
 def read_header(path):
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -240,9 +268,10 @@ class TestRoundTripProperty:
     def test_records_follow_the_walk_and_round_trip(
         self, method, pattern, depth, universal, frozen, activation, dtype, compression, seed
     ):
-        """The header's records are ``model_arrays`` in order, the parameters
-        are its trainable entries, and save → load → save is byte-identical;
-        vanilla models are also checked sparsified and at 4 bits."""
+        """The header's records are ``model_arrays`` in order, its topology is
+        the hand-written oracle's, the parameters are its trainable entries,
+        and save → load → save is byte-identical; vanilla models are also
+        checked sparsified and at 4 bits."""
         model = _generated_model(method, pattern, depth, universal, frozen, activation, dtype,
                                  seed)
         if compression is not None and method == "vanilla":
@@ -258,6 +287,7 @@ class TestRoundTripProperty:
             save_model(model, pa, meta={"seed": seed})
             header = read_header(pa)
             assert [rec["name"] for rec in header["records"]] == [name for name, *_ in walk]
+            assert canonical(header["model"]) == canonical(topology_oracle(model))
             for desc in header["model"]["blocks"]:
                 if desc["kind"] == "moe":
                     alias = "alias" if desc["method"] == "vanilla" else None
@@ -268,12 +298,103 @@ class TestRoundTripProperty:
                 assert fa.read() == fb.read()
 
 
+class TestHeaderSchema:
+    def _header_keys(self, value, keys):
+        if isinstance(value, dict):
+            keys.update(value)
+            for item in value.values():
+                self._header_keys(item, keys)
+        elif isinstance(value, list):
+            for item in value:
+                self._header_keys(item, keys)
+        return keys
+
+    def test_every_init_field_is_stored(self, tmp_path):
+        """Every init field of ``Model``, ``MoELayer``, ``Router``, ``FFN`` and
+        each delta form is a header scalar (annotated by a ``FIELD_TYPES`` key
+        and written), or names a record of ``model_arrays`` or the object
+        holding it: any other field would silently drop out of checkpoints."""
+        models = [
+            build_mixed_moe_model(seed=6),  # dense block, sparse, low-rank, universal
+            vanilla_model(),  # dense deltas
+            ders_compress(vanilla_model(), CompressionSpec("quantize", bit_width=4)),
+        ]
+        keys, parts = set(), set()
+        for i, model in enumerate(models):
+            path = str(tmp_path / f"{i}.ckpt")
+            save_model(model, path)
+            self._header_keys(read_header(path), keys)
+            parts.update(part for name, *_ in model_arrays(model) for part in name.split("."))
+        kinds = {type(d).kind for m in models for b in m.blocks if isinstance(b, MoELayer)
+                 for g in (b.group_in, b.group_out) for d in g.deltas}
+        assert kinds == set(DELTA_KINDS)
+        for cls in (Model, MoELayer, Router, FFN, *DELTA_KINDS.values()):
+            for f in fields(cls):
+                if not f.init:
+                    continue
+                stored = f.name in keys if f.type in FIELD_TYPES else f.name in parts
+                assert stored, f"{cls.__name__}.{f.name}: {f.type}"
+
+    def test_delta_header_scalars_are_the_oracle_dicts(self):
+        for kind, cls in DELTA_KINDS.items():
+            scalars = {f.name: f.type for f in fields(cls) if f.type in FIELD_TYPES}
+            want = {key: t.__name__ for key, t in DELTA_HEADERS.get(kind, {}).items()}
+            assert scalars == want, kind
+
+
 class TestFailureModes:
     def _saved(self, tmp_path):
         path = str(tmp_path / "m.ckpt")
         save_model(vanilla_model(universal=False), path)
         with open(path, "rb") as fh:
             return path, bytearray(fh.read())
+
+    @pytest.mark.parametrize("level", HEADER_LEVELS)
+    def test_unknown_key_refused_at_every_level(self, tmp_path, level):
+        """A key the program never writes is corruption at each of the six
+        levels of the header, named by its key path."""
+        path = str(tmp_path / "c.ckpt")
+        model = ders_compress(vanilla_model(), CompressionSpec("sparsify", drop_rate=0.5, seed=5))
+        save_model(model, path)
+        where = []
+
+        def edit(header):
+            parent, entry = header_level(header, level)
+            entry["junk"] = 0
+            where.append(f"{parent}.junk" if parent else "junk")
+
+        edit_header(path, edit, path)
+        with pytest.raises(CorruptionError, match=re.escape(f"header key {where[0]} holds 0")):
+            load_model(path)
+
+    def test_meta_is_free_form(self, tmp_path):
+        """``meta`` is the caller's: a key the program never writes there loads."""
+        path = str(tmp_path / "m.ckpt")
+        save_model(vanilla_model(), path, meta={"seed": 1})
+
+        def edit(header):
+            header["meta"]["junk"] = [1, {"x": None}]
+
+        edit_header(path, edit, path)
+        _, meta = load_model(path)
+        assert meta == {"seed": 1, "junk": [1, {"x": None}]}
+
+    @pytest.mark.parametrize("old, new", [(b'"meta":{', b'"meta": {'), (b"1e-05", b"1E-05")])
+    def test_a_header_spelled_otherwise_refused(self, tmp_path, old, new):
+        """The header must be spelled as its model writes it: the same values
+        with a space added, or an exponent written ``E``, are refused."""
+        path = str(tmp_path / "m.ckpt")
+        save_model(vanilla_model(), path, meta={"lr": 1e-05})
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        (header_len,) = struct.unpack_from("<I", blob, 8)
+        header = blob[12 : 12 + header_len]
+        assert header.count(old) == 1
+        header = header.replace(old, new)
+        with open(path, "wb") as fh:
+            fh.write(blob[:8] + struct.pack("<I", len(header)) + header + blob[12 + header_len :])
+        with pytest.raises(CorruptionError, match="not spelled as its model writes it"):
+            load_model(path)
 
     def test_bad_magic(self, tmp_path):
         path, blob = self._saved(tmp_path)
@@ -514,11 +635,11 @@ class TestHostileBytes:
     Outside the JSON header (magic, version, length, payload and CRC), every
     flip and every truncation is refused as ``StateError``. Inside the header,
     a flip either loads or is refused as ``StateError``, never another
-    exception. The CRC covers only the payload, so a header flip that still
-    loads (a digit of a rescale, a quantizer scale, ``ancestor_params`` or
-    ``d_h``, or the ``meta`` key) goes unnoticed: that is the open
-    header-checksum gap of format version 1, and these tests do not assert
-    that such flips are refused.
+    exception. The CRC covers only the payload, and the header must only be
+    what the rebuilt model writes, so a flip that keeps it so (a digit of a
+    rescale, a quantizer scale or ``ancestor_params``) goes unnoticed: that
+    is the open header-checksum gap of format version 1, and these tests do
+    not assert that such flips are refused.
     """
 
     def test_every_flip_outside_the_header_and_every_truncation_refused(self, hostile):

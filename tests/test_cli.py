@@ -18,7 +18,9 @@ from hypothesis.extra.numpy import arrays
 
 import ders
 from conftest import (
+    HEADER_LEVELS,
     edit_header,
+    header_level,
     json_bytes,
     metrics_csv,
     report_to_csv,
@@ -294,6 +296,32 @@ class TestExitCodes:
         assert len(lines) == 1 and lines[0].startswith("error: out of memory"), proc.stderr
         assert not os.path.exists(os.path.join(out, "dense.ckpt"))
 
+    @pytest.mark.parametrize("case", ["--ckpt dir", "dense.ckpt dir", "--out file", "artifact dir"])
+    def test_filesystem_error_exit_3_with_one_error_line(self, tmp_path, pipeline, capsys, case):
+        """A directory where a checkpoint or artifact file belongs, or a file
+        where ``--out`` needs a directory, exits 3 with one ``error:`` line,
+        not a traceback."""
+        cfg, src = pipeline
+        out = str(tmp_path / "run")
+        os.makedirs(out)
+        trained = os.path.join(src, "trained.ckpt")
+        if case == "--ckpt dir":
+            argv = ("eval", "--config", cfg, "--out", out, "--ckpt", out)
+        elif case == "dense.ckpt dir":
+            os.makedirs(os.path.join(out, "dense.ckpt"))
+            argv = ("upcycle", "--config", cfg, "--out", out)
+        elif case == "--out file":
+            open(tmp_path / "file", "w").close()
+            argv = ("eval", "--config", cfg, "--out", str(tmp_path / "file"), "--ckpt", trained)
+        else:
+            os.makedirs(os.path.join(out, "eval.json"))
+            argv = ("eval", "--config", cfg, "--out", out, "--ckpt", trained)
+        assert run(*argv) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        if case == "artifact dir":
+            assert os.listdir(out) == ["eval.json"]  # no temp file left behind
+
     def test_unknown_config_key_exit_2_with_path(self, tmp_path, capsys):
         path = str(tmp_path / "bad.json")
         with open(path, "w") as fh:
@@ -436,6 +464,23 @@ class TestExitCodes:
         edit_header(os.path.join(out, "trained.ckpt"), edit, damaged)
         assert run("eval", "--config", cfg, "--out", str(tmp_path), "--ckpt", damaged) == 3
         assert ("n_experts" if damage == "no n_experts" else "readout") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("level", HEADER_LEVELS)
+    def test_unknown_header_key_exit_3(self, tmp_path, pipeline, capsys, level):
+        """A key the program never writes, at any level of the header, is
+        corruption named by its key path."""
+        cfg, out = pipeline
+        where = []
+
+        def edit(header):
+            parent, entry = header_level(header, level)
+            entry["junk"] = 0
+            where.append(f"{parent}.junk" if parent else "junk")
+
+        damaged = str(tmp_path / "damaged.ckpt")
+        edit_header(os.path.join(out, "compressed.ckpt"), edit, damaged)
+        assert run("eval", "--config", cfg, "--out", str(tmp_path), "--ckpt", damaged) == 3
+        assert f"header key {where[0]} holds 0" in capsys.readouterr().err
 
     def test_unparseable_record_dtype_exit_3(self, tmp_path, pipeline, capsys):
         """A record's dtype string is compared with the expected one, never

@@ -1,4 +1,5 @@
-"""The command-line tools under ``tools/``: how they end when their reader does."""
+"""The command-line tools under ``tools/``: how they end when their reader
+does, and the manifest's ``save → load → save`` check."""
 
 import os
 import subprocess
@@ -35,3 +36,22 @@ def test_closed_stdout_stops_without_a_traceback(argv):
         os.close(write_end)
     assert proc.returncode == 1
     assert proc.stderr == ""
+
+
+def test_manifest_names_a_checkpoint_that_changes_on_resave(tmp_path, monkeypatch):
+    """A checkpoint whose bytes change on ``save → load → save`` stops the
+    manifest run with its name (exit 1 from the command line)."""
+    monkeypatch.syspath_prepend(TOOLS)
+    import pipeline_manifest
+
+    real_save = pipeline_manifest.save_model
+
+    def save_one_byte_longer(model, path, meta=None):
+        real_save(model, path, meta=meta)
+        with open(path, "ab") as fh:
+            fh.write(b"\0")
+
+    monkeypatch.setattr(pipeline_manifest, "save_model", save_one_byte_longer)
+    with pytest.raises(SystemExit) as exc:
+        pipeline_manifest.run(pipeline_manifest.PIPELINE[:1], str(tmp_path))
+    assert "vanilla/dense.ckpt changed on save → load → save" in str(exc.value.code)

@@ -21,6 +21,11 @@ separators=(",", ":"))``. After the two digest lines, each file's sha256 is
 printed with its manifest's label and key, so two runs can be compared file
 by file. The recorded digests are ``bb133b62…`` and ``5ad9d392…``; they were
 taken on x86-64, and another libm may give other bytes.
+
+Every checkpoint hashed is also loaded and saved again, and the two files
+must be the same bytes (the ``save → load → save`` identity); this check
+holds on every machine. A file that fails it stops the run with exit 1 and
+its name.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from ders import cli  # noqa: E402
+from ders.checkpoint import load_model, save_model  # noqa: E402
 
 BASE = {
     "seed": 7,
@@ -109,6 +115,14 @@ def _sha256(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
+def _resaved_sha256(path: str, out: str) -> str:
+    """The sha256 of the checkpoint at ``path`` once loaded and saved again."""
+    model, meta = load_model(path)
+    resaved = os.path.join(out, "resaved.ckpt")
+    save_model(model, resaved, meta=meta)
+    return _sha256(resaved)
+
+
 def run(steps: list, out: str) -> dict[str, str]:
     """Run ``steps`` under ``out``; the manifest of every new file's sha256."""
     configs: dict[int, str] = {}
@@ -133,6 +147,8 @@ def run(steps: list, out: str) -> dict[str, str]:
             path = os.path.join(arm_dir, name)
             sha = _sha256(path)
             if seen.get(path) != sha:
+                if name.endswith(".ckpt") and _resaved_sha256(path, out) != sha:
+                    sys.exit(f"pipeline_manifest: {arm}/{name} changed on save → load → save")
                 seen[path] = sha
                 manifest[f"{arm}/{len(manifest):02d}:{stage}:{name}"] = sha
     return manifest
