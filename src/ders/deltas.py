@@ -259,9 +259,17 @@ class QuantizedDelta(DeltaWeight):
         return self.stored_values() * self.bit_width
 
     def materialize(self, dtype) -> np.ndarray:
+        """``code × scale`` per element. For k ≤ 4 the products are taken on
+        the 256-entry byte table once, and one ``take`` decodes the payload
+        straight to values: the same products, without an int64 code array."""
         dtype = np.dtype(dtype)
-        codes = unpack_codes(self.packed, self.bit_width, self.rows * self.cols)
-        return (codes.astype(dtype) * dtype.type(self.scale)).reshape(self.rows, self.cols)
+        scale, n = dtype.type(self.scale), self.rows * self.cols
+        if self.bit_width in _BYTE_TABLES:
+            table = _BYTE_TABLES[self.bit_width].astype(dtype) * scale
+            values = _records(table).take(self.packed).view(dtype)[:n]
+        else:
+            values = unpack_codes(self.packed, self.bit_width, n).astype(dtype) * scale
+        return values.reshape(self.rows, self.cols)
 
 
 DELTA_KINDS = {cls.kind: cls for cls in (DenseDelta, SparseDelta, LowRankDelta, QuantizedDelta)}
@@ -327,8 +335,8 @@ def pack_codes(codes: np.ndarray, bit_width: int) -> np.ndarray:
 
 
 def _byte_table(bit_width: int) -> np.ndarray:
-    """For each of the 256 byte values, that byte's 8/k codes in stream order,
-    as one void record of int64s, so one ``take`` decodes a whole payload.
+    """For each of the 256 byte values, that byte's 8/k codes in stream
+    order, as a (256, 8/k) int64 matrix.
 
     A field is sign-extended two's complement for k >= 2; for k == 1 the sign
     bit maps to ±1.
@@ -340,7 +348,13 @@ def _byte_table(bit_width: int) -> np.ndarray:
         codes = np.where(u == 1, 1, -1)
     else:
         codes = np.where(u >= 1 << (bit_width - 1), u - (1 << bit_width), u)
-    return codes.astype(np.int64).view(np.dtype((np.void, 8 * per_byte))).ravel()
+    return codes.astype(np.int64)
+
+
+def _records(table: np.ndarray) -> np.ndarray:
+    """Each row of a C-ordered ``table`` as one void record, so that one
+    ``take`` by byte value decodes a whole payload in stream order."""
+    return table.view(np.dtype((np.void, table.itemsize * table.shape[1]))).ravel()
 
 
 _BYTE_TABLES = {k: _byte_table(k) for k in (1, 2, 4)}
@@ -368,7 +382,7 @@ def unpack_codes(packed: np.ndarray, bit_width: int, n_codes: int) -> np.ndarray
     elif bit_width == 8:
         codes = packed.view(np.int8)
     else:
-        codes = _BYTE_TABLES[bit_width].take(packed).view(np.int64)
+        codes = _records(_BYTE_TABLES[bit_width]).take(packed).view(np.int64)
     return codes[:n_codes].astype(np.int64, copy=False)
 
 

@@ -50,18 +50,21 @@ def _gelu_tanh(x: np.ndarray) -> np.ndarray:
     return np.tanh(t, out=t)
 
 
-def act_forward(name: str, x: np.ndarray) -> np.ndarray:
+def act_forward(name: str, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The activation of ``x``, in a fresh array or, given ``out`` (which
+    may be ``x`` itself), written into ``out``: the same operations in the
+    same order either way."""
     if name == "gelu":
         # 0.5·x·(1 + tanh(C·(x + A·x·x·x))) in two buffers.
         u = _gelu_tanh(x)
         u += 1.0
-        out = np.multiply(0.5, x)
+        out = np.multiply(0.5, x, out=out)
         out *= u
         return out
     if name == "relu":
-        return np.maximum(x, 0.0)
+        return np.maximum(x, 0.0, out=out)
     if name == "tanh":
-        return np.tanh(x)
+        return np.tanh(x, out=out)
     if name == "identity":
         return x
     raise ParameterError(f"unknown activation {name!r}; choose from {ACTIVATIONS}")
@@ -285,9 +288,10 @@ def route(router: Router, x: np.ndarray, tape: dict | None = None) -> np.ndarray
 def _ffn(rec: dict | None, x: np.ndarray, w_in, w_out, activation: str) -> np.ndarray:
     """act(x · w_in) · w_out: the one FFN forward of every dense block, routed
     expert, member N+1 and parallel universal FFN. With a ``rec``, records on
-    it what :func:`ders.train._ffn_backward` reads."""
+    it what :func:`ders.train._ffn_backward` reads; without one, nothing
+    keeps ``h``, so the activation overwrites it."""
     h = numkern.matmul(x, w_in)
-    a = act_forward(activation, h)
+    a = act_forward(activation, h, out=h if rec is None else None)
     out = numkern.matmul(a, w_out)
     if rec is not None:
         rec.update(x=x, w_in=w_in, w_out=w_out, activation=activation, h=h, a=a, out=out)
@@ -301,23 +305,29 @@ def ffn_forward(ffn: FFN, x: np.ndarray, tape: dict | None = None) -> np.ndarray
 def _moe_forward(layer: MoELayer, x: np.ndarray, tape: dict | None) -> np.ndarray:
     """Batched MoE forward; with a ``tape``, records intermediates for backprop.
 
-    Per-row accumulation order is fixed (experts in index order, the
-    always-active member or universal FFN last), and experts are synthesized
-    once per call, only if some row routes to them.
+    One dispatch per call: ``np.nonzero(scores.T)`` lists the routed (row,
+    expert) pairs sorted by expert, then row, so one gather of their rows
+    and weights leaves each expert a contiguous slice. Per-row accumulation
+    order is fixed (experts in index order, the always-active member or
+    universal FFN last), and experts are synthesized once per call, only if
+    some row routes to them. The tape keeps each expert's ``rows``.
     """
     scores = route(layer.router, x, tape)
     n = layer.n_experts
     if tape is not None:
         tape.update(x=x, scores=scores, experts=[None] * n, universal=None)
     y = np.zeros((x.shape[0], layer.group_out.base.shape[1]), dtype=x.dtype)
-    routed = scores != 0.0
-    for i in np.flatnonzero(routed.any(axis=0)):
-        rows = np.flatnonzero(routed[:, i])
+    experts, rows = np.nonzero(scores.T)
+    xs, weights = x[rows], scores[rows, experts][:, None]
+    ends = np.cumsum(np.bincount(experts, minlength=n)).tolist()
+    for i, (start, end) in enumerate(zip([0] + ends, ends)):
+        if start == end:
+            continue
         rec = None
         if tape is not None:
-            rec = tape["experts"][i] = {"rows": rows}
-        out = _ffn(rec, x[rows], *layer.synthesized_weights(i), layer.activation)
-        y[rows] += scores[rows, i : i + 1] * out
+            rec = tape["experts"][i] = {"rows": rows[start:end]}
+        out = _ffn(rec, xs[start:end], *layer.synthesized_weights(i), layer.activation)
+        y[rows[start:end]] += weights[start:end] * out
     if layer.extended or layer.universal is not None:
         rec = None if tape is None else {}
         if layer.extended:

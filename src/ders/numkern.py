@@ -9,12 +9,13 @@ are bit-reproducible:
 * ``matmul`` accumulates over the inner dimension in increasing index order,
   starting from +0.0, which is exactly the naive triple-loop order per output
   element. ``np.einsum`` adds the products in that order, checked by an
-  import-time probe in both operand orders; a narrow output with more rows
-  than columns is computed transposed, ``(bᵀ·aᵀ)ᵀ``, which sums the same
-  products (x·y == y·x exactly) in the same order. 1×1 outputs, and all
-  outputs where the probe fails, take a Python loop of rank-1 updates. BLAS
-  is deliberately not used (its blocked summation is not bit-stable across
-  shapes).
+  import-time probe in each form ``matmul`` uses. Most outputs are the direct
+  ``einsum("ik,kj->ij")`` over ``a`` as given; a tall output of at most 32
+  columns, or of one column, is computed transposed, ``(bᵀ·aᵀ)ᵀ``, which
+  sums the same products (x·y == y·x exactly) in the same order. 1×1
+  outputs, and all outputs where the probe fails, take a Python loop of
+  rank-1 updates. BLAS is deliberately not used (its blocked summation is
+  not bit-stable across shapes).
 * ``matmul`` does not check finiteness. Values are checked where they enter
   and leave a stage: the input batch and the prediction of a forward pass, the
   loss and each gradient, and every float of a loaded checkpoint. ``softmax``
@@ -42,7 +43,7 @@ def dtype_bits(dtype) -> int:
 
 
 def check_finite(arr: np.ndarray, context: str) -> np.ndarray:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NumericError(f"non-finite values in {context}")
     return arr
 
@@ -103,20 +104,37 @@ def _einsum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ki,kj->ij", a_t, b, optimize=False)
 
 
-def _einsum_is_k_ordered(product=_einsum) -> bool:
-    """Whether ``product`` gives the k-loop's bytes, in float64 and float32, in
-    both operand orders :func:`matmul` uses (``a·b``, and ``(bᵀ·aᵀ)ᵀ`` where
-    that has two or more columns), on a multiply-add witness (0 unfused, 2⁻⁶⁰
-    fused), −0.0 products and wide exponents."""
+def _einsum_direct(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``einsum("ik,kj->ij")`` of ``a`` in any layout and a C-ordered ``b`` of
+    one dtype: no copy of ``a``, rows outermost, and k-ordered at ≥ 2 columns,
+    where b's contiguous rows make the columns the inner loop."""
+    dtype = np.result_type(a, b)
+    a, b = a.astype(dtype, copy=False), np.ascontiguousarray(b, dtype=dtype)
+    return np.einsum("ik,kj->ij", a, b, optimize=False)
+
+
+def _einsum_is_k_ordered(product=_einsum, direct=_einsum_direct) -> bool:
+    """Whether the forms :func:`matmul` uses give the k-loop's bytes, in
+    float64 and float32: ``direct(a, b)`` on a C-ordered, F-ordered and
+    strided ``a`` where the output has two or more columns, and ``(bᵀ·aᵀ)ᵀ``
+    through ``product`` where it has two or more rows. The witnesses are a
+    multiply-add (0 unfused, 2⁻⁶⁰ fused), −0.0 products and wide exponents."""
     e, g = 1.0 + 2.0**-30, np.random.default_rng(20251)
     cases = [([[1.0, e]] * rows, [[-(1.0 + 2.0**-29), 0.0], [e, 1.0]]) for rows in (1, 2)]
     cases += [([[-0.0, 1.0]] * rows, [[1.0, 2.0], [-0.0, -0.0]]) for rows in (1, 2)]
-    for shapes in [((1, 300), (300, 3)), ((2, 70), (70, 3)), ((5, 300), (300, 2)), ((40, 33), (33, 4))]:
+    for shapes in [
+        ((1, 300), (300, 3)),
+        ((2, 70), (70, 3)),
+        ((5, 300), (300, 2)),
+        ((40, 33), (33, 4)),
+        ((3, 70), (70, 1)),
+    ]:
         cases.append([g.standard_normal(s) * 2.0 ** g.integers(-30, 30, s) for s in shapes])
     cast = [[np.asarray(x, dtype=t) for x in case] for t in (np.float64, np.float32) for case in cases]
     for a, b in cast:
         expected = _k_loop(a, b).tobytes()
-        if product(a, b).tobytes() != expected:
+        layouts = (a, np.asfortranarray(a), np.repeat(a, 2, axis=1)[:, ::2])
+        if b.shape[1] >= 2 and any(direct(x, b).tobytes() != expected for x in layouts):
             return False
         if a.shape[0] >= 2 and product(b.T, a.T).T.tobytes() != expected:
             return False
@@ -125,10 +143,10 @@ def _einsum_is_k_ordered(product=_einsum) -> bool:
 
 _EINSUM_K_ORDERED = _einsum_is_k_ordered()  # False where einsum fuses (FMA builds) or reorders
 
-# Outputs this narrow, with more rows than columns, are computed transposed:
-# einsum's inner loop then runs along the n rows instead of the few columns.
-# tools/kernel_bench.py measures both orientations on the benchmark's shapes:
-# wider outputs (512×32·32×128) are slower transposed.
+# A tall output (more than 32 rows) at most this narrow is computed
+# transposed: einsum's inner loop then runs along its many rows instead of
+# its few columns. tools/kernel_bench.py times every form on the benchmark's
+# shapes: the direct form wins everywhere else.
 _NARROW_COLUMNS = 32
 
 
@@ -136,17 +154,22 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product with a deterministic summation order, C-contiguous.
 
     Every output element is ``((0.0 + a[i,0]·b[0,j]) + a[i,1]·b[1,j]) + …``,
-    in increasing k, exactly the naive triple loop. ``einsum`` gives those
-    bytes whenever its output has two or more columns. An output of n rows
-    and m ≤ 32 columns with n > m is computed as ``(bᵀ·aᵀ)ᵀ``: the same
-    k-ordered sums with the operands swapped (x·y == y·x exactly), which is
-    the faster orientation when the columns are few. A 1×1 output, whose sum
-    einsum would unroll, and every output if the probe rejected einsum take
-    the k-loop.
+    in increasing k, exactly the naive triple loop. Three forms give those
+    bytes, chosen by the output's n rows and m columns:
 
-    Rows are independent and every orientation gives the triple loop's bytes,
-    so the product of a batch equals the stacked products of its rows
-    bit-for-bit, whichever orientation each of them took.
+    * the direct ``einsum("ik,kj->ij")`` over ``a`` as given (C, F or
+      strided; only ``b`` is made C-contiguous), for every output with
+      m ≥ 2 that is not tall-narrow. Its inner loop runs along b's rows, so
+      it is k-ordered only at two or more columns;
+    * ``(bᵀ·aᵀ)ᵀ`` for tall-narrow outputs (m ≤ 32 < n) and one-column
+      outputs of n ≥ 2 rows: the same k-ordered sums with the operands
+      swapped (x·y == y·x exactly), faster when the columns are few;
+    * the k-loop for a 1×1 output, whose sum einsum would unroll, and for
+      every output if the import-time probe rejected einsum.
+
+    Rows are independent and every form gives the triple loop's bytes, so the
+    product of a batch equals the stacked products of its rows bit-for-bit,
+    whichever form each of them took.
     """
     if a.ndim != 2 or b.ndim != 2:
         raise DimensionError(f"matmul needs 2-D operands, got ndim {a.ndim} and {b.ndim}")
@@ -155,9 +178,9 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     n, m = a.shape[0], b.shape[1]
     if not _EINSUM_K_ORDERED or n == m == 1:
         return _k_loop(a, b)
-    if m <= _NARROW_COLUMNS and n > m:
+    if m == 1 or m <= _NARROW_COLUMNS < n:
         return np.ascontiguousarray(_einsum(b.T, a.T).T)
-    return _einsum(a, b)
+    return _einsum_direct(a, b)
 
 
 def softmax(v: np.ndarray) -> np.ndarray:
@@ -175,18 +198,34 @@ def softmax(v: np.ndarray) -> np.ndarray:
     if arr.ndim != 2:
         raise DimensionError(f"softmax needs a row vector or batch, got ndim={arr.ndim}")
     check_finite(arr, "softmax input")
-    shifted = arr - np.max(arr, axis=1, keepdims=True)
+    shifted = arr - arr.max(axis=1, keepdims=True)
     e = np.exp(shifted)
-    out = e / np.sum(e, axis=1, keepdims=True)
+    out = e / e.sum(axis=1, keepdims=True)
     return out[0] if squeeze else out
 
 
+def _order_keys(arr: np.ndarray) -> np.ndarray:
+    """Integers ordered as the floats of ``arr``, with ±0.0 equal and NaN
+    below −inf, all above the integer dtype's minimum."""
+    itype = np.dtype(f"i{arr.itemsize}")
+    bits = np.add(arr, 0.0, order="C").view(itype)  # −0.0 + 0.0 is +0.0
+    keys = bits >> (8 * arr.itemsize - 1)  # −1 where the sign bit is set
+    keys &= np.iinfo(itype).max
+    keys ^= bits  # a negative float's magnitude bits flipped
+    keys[np.isnan(arr)] = np.iinfo(itype).min + 1
+    return keys
+
+
 def topk_mask(v: np.ndarray, topk_count: int) -> np.ndarray:
-    """Zero all but the ``topk_count`` largest entries per row.
+    """Zero all but the ``topk_count`` largest entries per row of floats.
 
     Survivors keep their original values (no renormalization: the routing
-    convention applies softmax first and masks after). Ties are broken toward
-    the lowest index via a stable sort.
+    convention applies softmax first and masks after). The survivors are the
+    first ``topk_count`` of a stable descending sort: ties go to the lowest
+    index, −0.0 ties +0.0, and NaN ranks below −inf. They are found by
+    ``topk_count`` argmax passes, each marking its pick with a value below
+    every other entry: −inf where the input holds no NaN or −inf, else the
+    minimum of integer keys ordered as the floats.
     """
     arr = np.asarray(v)
     squeeze = arr.ndim == 1
@@ -194,13 +233,24 @@ def topk_mask(v: np.ndarray, topk_count: int) -> np.ndarray:
         arr = arr.reshape(1, -1)
     if arr.ndim != 2:
         raise DimensionError(f"topk_mask needs a row vector or batch, got ndim={arr.ndim}")
+    if arr.dtype.kind != "f":
+        raise ParameterError(f"topk_mask needs floats, got dtype {arr.dtype}")
     n = arr.shape[1]
     if not 1 <= topk_count <= n:
         raise ParameterError(f"topk_count={topk_count} out of range [1, {n}]")
-    order = np.argsort(-arr, axis=1, kind="stable")
-    keep = np.zeros(arr.shape, dtype=bool)
-    keep[np.arange(arr.shape[0])[:, None], order[:, :topk_count]] = True
-    out = np.where(keep, arr, np.zeros((), dtype=arr.dtype))
+    if arr.min(initial=np.inf) > -np.inf:
+        work, mark = arr.copy(), -np.inf
+    else:
+        work = _order_keys(arr)
+        mark = np.iinfo(work.dtype).min
+    out = np.zeros(arr.shape, dtype=arr.dtype)
+    flat_work, flat_out, flat_arr = work.reshape(-1), out.reshape(-1), arr.reshape(-1)
+    row_starts = np.arange(0, arr.size, n)
+    for _ in range(topk_count):
+        picks = work.argmax(axis=1)
+        picks += row_starts
+        flat_out[picks] = flat_arr[picks]
+        flat_work[picks] = mark
     return out[0] if squeeze else out
 
 

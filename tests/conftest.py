@@ -4,10 +4,11 @@ import csv
 import io
 import json
 import struct
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 
-from ders import cli, train
+from ders import cli, numkern, train
 from ders.checkpoint import save_model
 from ders.deltas import (
     ExpertGroup,
@@ -24,6 +25,7 @@ from ders.moe import (
     MoELayer,
     Router,
     _moe_forward,
+    act_forward,
     build_dense_model,
     copy_model,
     forward_tape,
@@ -503,3 +505,73 @@ def topology_oracle(model):
         "activation": model.activation,
         "blocks": blocks,
     }
+
+
+# ---------------------------------------------------------------------------
+# The stable-argsort top-k and the per-expert MoE loop that ``numkern.topk_mask``
+# and ``moe._moe_forward`` replaced, kept as the oracles of their bytes.
+# ---------------------------------------------------------------------------
+
+
+def argsort_topk_mask(arr: np.ndarray, topk_count: int) -> np.ndarray:
+    """Zero all but the ``topk_count`` first entries of each row of a 2-D
+    ``arr`` in a stable sort of ``-arr``."""
+    order = np.argsort(-arr, axis=1, kind="stable")
+    keep = np.zeros(arr.shape, dtype=bool)
+    keep[np.arange(arr.shape[0])[:, None], order[:, :topk_count]] = True
+    return np.where(keep, arr, np.zeros((), dtype=arr.dtype))
+
+
+def _fresh_ffn(x, w_in, w_out, activation):
+    """act(x · w_in) · w_out with the activation in a fresh array."""
+    return numkern.matmul(act_forward(activation, numkern.matmul(x, w_in)), w_out)
+
+
+def per_expert_moe_forward(layer: MoELayer, x: np.ndarray) -> np.ndarray:
+    """The MoE block output by one mask per routed expert, argsort routing and
+    a fresh activation array per FFN."""
+    probs = numkern.softmax(numkern.matmul(x, layer.router.w_r))
+    scores = argsort_topk_mask(probs, layer.router.topk_count)
+    n = layer.n_experts
+    y = np.zeros((x.shape[0], layer.group_out.base.shape[1]), dtype=x.dtype)
+    routed = scores != 0.0
+    for i in np.flatnonzero(routed.any(axis=0)):
+        rows = np.flatnonzero(routed[:, i])
+        out = _fresh_ffn(x[rows], *layer.synthesized_weights(i), layer.activation)
+        y[rows] += scores[rows, i : i + 1] * out
+    if layer.extended:
+        y += _fresh_ffn(x, *layer.synthesized_weights(n), layer.activation)
+    elif layer.universal is not None:
+        uni = layer.universal
+        y += _fresh_ffn(x, uni.w_in, uni.w_out, uni.activation)
+    return y
+
+
+def oracle_model_forward(model, batch: np.ndarray) -> np.ndarray:
+    """``model_forward`` of a 2-D batch through :func:`per_expert_moe_forward`
+    and fresh-activation dense blocks."""
+    h = numkern.matmul(np.asarray(batch, dtype=model.embed.dtype), model.embed)
+    for block in model.blocks:
+        if isinstance(block, MoELayer):
+            out = per_expert_moe_forward(block, h)
+        else:
+            out = _fresh_ffn(h, block.ffn.w_in, block.ffn.w_out, block.ffn.activation)
+        h = h + out
+    return numkern.matmul(h, model.readout)
+
+
+def cast_floats(model, dtype):
+    """A copy of ``model`` with every float array, at any depth, cast to ``dtype``."""
+    out = copy_model(model)
+
+    def walk(obj):
+        for f in fields(obj):
+            value = getattr(obj, f.name)
+            if isinstance(value, np.ndarray) and value.dtype.kind == "f":
+                setattr(obj, f.name, value.astype(dtype))
+            for item in value if isinstance(value, list) else [value]:
+                if is_dataclass(item):
+                    walk(item)
+
+    walk(out)
+    return out

@@ -2,16 +2,29 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
+    build_mixed_moe_model,
+    cast_floats,
     gelu_grad_oracle,
     gelu_oracle,
     moe_forward,
+    oracle_model_forward,
     reset_synthesis_counters,
     rng_mat,
 )
 from ders import moe, numkern
-from ders.deltas import DenseDelta, ExpertGroup, synthesize
+from ders.deltas import (
+    SUPPORTED_BIT_WIDTHS,
+    DenseDelta,
+    ExpertGroup,
+    LowRankDelta,
+    quantize,
+    sparsify,
+    synthesize,
+)
 from ders.errors import DimensionError, ParameterError
 from ders.moe import (
     FFN,
@@ -24,6 +37,7 @@ from ders.moe import (
     build_dense_model,
     copy_model,
     ffn_forward,
+    forward_tape,
     model_forward,
     named_parameters,
     route,
@@ -137,6 +151,17 @@ class TestActivations:
         assert out.dtype == dtype and out.shape == shape
         assert out.tobytes() == gelu_grad_oracle(x).tobytes()
         assert x.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("name", moe.ACTIVATIONS)
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_in_place_bytes_equal_a_fresh_array(self, name, dtype):
+        """Written into its own input, each activation gives the bytes of
+        the fresh-array call."""
+        x = gelu_input(dtype, (16, 64))
+        fresh = act_forward(name, x)
+        out = act_forward(name, x, out=x)
+        assert out is x
+        assert x.tobytes() == fresh.tobytes()
 
     def test_unknown_activation(self):
         with pytest.raises(ParameterError):
@@ -270,6 +295,92 @@ class TestModelForward:
         assert layer.synthesis_count > 0
         reset_synthesis_counters(m)
         assert layer.synthesis_count == 0
+
+
+def mixed_model_of_kind(seed, kind, dtype):
+    """``conftest.build_mixed_moe_model`` with every delta of both MoE layers
+    (one beside a universal FFN, one extended) replaced by a random delta of
+    form ``kind``, the quantized ones over every bit width, at ``dtype``. Each
+    layer routes to 1, 2 or 3 of its 3 experts, by ``seed``: at 3 the order
+    in which the experts are added shows in the bytes."""
+    model = build_mixed_moe_model(seed)
+    g = np.random.default_rng(seed)
+    for j, block in enumerate(model.blocks):
+        if not isinstance(block, MoELayer):
+            continue
+        block.router.topk_count = 1 + (seed + j) % block.n_experts
+        for group in (block.group_in, block.group_out):
+            rows, cols = group.base.shape
+            for i in range(len(group)):
+                mat = DenseDelta(0.1 * g.standard_normal((rows, cols)))
+                if kind == "sparse":
+                    mat = sparsify(mat, 0.5, numkern.RngStream(seed, 10 * j + i))
+                elif kind == "lowrank":
+                    mat = LowRankDelta(g.standard_normal((rows, 2)), 0.1 * g.standard_normal((2, cols)))
+                elif kind == "quantized":
+                    mat = quantize(mat, SUPPORTED_BIT_WIDTHS[(i + j) % len(SUPPORTED_BIT_WIDTHS)])
+                group.deltas[i] = mat
+    return cast_floats(model, dtype)
+
+
+def ffn_records(tape):
+    """Every FFN record of a model tape: dense blocks, routed experts, and
+    the universal FFN or member N+1."""
+    for rec in tape["blocks"]:
+        if rec["kind"] == "dense":
+            yield rec
+        else:
+            yield from (r for r in rec["experts"] + [rec["universal"]] if r is not None)
+
+
+class TestOneDispatch:
+    """``_moe_forward`` against the per-expert loop it replaced."""
+
+    @settings(max_examples=24, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        kind=st.sampled_from(["dense", "sparse", "lowrank", "quantized"]),
+        dtype=st.sampled_from(["float64", "float32"]),
+        rows=st.one_of(st.integers(1, 9), st.just(300)),
+    )
+    @example(seed=1, kind="dense", dtype="float64", rows=1)
+    @example(seed=2, kind="sparse", dtype="float32", rows=1)
+    @example(seed=3, kind="lowrank", dtype="float64", rows=9)
+    @example(seed=4, kind="quantized", dtype="float32", rows=5)
+    @example(seed=5, kind="dense", dtype="float32", rows=300)
+    @example(seed=6, kind="sparse", dtype="float64", rows=300)
+    @example(seed=7, kind="lowrank", dtype="float32", rows=300)
+    @example(seed=8, kind="quantized", dtype="float64", rows=300)
+    def test_matches_the_per_expert_loop(self, seed, kind, dtype, rows):
+        """The batch forward equals the oracle and the stacked single-row
+        forwards byte for byte, the taped forward predicts the same, each
+        layer synthesizes each routed expert (and member N+1) once, and no
+        recorded ``h`` is overwritten by its activation."""
+        model = mixed_model_of_kind(seed, kind, dtype)
+        layers = [b for b in model.blocks if isinstance(b, MoELayer)]
+        x = 2.0 * np.random.default_rng(seed).standard_normal((rows, model.in_width))
+        expected = oracle_model_forward(copy_model(model), x)
+        before = [layer.synthesis_count for layer in layers]
+        pred = model_forward(model, x)
+        counts = [layer.synthesis_count - b for layer, b in zip(layers, before)]
+        assert pred.dtype == np.dtype(dtype)
+        assert pred.tobytes() == expected.tobytes()
+        stacked = np.concatenate([model_forward(model, x[i : i + 1]) for i in range(rows)])
+        assert stacked.tobytes() == pred.tobytes()
+
+        taped, tape = forward_tape(model, x)
+        assert taped.tobytes() == pred.tobytes()
+        moe_tapes = [rec for rec in tape["blocks"] if rec["kind"] == "moe"]
+        for layer, rec, count in zip(layers, moe_tapes, counts):
+            routed = (rec["scores"] != 0.0).any(axis=0)
+            assert count == int(routed.sum()) + layer.extended
+            for i, expert in enumerate(rec["experts"]):
+                assert (expert is None) == (not routed[i])
+                if expert is not None:
+                    assert np.array_equal(expert["rows"], np.flatnonzero(rec["scores"][:, i]))
+        for rec in ffn_records(tape):
+            assert rec["a"] is not rec["h"]
+            assert rec["h"].tobytes() == numkern.matmul(rec["x"], rec["w_in"]).tobytes()
 
 
 class TestRegistryAndCopy:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import rng_mat, triple_loop_matmul
+from conftest import argsort_topk_mask, rng_mat, triple_loop_matmul
 from ders import numkern
 from ders.errors import DimensionError, NumericError, ParameterError
 
@@ -21,6 +21,7 @@ _CASE_DEFAULTS = {
     "neg_zero_row": False,
     "transpose_a": False,
     "transpose_b": False,
+    "strided_a": False,
 }
 
 
@@ -40,13 +41,15 @@ _MATMUL_CASES = st.builds(
     neg_zero_row=st.booleans(),
     transpose_a=st.booleans(),
     transpose_b=st.booleans(),
+    strided_a=st.booleans(),
 )
 
 
 def _operands(case):
     """Random operands with injected +0.0/-0.0 entries, optionally a first
-    row of ``a`` whose products with column 0 of ``b`` are all -0.0, and
-    optionally as transposed views of Fortran-ordered copies."""
+    row of ``a`` whose products with column 0 of ``b`` are all -0.0,
+    optionally as transposed views of Fortran-ordered copies, and ``a``
+    optionally as every other column of a wider array."""
     g = np.random.default_rng(case["seed"])
     a = g.standard_normal((case["n"], case["inner"])).astype(case["dtype"])
     b = g.standard_normal((case["inner"], case["m"])).astype(case["dtype"])
@@ -60,6 +63,8 @@ def _operands(case):
         a = np.ascontiguousarray(a.T).T
     if case["transpose_b"]:
         b = np.ascontiguousarray(b.T).T
+    if case["strided_a"]:
+        a = np.repeat(a, 2, axis=1)[:, ::2]
     return a, b
 
 
@@ -129,10 +134,23 @@ class TestMatmul:
     @example(case=_case(2048, 32, 4, dtype="float32", transpose_a=True))
     @example(case=_case(64, 16, 32, transpose_a=True, transpose_b=True, neg_zero_row=True))
     @example(case=_case(64, 16, 32, dtype="float32"))
+    # The edges of the direct form's rule: one column (transposed) at n ≥ 2,
+    # one row, 32 and 33 rows at 32 and 33 columns, and an F-ordered,
+    # strided or float32 ``a`` and an F-ordered ``b`` in the direct form.
+    @example(case=_case(2, 40, 1, transpose_a=True))
+    @example(case=_case(5, 64, 1, dtype="float32", strided_a=True))
+    @example(case=_case(1, 128, 32, strided_a=True, neg_zero_row=True))
+    @example(case=_case(32, 64, 32, transpose_a=True))
+    @example(case=_case(33, 64, 32, dtype="float32", strided_a=True))
+    @example(case=_case(33, 64, 33, transpose_a=True, transpose_b=True))
+    @example(case=_case(4, 128, 32, strided_a=True, zeros=0.3))
+    @example(case=_case(8, 64, 32, dtype="float32", transpose_a=True, transpose_b=True))
+    @example(case=_case(512, 32, 128, dtype="float32", strided_a=True))
+    @example(case=_case(2, 70, 2, transpose_b=True, neg_zero_row=True))
     def test_bytes_match_triple_loop_oracle(self, einsum, case):
-        """Either evaluation, either orientation, any layout, float32 or
-        float64, signed zeros: the bytes of the naive triple loop in a
-        C-contiguous array, and batch == stacked rows."""
+        """Either evaluation, every form, any layout, float32 or float64,
+        signed zeros: the bytes of the naive triple loop in a C-contiguous
+        array, and batch == stacked rows."""
         a, b = _operands(case)
         with pytest.MonkeyPatch.context() as mp:
             if not einsum:
@@ -161,9 +179,30 @@ class TestMatmul:
         assert calls
 
     def test_probe_repeats_and_accepts_the_k_loop(self):
-        """The import-time decision is reproducible, and the reference passes."""
+        """The import-time decision is reproducible, and the reference passes
+        in place of both forms."""
         assert numkern._einsum_is_k_ordered() is numkern._EINSUM_K_ORDERED
-        assert numkern._einsum_is_k_ordered(numkern._k_loop)
+        assert numkern._einsum_is_k_ordered(numkern._k_loop, numkern._k_loop)
+
+    @pytest.mark.parametrize(
+        "wrong_for",
+        [
+            lambda a: True,
+            lambda a: a.flags.f_contiguous and not a.flags.c_contiguous,
+            lambda a: not (a.flags.c_contiguous or a.flags.f_contiguous),
+            lambda a: a.dtype == np.float32,
+        ],
+        ids=["every_a", "f_ordered_a", "strided_a", "float32"],
+    )
+    def test_probe_checks_the_direct_form(self, wrong_for):
+        """A direct form wrong for one kind of ``a`` only fails the probe,
+        with the transposed form right."""
+
+        def direct(a, b):
+            out = numkern._k_loop(a, b)
+            return np.nextafter(out, np.inf) if wrong_for(a) else out
+
+        assert not numkern._einsum_is_k_ordered(numkern._k_loop, direct)
 
     def test_probe_checks_the_transposed_orientation(self):
         """A product right in ``a·b`` but wrong in ``(bᵀ·aᵀ)ᵀ`` fails the probe."""
@@ -266,6 +305,53 @@ class TestTopkMask:
         batched = numkern.topk_mask(m, 2)
         for i in range(m.shape[0]):
             assert np.array_equal(batched[i], numkern.topk_mask(m[i], 2))
+
+    @pytest.mark.parametrize(
+        "row, k, kept",
+        [([-np.inf, -np.inf], 2, [-np.inf, -np.inf]), ([np.nan, 1.0, 2.0], 2, [0.0, 1.0, 2.0])],
+        ids=["all_minus_inf", "nan_ranks_last"],
+    )
+    def test_where_argmax_passes_go_wrong(self, row, k, kept):
+        """Two rows on which marking each pick with −inf, or taking NaN as
+        the maximum as argmax does, would keep the wrong entries."""
+        assert numkern.topk_mask(np.array(row), k).tobytes() == np.array(kept).tobytes()
+
+    def test_non_float_rejected(self):
+        with pytest.raises(ParameterError, match="floats"):
+            numkern.topk_mask(np.array([3, 1, 2]), 1)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(1, 2048),
+        n=st.integers(1, 9),
+        k_frac=st.floats(0.0, 1.0),
+        dtype=st.sampled_from(["float64", "float32", "float16"]),
+        special=st.sampled_from([0.0, 0.2, 0.6, 1.0]),
+    )
+    @example(seed=0, rows=1, n=2, k_frac=1.0, dtype="float64", special=1.0)
+    @example(seed=1, rows=2048, n=8, k_frac=0.2, dtype="float64", special=0.0)
+    @example(seed=2, rows=2048, n=8, k_frac=0.2, dtype="float32", special=0.6)
+    def test_matches_the_stable_argsort(self, seed, rows, n, k_frac, dtype, special):
+        """Every k from 1 to N over rows of ties, ±0.0, ±inf and NaN (a share
+        ``special`` of the entries; the rest are softmax-like draws), C- or
+        F-ordered: the bytes of the stable argsort's selection, and batch ==
+        stacked rows."""
+        g = np.random.default_rng(seed)
+        specials = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 0.25, 0.25, 1.0])
+        arr = np.where(
+            g.random((rows, n)) < special,
+            g.choice(specials, (rows, n)),
+            g.choice([0.125, 0.5, 1.0 / 3.0], (rows, n)) if seed % 2 else g.random((rows, n)),
+        ).astype(dtype)
+        if seed % 3 == 0:
+            arr = np.asfortranarray(arr)
+        k = 1 + min(n - 1, int(k_frac * n))
+        out = numkern.topk_mask(arr, k)
+        assert out.dtype == arr.dtype
+        assert out.tobytes() == argsort_topk_mask(arr, k).tobytes()
+        stacked = [numkern.topk_mask(arr[i], k) for i in range(min(rows, 9))]
+        assert np.stack(stacked).tobytes() == out[:9].tobytes()
 
 
 class TestBernoulliMask:

@@ -1,5 +1,6 @@
 """Time ``numkern.matmul`` on every product shape of the two benchmark
-workloads, in both orientations, and the activations on three shapes; print JSON.
+workloads, in each form, the activations on three shapes, and the serving
+forward's layers; print JSON.
 
     python3 tools/kernel_bench.py [--repeat N] [--seed S]
 
@@ -23,19 +24,25 @@ for a transposed view):
   each, and serves 240 requests of 1–8 rows round-robin over the sparse,
   4-bit and low-rank models.
 
-Then every recorded key is timed in both orientations: ``ab``, einsum over
-``(aᵀ, b)`` as ``matmul`` computes wide outputs, and ``ba``, the C-contiguous
-transpose of the product over ``(b, aᵀ)`` as it computes narrow ones; and
-through ``matmul`` itself. An orientation whose einsum output would have one
-column is not timed (it would not give the triple loop's bytes), and 1×1
-outputs take the k-loop. Times are medians over ``--repeat`` interleaved
-calls, in microseconds.
+Then every recorded key is timed in each form: ``ab``, einsum over ``(aᵀ,
+b)``, which ``matmul`` no longer uses; ``direct``, einsum over ``(a, b)`` as
+``matmul`` computes most outputs; ``ba``, the C-contiguous transpose of the
+product over ``(b, aᵀ)`` as it computes tall-narrow and one-column ones; and
+through ``matmul`` itself. A form whose einsum output would have one column
+is not timed (it would not give the triple loop's bytes), and 1×1 outputs
+take the k-loop. Times are medians over ``--repeat`` interleaved calls, in
+microseconds.
 
 ``rules`` sums calls × time per workload and phase for each rule "compute
-the product as ``ba`` when m ≤ T and n > m" (T = 0 is ``ab`` wherever it is
-exact), for the best orientation of each shape, and for ``matmul`` as it
-stands. ``act_forward`` and ``act_grad`` time each activation and its
-derivative at 16×64, 32×64 and 512×128 float64.
+the product as ``ba`` when m ≤ T < n or m = 1, else ``direct``" (``matmul``
+uses T = 32), for the best of ``ab`` and ``ba``, for the best of all three
+forms, and for ``matmul`` as it stands. ``act_forward`` and ``act_grad`` time
+each activation and its derivative at 16×64, 32×64 and 512×128 float64.
+
+``forward`` times the serving path on the three served models of
+``compress_serve`` (``sparse``, ``4-bit``, ``lowrank``): ``synthesize`` of
+expert 0's two matrices, and ``route`` (the first MoE layer, on its input)
+and ``model_forward`` at 1, 4, 8 and 2,048 rows.
 """
 
 from __future__ import annotations
@@ -55,11 +62,13 @@ import numpy as np  # noqa: E402
 
 from ders import moe, numkern, train  # noqa: E402
 from ders.compress import CompressionSpec, ders_compress  # noqa: E402
+from ders.deltas import synthesize  # noqa: E402
 from ders.moe import build_dense_model  # noqa: E402
 from ders.upcycle import UpcycleConfig, upcycle  # noqa: E402
 
 THRESHOLDS = (0, 1, 2, 4, 8, 16, 32, 64, 128)
 ACT_SHAPES = ((16, 64), (32, 64), (512, 128))
+FORWARD_ROWS = (1, 4, 8, 2048)
 
 
 def _layout(x: np.ndarray) -> str:
@@ -98,7 +107,8 @@ def _pretrained(task, d_h: int, steps: int, seed: int):
     return train.train_loop(dense, task, train.TrainConfig(steps=steps, lr=0.01, seed=seed)).model
 
 
-def upcycle_train(census: Census, seed: int) -> None:
+def upcycle_train(census: Census, seed: int) -> dict:
+    """Replay the workload; it serves no model, so return an empty dict."""
     task = _task(seed, 4, 256)
     census.phase = "setup"
     dense = _pretrained(task, 64, 150, seed)
@@ -106,9 +116,11 @@ def upcycle_train(census: Census, seed: int) -> None:
     for method in ("vanilla", "ders_sm", "ders_lm"):
         cfg = UpcycleConfig(n_experts=4, topk_count=2, method=method, sparse_rate=0.75, rank=4, seed=seed)
         train.train_loop(upcycle(dense, cfg), task, train.TrainConfig(steps=60, lr=0.003, seed=seed))
+    return {}
 
 
-def compress_serve(census: Census, seed: int) -> None:
+def compress_serve(census: Census, seed: int) -> dict:
+    """Replay the workload; return its served models by name."""
     task = _task(seed, 8, 2048)
     train_cfg = train.TrainConfig(steps=10, lr=0.003, seed=seed)
     census.phase = "setup"
@@ -134,6 +146,7 @@ def compress_serve(census: Census, seed: int) -> None:
         train.evaluate(ders_compress(trained, spec), task)
     for i, x in enumerate(requests):
         moe.model_forward(served[i % len(served)], x)
+    return dict(zip(("sparse", "4-bit", "lowrank"), served))
 
 
 WORKLOADS = {"upcycle_train": upcycle_train, "compress_serve": compress_serve}
@@ -146,7 +159,7 @@ def _operand(rng, rows: int, cols: int, layout: str) -> np.ndarray:
 
 
 def _orientations(a: np.ndarray, b: np.ndarray) -> dict:
-    """The timed callables of one product: each exact orientation, and matmul."""
+    """The timed callables of one product: each exact form, and matmul."""
     n, m = a.shape[0], b.shape[1]
     calls = {}
     if n == m == 1:
@@ -154,6 +167,7 @@ def _orientations(a: np.ndarray, b: np.ndarray) -> dict:
     else:
         if m >= 2:
             calls["ab"] = lambda: numkern._einsum(a, b)
+            calls["direct"] = lambda: numkern._einsum_direct(a, b)
         if n >= 2:
             calls["ba"] = lambda: np.ascontiguousarray(numkern._einsum(b.T, a.T).T)
     calls["matmul"] = lambda: numkern.matmul(a, b)
@@ -173,20 +187,49 @@ def _median_us(fns: dict, repeat: int) -> dict:
 
 
 def _rule_us(row: dict, threshold: int) -> float:
-    """One call's time under "``ba`` when m ≤ threshold and n > m, else ``ab``
-    where it is exact"."""
+    """One call's time under "``ba`` when m ≤ threshold < n or m = 1, else
+    ``direct``"."""
     if "k_loop" in row:
         return row["k_loop"]
     n, m = row["n"], row["m"]
-    use_ba = "ab" not in row or (m <= threshold and n > m)
-    return row["ba"] if use_ba else row["ab"]
+    use_ba = "direct" not in row or m <= threshold < n
+    return row["ba"] if use_ba else row["direct"]
+
+
+def _best_us(row: dict, forms: tuple) -> float:
+    return min(row.get(form, np.inf) for form in forms + ("k_loop",))
+
+
+def forward(served: dict, repeat: int, seed: int) -> dict:
+    """Per served model: its delta kind, ``synthesize`` of expert 0's
+    ``w_in`` and ``w_out``, and ``route`` and ``model_forward`` per row count."""
+    rng = np.random.default_rng(seed)
+    out = {}
+    for name, model in served.items():
+        layer = next(b for b in model.blocks if isinstance(b, moe.MoELayer))
+        x = {rows: 2.0 * rng.standard_normal((rows, model.in_width)) for rows in FORWARD_ROWS}
+        h = {rows: numkern.matmul(x[rows], model.embed) for rows in FORWARD_ROWS}
+        groups = {"w_in": layer.group_in, "w_out": layer.group_out}
+        out[name] = {
+            "kind": layer.group_in.deltas[0].kind,
+            "synthesize_us": _median_us(
+                {tag: (lambda g=g: synthesize(g.base, g.deltas[0])) for tag, g in groups.items()}, repeat
+            ),
+            "route_us": _median_us(
+                {str(r): (lambda r=r: moe.route(layer.router, h[r])) for r in FORWARD_ROWS}, repeat
+            ),
+            "model_forward_us": _median_us(
+                {str(r): (lambda r=r: moe.model_forward(model, x[r])) for r in FORWARD_ROWS}, repeat
+            ),
+        }
+    return out
 
 
 def bench(repeat: int, seed: int) -> dict:
-    census = {}
+    census, served = {}, {}
     for name, replay in WORKLOADS.items():
         with Census() as c:
-            replay(c, seed)
+            served.update(replay(c, seed))
         census[name] = c.calls
     keys = sorted({key[1:] for calls in census.values() for key in calls})
     rng = np.random.default_rng(seed)
@@ -208,9 +251,8 @@ def bench(repeat: int, seed: int) -> dict:
             col = f"{name}.{phase}.calls"
             rows = [r for r in table if col in r]
             totals = {f"ba_if_m_le_{t}_us": sum(r[col] * _rule_us(r, t) for r in rows) for t in THRESHOLDS}
-            totals["best_orientation_us"] = sum(
-                r[col] * min(r.get(o, np.inf) for o in ("ab", "ba", "k_loop")) for r in rows
-            )
+            totals["best_orientation_us"] = sum(r[col] * _best_us(r, ("ab", "ba")) for r in rows)
+            totals["best_of_three_us"] = sum(r[col] * _best_us(r, ("ab", "ba", "direct")) for r in rows)
             totals["matmul_us"] = sum(r[col] * r["matmul"] for r in rows)
             totals["calls"] = sum(r[col] for r in rows)
             rules[f"{name}.{phase}"] = {key: round(v, 1) for key, v in totals.items()}
@@ -225,8 +267,13 @@ def bench(repeat: int, seed: int) -> dict:
         "repeat": repeat,
         "seed": seed,
         "einsum_k_ordered": numkern._EINSUM_K_ORDERED,
+        "einsum_form_k_ordered": {
+            "direct": numkern._einsum_is_k_ordered(numkern._k_loop),
+            "transposed": numkern._einsum_is_k_ordered(direct=numkern._k_loop),
+        },
         "rules": rules,
         **act,
+        "forward": forward(served, repeat, seed),
         "matmul_us": table,
     }
 
