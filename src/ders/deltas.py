@@ -505,18 +505,14 @@ def init_lowrank_trainable(
     rank: int,
     rng: numkern.RngStream,
     dtype,
-    init_scale: float | None = None,
 ) -> LowRankDelta:
-    """Trainable low-rank delta: A random-uniform, B zero (so A·B starts at 0),
-    both in ``dtype``, the refined weight's.
-
-    ``init_scale`` defaults to 1/sqrt(rows), keeping early-training gradient
-    magnitudes comparable across ranks.
+    """Trainable low-rank delta: A uniform on ±1/sqrt(rows), B zero (so A·B
+    starts at 0), both in ``dtype``, the refined weight's. The bound keeps
+    early-training gradient magnitudes comparable across ranks.
     """
     if not 1 <= rank <= min(rows, cols):
         raise ParameterError(f"rank={rank} out of range [1, {min(rows, cols)}]")
-    if init_scale is None:
-        init_scale = 1.0 / float(np.sqrt(rows))
-    a = rng.generator.uniform(-init_scale, init_scale, size=(rows, rank)).astype(dtype)
+    scale = 1.0 / float(np.sqrt(rows))
+    a = rng.generator.uniform(-scale, scale, size=(rows, rank)).astype(dtype)
     b = np.zeros((rank, cols), dtype=dtype)
     return LowRankDelta(a, b)

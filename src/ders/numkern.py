@@ -8,14 +8,15 @@ are bit-reproducible:
 
 * ``matmul`` accumulates over the inner dimension in increasing index order,
   starting from +0.0, which is exactly the naive triple-loop order per output
-  element. ``np.einsum`` adds the products in that order, checked by an
-  import-time probe in each form ``matmul`` uses. Most outputs are the direct
-  ``einsum("ik,kj->ij")`` over ``a`` as given; a tall output of at most 32
-  columns, or of one column, is computed transposed, ``(bᵀ·aᵀ)ᵀ``, which
-  sums the same products (x·y == y·x exactly) in the same order. 1×1
-  outputs, and all outputs where the probe fails, take a Python loop of
-  rank-1 updates. BLAS is deliberately not used (its blocked summation is
-  not bit-stable across shapes).
+  element. One einsum form, ``einsum("ik,kj->ij")`` over its first operand
+  as given, adds the products in that order, checked by an import-time probe
+  in both orientations ``matmul`` uses it in: ``a·b`` for most outputs, and
+  ``(bᵀ·aᵀ)ᵀ`` for a tall output of at most 32 columns or of one column,
+  which sums the same products (x·y == y·x exactly) in the same order. 1×1
+  outputs, and all outputs where the probe fails (an einsum that fuses the
+  multiply-add, as FMA builds may), take a Python loop of rank-1 updates.
+  BLAS is deliberately not used (its blocked summation is not bit-stable
+  across shapes).
 * ``matmul`` does not check finiteness. Values are checked where they enter
   and leave a stage: the input batch and the prediction of a forward pass, the
   loss and each gradient, and every float of a loaded checkpoint. ``softmax``
@@ -98,27 +99,21 @@ def _k_loop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _einsum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``einsum("ki,kj->ij")`` of C-ordered operands of one dtype (k outermost at ≥ 2 columns)."""
-    dtype = np.result_type(a, b)
-    a_t, b = np.ascontiguousarray(a.T, dtype=dtype), np.ascontiguousarray(b, dtype=dtype)
-    return np.einsum("ki,kj->ij", a_t, b, optimize=False)
-
-
-def _einsum_direct(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``einsum("ik,kj->ij")`` of ``a`` in any layout and a C-ordered ``b`` of
-    one dtype: no copy of ``a``, rows outermost, and k-ordered at ≥ 2 columns,
-    where b's contiguous rows make the columns the inner loop."""
+    one dtype: no copy of ``a``, and k-ordered at ≥ 2 columns, where b's
+    contiguous rows make the columns the inner loop."""
     dtype = np.result_type(a, b)
     a, b = a.astype(dtype, copy=False), np.ascontiguousarray(b, dtype=dtype)
     return np.einsum("ik,kj->ij", a, b, optimize=False)
 
 
-def _einsum_is_k_ordered(product=_einsum, direct=_einsum_direct) -> bool:
-    """Whether the forms :func:`matmul` uses give the k-loop's bytes, in
-    float64 and float32: ``direct(a, b)`` on a C-ordered, F-ordered and
-    strided ``a`` where the output has two or more columns, and ``(bᵀ·aᵀ)ᵀ``
-    through ``product`` where it has two or more rows. The witnesses are a
-    multiply-add (0 unfused, 2⁻⁶⁰ fused), −0.0 products and wide exponents."""
+def _einsum_is_k_ordered(form=_einsum) -> bool:
+    """Whether ``form`` gives the k-loop's bytes in both orientations
+    :func:`matmul` uses, in float64 and float32: ``form(a, b)`` on a
+    C-ordered, F-ordered and strided ``a`` where the output has two or more
+    columns, and ``form(bᵀ, aᵀ)ᵀ`` where it has two or more rows. The
+    witnesses are a multiply-add (0 unfused, 2⁻⁶⁰ fused), −0.0 products and
+    wide exponents."""
     e, g = 1.0 + 2.0**-30, np.random.default_rng(20251)
     cases = [([[1.0, e]] * rows, [[-(1.0 + 2.0**-29), 0.0], [e, 1.0]]) for rows in (1, 2)]
     cases += [([[-0.0, 1.0]] * rows, [[1.0, 2.0], [-0.0, -0.0]]) for rows in (1, 2)]
@@ -134,9 +129,9 @@ def _einsum_is_k_ordered(product=_einsum, direct=_einsum_direct) -> bool:
     for a, b in cast:
         expected = _k_loop(a, b).tobytes()
         layouts = (a, np.asfortranarray(a), np.repeat(a, 2, axis=1)[:, ::2])
-        if b.shape[1] >= 2 and any(direct(x, b).tobytes() != expected for x in layouts):
+        if b.shape[1] >= 2 and any(form(x, b).tobytes() != expected for x in layouts):
             return False
-        if a.shape[0] >= 2 and product(b.T, a.T).T.tobytes() != expected:
+        if a.shape[0] >= 2 and form(b.T, a.T).T.tobytes() != expected:
             return False
     return True
 
@@ -145,8 +140,8 @@ _EINSUM_K_ORDERED = _einsum_is_k_ordered()  # False where einsum fuses (FMA buil
 
 # A tall output (more than 32 rows) at most this narrow is computed
 # transposed: einsum's inner loop then runs along its many rows instead of
-# its few columns. tools/kernel_bench.py times every form on the benchmark's
-# shapes: the direct form wins everywhere else.
+# its few columns. tools/kernel_bench.py times both orientations on the
+# benchmark's shapes: ``a·b`` wins everywhere else.
 _NARROW_COLUMNS = 32
 
 
@@ -154,13 +149,13 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product with a deterministic summation order, C-contiguous.
 
     Every output element is ``((0.0 + a[i,0]·b[0,j]) + a[i,1]·b[1,j]) + …``,
-    in increasing k, exactly the naive triple loop. Three forms give those
-    bytes, chosen by the output's n rows and m columns:
+    in increasing k, exactly the naive triple loop. One einsum form,
+    ``einsum("ik,kj->ij")`` over its first operand as given (C, F or
+    strided; only the second is made C-contiguous), gives those bytes at two
+    or more output columns, where its inner loop runs along the second
+    operand's rows. The output's n rows and m columns pick how it is used:
 
-    * the direct ``einsum("ik,kj->ij")`` over ``a`` as given (C, F or
-      strided; only ``b`` is made C-contiguous), for every output with
-      m ≥ 2 that is not tall-narrow. Its inner loop runs along b's rows, so
-      it is k-ordered only at two or more columns;
+    * ``a·b`` for every output with m ≥ 2 that is not tall-narrow;
     * ``(bᵀ·aᵀ)ᵀ`` for tall-narrow outputs (m ≤ 32 < n) and one-column
       outputs of n ≥ 2 rows: the same k-ordered sums with the operands
       swapped (x·y == y·x exactly), faster when the columns are few;
@@ -180,7 +175,7 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return _k_loop(a, b)
     if m == 1 or m <= _NARROW_COLUMNS < n:
         return np.ascontiguousarray(_einsum(b.T, a.T).T)
-    return _einsum_direct(a, b)
+    return _einsum(a, b)
 
 
 def softmax(v: np.ndarray) -> np.ndarray:
@@ -204,28 +199,15 @@ def softmax(v: np.ndarray) -> np.ndarray:
     return out[0] if squeeze else out
 
 
-def _order_keys(arr: np.ndarray) -> np.ndarray:
-    """Integers ordered as the floats of ``arr``, with ±0.0 equal and NaN
-    below −inf, all above the integer dtype's minimum."""
-    itype = np.dtype(f"i{arr.itemsize}")
-    bits = np.add(arr, 0.0, order="C").view(itype)  # −0.0 + 0.0 is +0.0
-    keys = bits >> (8 * arr.itemsize - 1)  # −1 where the sign bit is set
-    keys &= np.iinfo(itype).max
-    keys ^= bits  # a negative float's magnitude bits flipped
-    keys[np.isnan(arr)] = np.iinfo(itype).min + 1
-    return keys
-
-
 def topk_mask(v: np.ndarray, topk_count: int) -> np.ndarray:
     """Zero all but the ``topk_count`` largest entries per row of floats.
 
     Survivors keep their original values (no renormalization: the routing
     convention applies softmax first and masks after). The survivors are the
     first ``topk_count`` of a stable descending sort: ties go to the lowest
-    index, −0.0 ties +0.0, and NaN ranks below −inf. They are found by
-    ``topk_count`` argmax passes, each marking its pick with a value below
-    every other entry: −inf where the input holds no NaN or −inf, else the
-    minimum of integer keys ordered as the floats.
+    index and −0.0 ties +0.0. They are found by ``topk_count`` argmax
+    passes, each marking its pick with −inf, below every other entry. Input
+    holding NaN or −inf, which softmax never emits, is refused.
     """
     arr = np.asarray(v)
     squeeze = arr.ndim == 1
@@ -238,11 +220,9 @@ def topk_mask(v: np.ndarray, topk_count: int) -> np.ndarray:
     n = arr.shape[1]
     if not 1 <= topk_count <= n:
         raise ParameterError(f"topk_count={topk_count} out of range [1, {n}]")
-    if arr.min(initial=np.inf) > -np.inf:
-        work, mark = arr.copy(), -np.inf
-    else:
-        work = _order_keys(arr)
-        mark = np.iinfo(work.dtype).min
+    if not arr.min(initial=np.inf) > -np.inf:
+        raise NumericError("topk_mask input holds NaN or −inf")
+    work = arr.copy()
     out = np.zeros(arr.shape, dtype=arr.dtype)
     flat_work, flat_out, flat_arr = work.reshape(-1), out.reshape(-1), arr.reshape(-1)
     row_starts = np.arange(0, arr.size, n)
@@ -250,7 +230,7 @@ def topk_mask(v: np.ndarray, topk_count: int) -> np.ndarray:
         picks = work.argmax(axis=1)
         picks += row_starts
         flat_out[picks] = flat_arr[picks]
-        flat_work[picks] = mark
+        flat_work[picks] = -np.inf
     return out[0] if squeeze else out
 
 

@@ -22,6 +22,7 @@ _CASE_DEFAULTS = {
     "transpose_a": False,
     "transpose_b": False,
     "strided_a": False,
+    "strided_b": False,
 }
 
 
@@ -42,14 +43,16 @@ _MATMUL_CASES = st.builds(
     transpose_a=st.booleans(),
     transpose_b=st.booleans(),
     strided_a=st.booleans(),
+    strided_b=st.booleans(),
 )
 
 
 def _operands(case):
     """Random operands with injected +0.0/-0.0 entries, optionally a first
     row of ``a`` whose products with column 0 of ``b`` are all -0.0,
-    optionally as transposed views of Fortran-ordered copies, and ``a``
-    optionally as every other column of a wider array."""
+    optionally as transposed views of Fortran-ordered copies, ``a``
+    optionally as every other column of a wider array, and ``b`` as every
+    other row of a taller one."""
     g = np.random.default_rng(case["seed"])
     a = g.standard_normal((case["n"], case["inner"])).astype(case["dtype"])
     b = g.standard_normal((case["inner"], case["m"])).astype(case["dtype"])
@@ -65,6 +68,8 @@ def _operands(case):
         b = np.ascontiguousarray(b.T).T
     if case["strided_a"]:
         a = np.repeat(a, 2, axis=1)[:, ::2]
+    if case["strided_b"]:
+        b = np.repeat(b, 2, axis=0)[::2]
     return a, b
 
 
@@ -134,9 +139,16 @@ class TestMatmul:
     @example(case=_case(2048, 32, 4, dtype="float32", transpose_a=True))
     @example(case=_case(64, 16, 32, transpose_a=True, transpose_b=True, neg_zero_row=True))
     @example(case=_case(64, 16, 32, dtype="float32"))
-    # The edges of the direct form's rule: one column (transposed) at n ≥ 2,
-    # one row, 32 and 33 rows at 32 and 33 columns, and an F-ordered,
-    # strided or float32 ``a`` and an F-ordered ``b`` in the direct form.
+    # A tall-narrow product of the census whose ``b`` is a transposed view
+    # (``LowRankDelta.weight_grads``' d_w·Bᵀ) or strided: einsum's first
+    # operand ``bᵀ`` is then C-ordered or strided, taken as given.
+    @example(case=_case(64, 32, 4, transpose_b=True))
+    @example(case=_case(64, 32, 4, dtype="float32", transpose_b=True))
+    @example(case=_case(64, 32, 4, strided_b=True))
+    @example(case=_case(64, 32, 4, dtype="float32", strided_b=True, neg_zero_row=True))
+    # The edges of the ``a·b`` orientation's rule: one column (transposed) at
+    # n ≥ 2, one row, 32 and 33 rows at 32 and 33 columns, and an F-ordered,
+    # strided or float32 ``a`` and an F-ordered ``b`` taken as ``a·b``.
     @example(case=_case(2, 40, 1, transpose_a=True))
     @example(case=_case(5, 64, 1, dtype="float32", strided_a=True))
     @example(case=_case(1, 128, 32, strided_a=True, neg_zero_row=True))
@@ -180,9 +192,9 @@ class TestMatmul:
 
     def test_probe_repeats_and_accepts_the_k_loop(self):
         """The import-time decision is reproducible, and the reference passes
-        in place of both forms."""
+        in place of the einsum form."""
         assert numkern._einsum_is_k_ordered() is numkern._EINSUM_K_ORDERED
-        assert numkern._einsum_is_k_ordered(numkern._k_loop, numkern._k_loop)
+        assert numkern._einsum_is_k_ordered(numkern._k_loop)
 
     @pytest.mark.parametrize(
         "wrong_for",
@@ -195,14 +207,13 @@ class TestMatmul:
         ids=["every_a", "f_ordered_a", "strided_a", "float32"],
     )
     def test_probe_checks_the_direct_form(self, wrong_for):
-        """A direct form wrong for one kind of ``a`` only fails the probe,
-        with the transposed form right."""
+        """A form wrong for one kind of first operand only fails the probe."""
 
-        def direct(a, b):
+        def form(a, b):
             out = numkern._k_loop(a, b)
             return np.nextafter(out, np.inf) if wrong_for(a) else out
 
-        assert not numkern._einsum_is_k_ordered(numkern._k_loop, direct)
+        assert not numkern._einsum_is_k_ordered(form)
 
     def test_probe_checks_the_transposed_orientation(self):
         """A product right in ``a·b`` but wrong in ``(bᵀ·aᵀ)ᵀ`` fails the probe."""
@@ -214,6 +225,16 @@ class TestMatmul:
             return out
 
         assert not numkern._einsum_is_k_ordered(wrong_when_transposed)
+
+    def test_probe_checks_the_transposed_call(self):
+        """A form wrong only when its second operand is a view, as ``aᵀ`` is
+        in ``(bᵀ·aᵀ)ᵀ`` and ``b`` never is in ``a·b``, fails the probe."""
+
+        def wrong_for_a_view_b(a, b):
+            out = numkern._k_loop(a, b)
+            return out if b.flags.c_contiguous else np.nextafter(out, np.inf)
+
+        assert not numkern._einsum_is_k_ordered(wrong_for_a_view_b)
 
     def test_probe_rejects_blas(self):
         assert not numkern._einsum_is_k_ordered(lambda a, b: a @ b)
@@ -306,15 +327,15 @@ class TestTopkMask:
         for i in range(m.shape[0]):
             assert np.array_equal(batched[i], numkern.topk_mask(m[i], 2))
 
-    @pytest.mark.parametrize(
-        "row, k, kept",
-        [([-np.inf, -np.inf], 2, [-np.inf, -np.inf]), ([np.nan, 1.0, 2.0], 2, [0.0, 1.0, 2.0])],
-        ids=["all_minus_inf", "nan_ranks_last"],
-    )
-    def test_where_argmax_passes_go_wrong(self, row, k, kept):
-        """Two rows on which marking each pick with −inf, or taking NaN as
-        the maximum as argmax does, would keep the wrong entries."""
-        assert numkern.topk_mask(np.array(row), k).tobytes() == np.array(kept).tobytes()
+    @pytest.mark.parametrize("special", [np.nan, -np.nan, -np.inf], ids=["nan", "minus_nan", "minus_inf"])
+    @pytest.mark.parametrize("shape", [(3,), (2, 3)], ids=["1d", "2d"])
+    def test_nan_and_minus_inf_refused(self, special, shape):
+        """Softmax never emits NaN or −inf, and a −inf mark could not rank
+        below them, so top-k refuses them instead of picking wrongly."""
+        arr = np.full(shape, 0.25)
+        arr.reshape(-1)[-1] = special
+        with pytest.raises(NumericError, match="topk_mask"):
+            numkern.topk_mask(arr, 1)
 
     def test_non_float_rejected(self):
         with pytest.raises(ParameterError, match="floats"):
@@ -333,12 +354,12 @@ class TestTopkMask:
     @example(seed=1, rows=2048, n=8, k_frac=0.2, dtype="float64", special=0.0)
     @example(seed=2, rows=2048, n=8, k_frac=0.2, dtype="float32", special=0.6)
     def test_matches_the_stable_argsort(self, seed, rows, n, k_frac, dtype, special):
-        """Every k from 1 to N over rows of ties, ±0.0, ±inf and NaN (a share
+        """Every k from 1 to N over rows of ties, ±0.0 and +inf (a share
         ``special`` of the entries; the rest are softmax-like draws), C- or
         F-ordered: the bytes of the stable argsort's selection, and batch ==
         stacked rows."""
         g = np.random.default_rng(seed)
-        specials = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 0.25, 0.25, 1.0])
+        specials = np.array([np.inf, 0.0, -0.0, 0.25, 0.25, 1.0])
         arr = np.where(
             g.random((rows, n)) < special,
             g.choice(specials, (rows, n)),

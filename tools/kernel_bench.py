@@ -1,6 +1,6 @@
 """Time ``numkern.matmul`` on every product shape of the two benchmark
-workloads, in each form, the activations on three shapes, and the serving
-forward's layers; print JSON.
+workloads, in each orientation, the activations on three shapes, and the
+serving forward's layers; print JSON.
 
     python3 tools/kernel_bench.py [--repeat N] [--seed S]
 
@@ -24,20 +24,22 @@ for a transposed view):
   each, and serves 240 requests of 1–8 rows round-robin over the sparse,
   4-bit and low-rank models.
 
-Then every recorded key is timed in each form: ``ab``, einsum over ``(aᵀ,
-b)``, which ``matmul`` no longer uses; ``direct``, einsum over ``(a, b)`` as
-``matmul`` computes most outputs; ``ba``, the C-contiguous transpose of the
-product over ``(b, aᵀ)`` as it computes tall-narrow and one-column ones; and
-through ``matmul`` itself. A form whose einsum output would have one column
-is not timed (it would not give the triple loop's bytes), and 1×1 outputs
-take the k-loop. Times are medians over ``--repeat`` interleaved calls, in
-microseconds.
+Then every recorded key is timed through ``matmul``'s one einsum form in
+each orientation: ``direct``, the form over ``(a, b)`` as ``matmul``
+computes most outputs, and ``ba``, the C-contiguous transpose of the form
+over ``(bᵀ, aᵀ)`` as it computes tall-narrow and one-column ones; and
+through ``matmul`` itself. An orientation whose einsum output would have one
+column is not timed (it would not give the triple loop's bytes), and 1×1
+outputs take the k-loop. Times are medians over ``--repeat`` interleaved
+calls, in microseconds. ``einsum_k_ordered`` is the probe decision
+``matmul`` took at import, and ``einsum_form_k_ordered`` the probe run again
+on that form.
 
 ``rules`` sums calls × time per workload and phase for each rule "compute
 the product as ``ba`` when m ≤ T < n or m = 1, else ``direct``" (``matmul``
-uses T = 32), for the best of ``ab`` and ``ba``, for the best of all three
-forms, and for ``matmul`` as it stands. ``act_forward`` and ``act_grad`` time
-each activation and its derivative at 16×64, 32×64 and 512×128 float64.
+uses T = 32), for the faster orientation per shape (``best_of_both_us``),
+and for ``matmul`` as it stands. ``act_forward`` and ``act_grad`` time each
+activation and its derivative at 16×64, 32×64 and 512×128 float64.
 
 ``forward`` times the serving path on the three served models of
 ``compress_serve`` (``sparse``, ``4-bit``, ``lowrank``): ``synthesize`` of
@@ -159,15 +161,14 @@ def _operand(rng, rows: int, cols: int, layout: str) -> np.ndarray:
 
 
 def _orientations(a: np.ndarray, b: np.ndarray) -> dict:
-    """The timed callables of one product: each exact form, and matmul."""
+    """The timed callables of one product: each exact orientation, and matmul."""
     n, m = a.shape[0], b.shape[1]
     calls = {}
     if n == m == 1:
         calls["k_loop"] = lambda: numkern._k_loop(a, b)
     else:
         if m >= 2:
-            calls["ab"] = lambda: numkern._einsum(a, b)
-            calls["direct"] = lambda: numkern._einsum_direct(a, b)
+            calls["direct"] = lambda: numkern._einsum(a, b)
         if n >= 2:
             calls["ba"] = lambda: np.ascontiguousarray(numkern._einsum(b.T, a.T).T)
     calls["matmul"] = lambda: numkern.matmul(a, b)
@@ -196,8 +197,8 @@ def _rule_us(row: dict, threshold: int) -> float:
     return row["ba"] if use_ba else row["direct"]
 
 
-def _best_us(row: dict, forms: tuple) -> float:
-    return min(row.get(form, np.inf) for form in forms + ("k_loop",))
+def _best_us(row: dict) -> float:
+    return min(row.get(form, np.inf) for form in ("ba", "direct", "k_loop"))
 
 
 def forward(served: dict, repeat: int, seed: int) -> dict:
@@ -251,8 +252,7 @@ def bench(repeat: int, seed: int) -> dict:
             col = f"{name}.{phase}.calls"
             rows = [r for r in table if col in r]
             totals = {f"ba_if_m_le_{t}_us": sum(r[col] * _rule_us(r, t) for r in rows) for t in THRESHOLDS}
-            totals["best_orientation_us"] = sum(r[col] * _best_us(r, ("ab", "ba")) for r in rows)
-            totals["best_of_three_us"] = sum(r[col] * _best_us(r, ("ab", "ba", "direct")) for r in rows)
+            totals["best_of_both_us"] = sum(r[col] * _best_us(r) for r in rows)
             totals["matmul_us"] = sum(r[col] * r["matmul"] for r in rows)
             totals["calls"] = sum(r[col] for r in rows)
             rules[f"{name}.{phase}"] = {key: round(v, 1) for key, v in totals.items()}
@@ -267,10 +267,7 @@ def bench(repeat: int, seed: int) -> dict:
         "repeat": repeat,
         "seed": seed,
         "einsum_k_ordered": numkern._EINSUM_K_ORDERED,
-        "einsum_form_k_ordered": {
-            "direct": numkern._einsum_is_k_ordered(numkern._k_loop),
-            "transposed": numkern._einsum_is_k_ordered(direct=numkern._k_loop),
-        },
+        "einsum_form_k_ordered": numkern._einsum_is_k_ordered(),
         "rules": rules,
         **act,
         "forward": forward(served, repeat, seed),
