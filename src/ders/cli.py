@@ -13,16 +13,18 @@ Subcommands chain through fixed artifact names inside ``--out``:
                                            ranks re-upcycled from dense.ckpt)
 
 The JSON config is validated before any compute: unknown and wrongly typed
-keys are rejected with their full field path, and the top-level ``seed`` is
-mandatory (it is the default seed for every stage that does not set its own).
-The ``pretrain``, ``train``, ``upcycle``, ``compress`` and ``task.params``
-keys are the fields of ``TrainConfig``, ``UpcycleConfig``, ``CompressionSpec``
-and ``SyntheticTask``, each typed by its annotation through
-``moe.FIELD_TYPES``; only ``model`` and ``sweep`` are listed by hand. Exit
-codes: 0 success, 2 config error, 3 state error or ``OSError`` (a path that
-is a directory, say), 4 numeric error, 1 any other toolkit error or running
-out of memory. Every text artifact is written by ``_write_json`` or
-``_write_csv``.
+keys are rejected with their full field path. Only ``seed`` (mandatory: the
+default seed of every stage that does not set its own), ``task.kind`` and
+``task.seed`` are typed by hand. Every other key is a field of a frozen
+dataclass, typed by its annotation through ``moe.FIELD_TYPES``: ``model`` of
+``ModelConfig``, ``pretrain`` and ``train`` of ``TrainConfig``, ``upcycle`` of
+``UpcycleConfig``, ``compress`` of ``CompressionSpec``, ``sweep`` of
+``SweepConfig`` and ``task.params`` of ``SyntheticTask``. ``Experiment.build``
+turns a section and the flags given into its config, which checks itself on
+construction; each error names its key path. Exit codes: 0 success, 2
+config error, 3 state error or ``OSError`` (a path that is a directory, say),
+4 numeric error, 1 any other toolkit error or running out of memory. Every
+text artifact is written by ``_write_json`` or ``_write_csv``.
 """
 
 from __future__ import annotations
@@ -33,15 +35,23 @@ import io
 import json
 import os
 import sys
-from dataclasses import MISSING, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 
 from .accounting import PARAMS_CSV_FIELDS, count_report
 from .analysis import SIMILARITY_CSV_FIELDS, cosine_report, similarity_rows
 from .checkpoint import load_model, save_model, write_atomic
 from .compress import CompressionSpec, compression_report, ders_compress
 from .errors import ConfigError, DersError, DimensionError, NumericError, StateError
-from .moe import FIELD_TYPES, Model, build_dense_model
-from .train import SyntheticTask, TrainConfig, evaluate, make_task, train_loop
+from .moe import (
+    FIELD_TYPES,
+    METHODS,
+    Model,
+    ModelConfig,
+    build_dense_model,
+    check_fields,
+    missing_field,
+)
+from .train import TASK_KINDS, SyntheticTask, TrainConfig, evaluate, train_loop
 from .upcycle import UpcycleConfig, upcycle
 
 # Each subcommand with the only flags it takes besides --config, --seed and --out.
@@ -59,18 +69,21 @@ SUBCOMMANDS = {
 
 _CKPT_CHAIN = ("compressed.ckpt", "trained.ckpt", "moe.ckpt", "dense.ckpt")
 
-_METHOD_ALIASES = {
-    "vanilla": "vanilla",
-    "ders-sm": "ders_sm",
-    "ders-lm": "ders_lm",
-    "ders_sm": "ders_sm",
-    "ders_lm": "ders_lm",
-}
 
-# A config value's type: (what the error message says it must be, test).
-_INT, _NUMBER, _STRING = (FIELD_TYPES[name] for name in ("int", "float", "str"))
-_NUMBERS = ("a list of numbers", lambda v: isinstance(v, list) and all(_NUMBER[1](x) for x in v))
-_INTS = ("a list of integers", lambda v: isinstance(v, list) and all(_INT[1](x) for x in v))
+@dataclass(frozen=True)
+class SweepConfig:
+    """The ``sweep`` section. Each ``drop_rates`` (``bit_widths``) value is a
+    row compressed as ``compress --drop-rate`` (``--bit-width``) would, and
+    each ``ranks`` value a row upcycled as ders_lm at that rank, then trained."""
+
+    drop_rates: list[float] = field(default_factory=list)
+    bit_widths: list[int] = field(default_factory=list)
+    ranks: list[int] = field(default_factory=list)
+
+    def __post_init__(self):
+        check_fields(self)
+        if not (self.drop_rates or self.bit_widths or self.ranks):
+            raise ConfigError("drop_rates, bit_widths and ranks are all empty")
 
 
 def _fields_schema(cls, skip=()) -> dict:
@@ -79,20 +92,21 @@ def _fields_schema(cls, skip=()) -> dict:
     return {f.name: FIELD_TYPES[f.type] for f in fields(cls) if f.init and f.name not in skip}
 
 
-# Every config key with its type; a nested dict is a JSON object with its own keys.
+# Every config key with its type, as (what the error says it must be, test); a
+# nested dict is a JSON object with its own keys.
 _SCHEMA: dict = {
-    "seed": _INT,
-    "model": {"d": _INT, "d_h": _INT, "depth": _INT, "activation": _STRING},
+    "seed": FIELD_TYPES["int"],
+    "model": _fields_schema(ModelConfig),
     "task": {
-        "kind": _STRING,
-        "seed": _INT,
+        "kind": (f"one of {TASK_KINDS}", lambda v: v in TASK_KINDS),
+        "seed": FIELD_TYPES["int"],
         "params": _fields_schema(SyntheticTask, skip=("kind", "seed")),
     },
     "pretrain": _fields_schema(TrainConfig),
     "train": _fields_schema(TrainConfig),
     "upcycle": _fields_schema(UpcycleConfig),
     "compress": _fields_schema(CompressionSpec),
-    "sweep": {"drop_rates": _NUMBERS, "bit_widths": _INTS, "ranks": _INTS},
+    "sweep": _fields_schema(SweepConfig),
 }
 
 # The compression field each technique flag sets, with the technique it selects;
@@ -118,17 +132,6 @@ def _validate(value, schema: dict, path: str = "") -> None:
             _validate(item, spec, f"{full}.")
         elif not spec[1](item):
             raise ConfigError(f"config field '{full}' must be {spec[0]}, got {item!r}")
-
-
-def _build(cls, name: str, section: dict):
-    """The stage config ``cls(**section)`` of config section ``name``, validated;
-    each field without a default must be in ``section``."""
-    for f in fields(cls):
-        if f.default is MISSING and f.name not in section:
-            raise ConfigError(f"config field '{name}.{f.name}' is required")
-    cfg = cls(**section)
-    cfg.validate()
-    return cfg
 
 
 def load_config(path: str | None) -> dict:
@@ -158,67 +161,62 @@ class Experiment:
         self.raw = raw
         self.seed = seed_override if seed_override is not None else raw["seed"]
 
-    def _section(self, name: str) -> dict:
-        return dict(self.raw.get(name) or {})
-
-    def task(self):
-        section = self._section("task")
-        if not section:
-            raise ConfigError("config section 'task' is required for this subcommand")
-        if "kind" not in section:
-            raise ConfigError("config field 'task.kind' is required")
-        return make_task(
-            section["kind"], dict(section.get("params") or {}), section.get("seed", self.seed)
-        )
-
-    def model_dims(self) -> dict:
-        section = self._section("model")
-        for field in ("d", "d_h", "depth"):
-            if field not in section:
-                raise ConfigError(f"config field 'model.{field}' is required")
-        section.setdefault("activation", "gelu")
+    def _section(self, path: str) -> dict:
+        section = self.raw
+        for key in path.split("."):
+            section = section.get(key) or {}
         return section
 
-    def train_config(self, name: str) -> TrainConfig:
-        section = self._section(name)
-        if not section:
-            raise ConfigError(f"config section '{name}' is required for this subcommand")
-        section.setdefault("seed", self.seed)
-        return _build(TrainConfig, name, section)
+    def build(self, cls, path: str, **overrides):
+        """``cls`` from the config section at dotted ``path`` with each
+        override that is not None (a flag not given reads None) applied
+        first, and a ``seed`` field defaulting to the config seed. A field
+        without a default is required, and ``path`` prefixes a construction
+        error, whose message starts with its field."""
+        values = {**self._section(path), **{k: v for k, v in overrides.items() if v is not None}}
+        if any(f.name == "seed" for f in fields(cls)):
+            values.setdefault("seed", self.seed)
+        missing = missing_field(cls, values)
+        if missing:
+            raise ConfigError(f"config field '{path}.{missing}' is required")
+        try:
+            return cls(**values)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}.{exc}") from exc
 
-    def upcycle_config(self, args) -> UpcycleConfig:
-        section = self._section("upcycle")
-        section.setdefault("seed", self.seed)
-        if args.method is not None:
-            section["method"] = _METHOD_ALIASES[args.method]
-        if args.drop_rate is not None:
-            section["sparse_rate"] = args.drop_rate
-        if args.rank is not None:
-            section["rank"] = args.rank
-        if args.extended is not None:
-            section["extended"] = args.extended
-            section.setdefault("parallel_universal", True)
-        if args.freeze_shared is not None:
-            section["freeze_shared"] = args.freeze_shared
-        return _build(UpcycleConfig, "upcycle", section)
+    def task(self) -> SyntheticTask:
+        section = self._section("task")
+        if "kind" not in section:
+            raise ConfigError("config field 'task.kind' is required")
+        return self.build(
+            SyntheticTask, "task.params", kind=section["kind"], seed=section.get("seed")
+        )
+
+    def upcycle_config(self, args, **overrides) -> UpcycleConfig:
+        """The ``upcycle`` section under the upcycle flags given, then
+        ``overrides``; ``--extended`` turns ``parallel_universal`` on unless
+        the section sets it."""
+        universal = args.extended and self._section("upcycle").get("parallel_universal", True)
+        flags = {
+            "method": args.method and args.method.replace("-", "_"),
+            "sparse_rate": args.drop_rate,
+            "rank": args.rank,
+            "extended": args.extended,
+            "parallel_universal": universal,
+            "freeze_shared": args.freeze_shared,
+        }
+        return self.build(UpcycleConfig, "upcycle", **{**flags, **overrides})
 
     def compression_spec(self, args) -> CompressionSpec:
-        section = self._section("compress")
-        section.setdefault("seed", self.seed)
-        flags = " / ".join(f"--{key.replace('_', '-')}" for key in _TECHNIQUE_FLAGS)
+        """The ``compress`` section under the compression flags given; a
+        lone ``--drop-rate`` or ``--bit-width`` also selects its technique."""
         chosen = [key for key in _TECHNIQUE_FLAGS if getattr(args, key) is not None]
         if len(chosen) > 1:
+            flags = " / ".join(f"--{key.replace('_', '-')}" for key in _TECHNIQUE_FLAGS)
             raise ConfigError(f"each of {flags} selects a technique: pass at most one")
-        if chosen:
-            key = chosen[0]
-            section.update(technique=_TECHNIQUE_FLAGS[key], **{key: getattr(args, key)})
-        elif "technique" not in section:
-            raise ConfigError(
-                f"compression technique unspecified: set 'compress.technique' or pass one of {flags}"
-            )
-        if args.extended is not None:
-            section["extended"] = args.extended
-        return _build(CompressionSpec, "compress", section)
+        technique = _TECHNIQUE_FLAGS[chosen[0]] if chosen else None
+        given = {key: getattr(args, key) for key in (*_TECHNIQUE_FLAGS, "extended")}
+        return self.build(CompressionSpec, "compress", technique=technique, **given)
 
 
 # ---------------------------------------------------------------------------
@@ -281,17 +279,12 @@ def _write_metrics(out: str, trace: list[dict]) -> None:
 def _cmd_pretrain(args, out: str) -> int:
     exp = Experiment(load_config(args.config), args.seed)
     task = exp.task()
-    dims = exp.model_dims()
+    dims = asdict(exp.build(ModelConfig, "model"))
+    cfg = exp.build(TrainConfig, "pretrain")
     model = build_dense_model(
-        d=dims["d"],
-        d_h=dims["d_h"],
-        depth=dims["depth"],
-        in_width=task.in_width,
-        out_width=task.target_width,
-        seed=exp.seed,
-        activation=dims["activation"],
+        **dims, in_width=task.in_width, out_width=task.target_width, seed=exp.seed
     )
-    result = train_loop(model, task, exp.train_config("pretrain"))
+    result = train_loop(model, task, cfg)
     save_model(
         result.model,
         os.path.join(out, "dense.ckpt"),
@@ -302,8 +295,8 @@ def _cmd_pretrain(args, out: str) -> int:
 
 def _cmd_upcycle(args, out: str) -> int:
     exp = Experiment(load_config(args.config), args.seed)
-    dense, _ = _load_ckpt(os.path.join(out, "dense.ckpt"))
     cfg = exp.upcycle_config(args)
+    dense, _ = _load_ckpt(os.path.join(out, "dense.ckpt"))
     moe = upcycle(dense, cfg)
     save_model(
         moe,
@@ -316,9 +309,10 @@ def _cmd_upcycle(args, out: str) -> int:
 def _cmd_train(args, out: str) -> int:
     exp = Experiment(load_config(args.config), args.seed)
     task = exp.task()
+    cfg = exp.build(TrainConfig, "train")
     moe, _ = _load_ckpt(os.path.join(out, "moe.ckpt"))
     try:
-        result = train_loop(moe, task, exp.train_config("train"))
+        result = train_loop(moe, task, cfg)
     except NumericError as exc:
         # Divergence: keep the steps that completed before it.
         _write_metrics(out, exc.trace)
@@ -334,8 +328,8 @@ def _cmd_train(args, out: str) -> int:
 
 def _cmd_compress(args, out: str) -> int:
     exp = Experiment(load_config(args.config), args.seed)
-    trained, _ = _load_ckpt(os.path.join(out, "trained.ckpt"))
     spec = exp.compression_spec(args)
+    trained, _ = _load_ckpt(os.path.join(out, "trained.ckpt"))
     compressed = ders_compress(trained, spec)
     save_model(
         compressed,
@@ -403,32 +397,34 @@ def _sweep_row(kind: str, value, model: Model, task) -> list:
 
 def _cmd_sweep(args, out: str) -> int:
     exp = Experiment(load_config(args.config), args.seed)
-    section = exp._section("sweep")
-    swept = [(key, section.get(f"{key}s") or []) for key in _TECHNIQUE_FLAGS]
-    ranks = section.get("ranks") or []
-    if not (ranks or any(values for _, values in swept)):
-        raise ConfigError(
-            "config section 'sweep' must list at least one of drop_rates/bit_widths/ranks"
-        )
+    sweep = exp.build(SweepConfig, "sweep")
     task = exp.task()
-    rows = []
+    train_cfg = exp.build(TrainConfig, "train") if sweep.ranks else None
+    dense = _load_ckpt(os.path.join(out, "dense.ckpt"))[0] if sweep.ranks else None
+    # (row kind, value, compression spec or upcycled model) per row: every
+    # value is checked before any row compresses or trains.
+    arms = []
+    for key in ("drop_rates", "bit_widths", "ranks"):
+        kind = key[:-1]
+        for value in getattr(sweep, key):
+            try:
+                if kind == "rank":
+                    arm = upcycle(dense, exp.upcycle_config(args, method="ders_lm", rank=value))
+                else:
+                    arm = exp.compression_spec(argparse.Namespace(**{**vars(args), kind: value}))
+            except ConfigError as exc:
+                raise ConfigError(f"sweep.{key}: {exc}") from exc
+            arms.append((kind, value, arm))
 
-    if any(values for _, values in swept):
+    rows = []
+    if sweep.drop_rates or sweep.bit_widths:
         trained, _ = _load_ckpt(os.path.join(out, "trained.ckpt"))
         rows.append(_sweep_row("baseline", "", trained, task))
-        for kind, values in swept:
-            for value in values:
-                spec = exp.compression_spec(argparse.Namespace(**{**vars(args), kind: value}))
-                rows.append(_sweep_row(kind, value, ders_compress(trained, spec), task))
-
-    if ranks:
-        dense, _ = _load_ckpt(os.path.join(out, "dense.ckpt"))
-        train_cfg = exp.train_config("train")
-        for r in ranks:
-            cfg = replace(exp.upcycle_config(args), method="ders_lm", rank=int(r))
-            result = train_loop(upcycle(dense, cfg), task, train_cfg)
-            rows.append(_sweep_row("rank", r, result.model, task))
-
+    for kind, value, arm in arms:
+        if kind == "rank":
+            rows.append(_sweep_row(kind, value, train_loop(arm, task, train_cfg).model, task))
+        else:
+            rows.append(_sweep_row(kind, value, ders_compress(trained, arm), task))
     _write_csv(os.path.join(out, "sweep.csv"), _SWEEP_FIELDS, rows)
     return 0
 
@@ -452,7 +448,7 @@ _COMMANDS = {
 
 # The keyword arguments of each optional flag; every one defaults to None.
 _FLAGS = {
-    "method": {"choices": sorted(_METHOD_ALIASES)},
+    "method": {"choices": sorted({*METHODS, *(m.replace("_", "-") for m in METHODS)})},
     "drop_rate": {"type": float},
     "bit_width": {"type": int},
     "rank": {"type": int},

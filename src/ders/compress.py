@@ -56,17 +56,15 @@ class CompressionSpec:
     extended: bool = False
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         check_fields(self)
         if self.technique not in TECHNIQUES:
-            raise ConfigError(
-                f"technique={self.technique!r} not in {TECHNIQUES}"
-            )
+            raise ConfigError(f"technique must be one of {TECHNIQUES}, got {self.technique!r}")
         if not 0.0 <= self.drop_rate < 1.0:
-            raise ConfigError(f"drop_rate={self.drop_rate} must lie in [0, 1)")
+            raise ConfigError(f"drop_rate must lie in [0, 1), got {self.drop_rate!r}")
         if self.bit_width not in SUPPORTED_BIT_WIDTHS:
             raise ConfigError(
-                f"bit_width={self.bit_width} not in {SUPPORTED_BIT_WIDTHS}"
+                f"bit_width must be one of {SUPPORTED_BIT_WIDTHS}, got {self.bit_width!r}"
             )
 
 
@@ -110,7 +108,6 @@ def ders_compress(model: Model, spec: CompressionSpec) -> Model:
     layer's init base (:func:`choose_base`) and its delta replaced per
     ``spec``; the group base stays frozen.
     """
-    spec.validate()
     out = copy_model(model)
     for j in choose_base(out):
         layer = out.blocks[j]

@@ -24,7 +24,7 @@ from __future__ import annotations
 import copy
 import numbers
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -104,10 +104,15 @@ def act_grad(name: str, x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-# A scalar field's annotation -> (what the error says it must be, test). Every
-# module declares ``from __future__ import annotations``, so an annotation is
-# its source text. JSON reads NaN, Infinity and 1e400 as floats; none of them
-# is a usable setting.
+def _each(kind: str):
+    """The test that a value is a list whose items all pass ``FIELD_TYPES[kind]``."""
+    return lambda v: isinstance(v, list) and all(map(FIELD_TYPES[kind][1], v))
+
+
+# A field's annotation -> (what the error says it must be, test). Every module
+# declares ``from __future__ import annotations``, so an annotation is its
+# source text. JSON reads NaN, Infinity and 1e400 as floats; none of them is a
+# usable setting.
 FIELD_TYPES = {
     "int": ("an integer", lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool)),
     "float": (
@@ -118,21 +123,47 @@ FIELD_TYPES = {
     ),
     "str": ("a string", lambda v: isinstance(v, str)),
     "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "list[int]": ("a list of integers", _each("int")),
+    "list[float]": ("a list of finite numbers", _each("float")),
 }
 
 
-def check_fields(obj, activation: str | None = None) -> None:
-    """Check every field of the dataclass ``obj`` annotated ``int``, ``float``,
-    ``str`` or ``bool`` by :data:`FIELD_TYPES`, and, if given, that
-    ``activation`` is one of :data:`ACTIVATIONS`. Fields of any other
-    annotation (arrays, nested objects) are left to the caller."""
+def check_fields(obj, activation: str | None = None, **lows) -> None:
+    """Check each field of the dataclass ``obj`` annotated by a
+    :data:`FIELD_TYPES` key by its rule (others, arrays say, are the caller's),
+    each field named in ``lows`` against its lower bound, and, if given, that
+    ``activation`` is one of :data:`ACTIVATIONS`. A message starts with the field."""
     for f in fields(obj):
         rule = FIELD_TYPES.get(f.type)
         value = getattr(obj, f.name)
         if rule is not None and not rule[1](value):
             raise ParameterError(f"{f.name} must be {rule[0]}, got {value!r}")
+    for name, low in lows.items():
+        if getattr(obj, name) < low:
+            raise ParameterError(f"{name} must be >= {low}, got {getattr(obj, name)!r}")
     if activation is not None and activation not in ACTIVATIONS:
-        raise ParameterError(f"unknown activation {activation!r}")
+        raise ParameterError(f"activation must be one of {ACTIVATIONS}, got {activation!r}")
+
+
+def missing_field(cls, given) -> str | None:
+    """The first field of dataclass ``cls`` without a default that ``given`` lacks."""
+    for f in fields(cls):
+        if f.default is MISSING and f.default_factory is MISSING and f.name not in given:
+            return f.name
+    return None
+
+
+@dataclass(frozen=True)
+class ModelConfig:
+    """The ``model`` section: width, hidden width, FFN blocks, activation."""
+
+    d: int
+    d_h: int
+    depth: int
+    activation: str = "gelu"
+
+    def __post_init__(self):
+        check_fields(self, self.activation, d=1, d_h=1, depth=0)
 
 
 @dataclass
@@ -243,15 +274,13 @@ class Model:
     activation: str = "gelu"
 
     def __post_init__(self):
-        check_fields(self, self.activation)
+        check_fields(self, self.activation, ancestor_params=1)
         if self.embed.shape != (self.in_width, self.d):
             raise DimensionError(f"embed is {self.embed.shape}, expected {(self.in_width, self.d)}")
         if self.readout.shape != (self.d, self.out_width):
             raise DimensionError(
                 f"readout is {self.readout.shape}, expected {(self.d, self.out_width)}"
             )
-        if self.ancestor_params <= 0:
-            raise ParameterError("ancestor_params must be positive")
         for j, block in enumerate(self.blocks):
             if isinstance(block, DenseBlock):
                 sides = [("ffn", block.ffn.w_in, block.ffn.w_out)]
@@ -399,10 +428,9 @@ def build_dense_model(
     All matrices are float64, uniform(−1/√fan_in, 1/√fan_in) from per-matrix
     streams of ``seed``; no biases anywhere.
     """
-    if depth < 0:
-        raise ParameterError("depth must be >= 0")
-    if min(d, d_h, in_width, out_width) < 1:
-        raise ParameterError("model dimensions must be >= 1")
+    ModelConfig(d, d_h, depth, activation)  # checks its four fields
+    if min(in_width, out_width) < 1:
+        raise ParameterError("in_width and out_width must be >= 1")
 
     def init(rows, cols, *stream_parts):
         rng = numkern.RngStream(seed, numkern.derive_stream_id(*stream_parts))

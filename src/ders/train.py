@@ -23,7 +23,7 @@ disables it.
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from .moe import (
     check_fields,
     copy_model,
     forward_tape,
+    missing_field,
     model_forward,
     named_parameters,
 )
@@ -78,20 +79,16 @@ class SyntheticTask:
     _cache: dict = field(default_factory=dict, repr=False, init=False)
 
     def __post_init__(self):
-        check_fields(self)
+        check_fields(self, d=1, n_clusters=1, out_width=1, eval_size=1, noise=0)
         if self.kind not in TASK_KINDS:
-            raise ConfigError(f"task kind must be one of {TASK_KINDS}, got {self.kind!r}")
-        if self.n_clusters < 1 or self.d < 1:
-            raise ConfigError("n_clusters and d must be >= 1")
-        if self.eval_size < 1:
-            raise ConfigError(f"eval_size must be >= 1, got {self.eval_size!r}")
-        if self.noise < 0:
-            raise ConfigError(f"noise must be >= 0, got {self.noise!r}")
+            raise ConfigError(f"kind must be one of {TASK_KINDS}, got {self.kind!r}")
         if self.kind == "modular_classification":
             if self.shift != 0.0:
                 raise ConfigError("shift applies to cluster_regression only")
             if self.n_clusters < 2:
-                raise ConfigError("modular_classification needs modulus >= 2")
+                raise ConfigError(
+                    f"n_clusters must be >= 2 for modular_classification, got {self.n_clusters}"
+                )
 
     # -- shared task data ---------------------------------------------------
 
@@ -188,13 +185,13 @@ class SyntheticTask:
 def make_task(kind: str, params: dict, seed: int) -> SyntheticTask:
     """The task ``kind`` with ``params``: any :class:`SyntheticTask` field but
     ``kind`` and ``seed``, each required unless it has a default."""
-    known = [f for f in fields(SyntheticTask) if f.init and f.name not in ("kind", "seed")]
-    unknown = set(params) - {f.name for f in known}
+    allowed = {f.name for f in fields(SyntheticTask) if f.init} - {"kind", "seed"}
+    unknown = set(params) - allowed
     if unknown:
         raise ConfigError(f"unknown task parameters: {sorted(unknown)}")
-    for f in known:
-        if f.default is MISSING and f.name not in params:
-            raise ConfigError(f"task parameter '{f.name}' is required")
+    missing = missing_field(SyntheticTask, {*params, "kind", "seed"})
+    if missing:
+        raise ConfigError(f"task parameter '{missing}' is required")
     return SyntheticTask(kind=kind, seed=seed, **params)
 
 
@@ -393,7 +390,7 @@ def loss_parts(model: Model, batch, task: SyntheticTask, aux_loss_coeff: float =
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     steps: int
     batch_size: int = 32
@@ -407,28 +404,17 @@ class TrainConfig:
     eval_every: int = 50
     seed: int = 0
 
-    def validate(self) -> None:
-        check_fields(self)
-        if self.steps < 1:
-            raise ConfigError(f"steps must be >= 1, got {self.steps}")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        if self.lr < 0:
-            raise ConfigError("lr must be >= 0")
+    def __post_init__(self):
+        check_fields(self, steps=1, batch_size=1, eval_every=1, lr=0, aux_loss_coeff=0, seed=0)
         if self.optimizer not in OPTIMIZERS:
-            raise ConfigError(f"optimizer must be one of {OPTIMIZERS}")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ConfigError("adam betas must lie in [0, 1)")
+            raise ConfigError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigError(f"{name} must lie in [0, 1), got {getattr(self, name)!r}")
         if self.eps <= 0:
-            raise ConfigError("adam eps must be > 0")
-        if self.aux_loss_coeff < 0:
-            raise ConfigError("aux_loss_coeff must be >= 0")
+            raise ConfigError(f"eps must be > 0, got {self.eps!r}")
         if self.schedule not in SCHEDULES:
-            raise ConfigError(f"schedule must be one of {SCHEDULES}")
-        if self.eval_every < 1:
-            raise ConfigError("eval_every must be >= 1")
-        if self.seed < 0:
-            raise ConfigError("seed must be a non-negative integer")
+            raise ConfigError(f"schedule must be one of {SCHEDULES}, got {self.schedule!r}")
 
 
 def optimizer_state(layout: GradLayout) -> dict:
@@ -489,7 +475,6 @@ def train_loop(model: Model, task: SyntheticTask, cfg: TrainConfig) -> TrainResu
     and at the end). Returns the final model plus the best-eval checkpoint.
     Every step lands its gradients in one :class:`GradLayout`, walked once.
     """
-    cfg.validate()
     if model.in_width != task.in_width or model.out_width != task.target_width:
         raise ConfigError(
             f"model io ({model.in_width}->{model.out_width}) does not fit task "

@@ -33,7 +33,7 @@ from .moe import FFN, METHODS, DenseBlock, Model, MoELayer, Router, check_fields
 LAYER_PATTERNS = ("every_layer", "every_other_layer")
 
 
-@dataclass
+@dataclass(frozen=True)
 class UpcycleConfig:
     n_experts: int
     topk_count: int
@@ -46,24 +46,18 @@ class UpcycleConfig:
     freeze_shared: bool = False
     seed: int = 0
 
-    def validate(self) -> None:
-        check_fields(self)
+    def __post_init__(self):
+        check_fields(self, n_experts=1, rank=1, seed=0)
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.layer_pattern not in LAYER_PATTERNS:
             raise ConfigError(
                 f"layer_pattern must be one of {LAYER_PATTERNS}, got {self.layer_pattern!r}"
             )
-        if self.n_experts < 1:
-            raise ConfigError(f"n_experts must be >= 1, got {self.n_experts}")
         if not 1 <= self.topk_count <= self.n_experts:
-            raise ConfigError(
-                f"topk_count={self.topk_count} out of range [1, {self.n_experts}]"
-            )
+            raise ConfigError(f"topk_count must be in [1, {self.n_experts}], got {self.topk_count}")
         if not 0.0 <= self.sparse_rate < 1.0:
-            raise ConfigError(f"sparse_rate={self.sparse_rate} must lie in [0, 1)")
-        if self.rank < 1:
-            raise ConfigError(f"rank must be >= 1, got {self.rank}")
+            raise ConfigError(f"sparse_rate must lie in [0, 1), got {self.sparse_rate!r}")
         if self.extended and not self.parallel_universal:
             raise ConfigError("extended=true requires parallel_universal=true")
         if self.extended and self.method == "vanilla":
@@ -76,8 +70,6 @@ class UpcycleConfig:
                 "freeze_shared applies to DeRS methods; the vanilla base is frozen "
                 "by construction"
             )
-        if self.seed < 0:
-            raise ConfigError("seed must be a non-negative integer")
 
 
 def selected_layers(depth: int, pattern: str) -> list[int]:
@@ -146,10 +138,9 @@ def _moe_layer(dense: Model, cfg: UpcycleConfig, j: int, ffn: FFN) -> MoELayer:
 def upcycle(dense: Model, cfg: UpcycleConfig) -> Model:
     """Upcycle the blocks ``cfg.layer_pattern`` selects into MoE layers by
     ``cfg.method``, copying the rest; the input model is never mutated."""
-    cfg.validate()
     max_rank = min(dense.d, dense.d_h)
     if cfg.method == "ders_lm" and cfg.rank > max_rank:
-        raise ConfigError(f"rank={cfg.rank} exceeds min(d, d_h)={max_rank}")
+        raise ConfigError(f"rank must be <= min(d, d_h) = {max_rank}, got {cfg.rank}")
     ancestor = _dense_stored_values(dense)
     picked = set(selected_layers(len(dense.blocks), cfg.layer_pattern))
     blocks: list = []

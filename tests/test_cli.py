@@ -1,5 +1,7 @@
 """CLI pipeline: artifacts, chaining, exit codes, determinism, flag overrides."""
 
+import contextlib
+import io
 import json
 import os
 import re
@@ -37,8 +39,8 @@ from ders.cli import Experiment, load_config, main
 from ders.compress import CompressionSpec, ders_compress
 from ders.deltas import LowRankDelta, QuantizedDelta, SparseDelta
 from ders.errors import NumericError
-from ders.moe import build_dense_model
-from ders.train import train_loop
+from ders.moe import ACTIVATIONS, build_dense_model
+from ders.train import TrainConfig, train_loop
 
 BASE_CONFIG = {
     "seed": 7,
@@ -241,6 +243,65 @@ class TestSweepRowsAreStageModels:
             assert rows[kind][3:] == [str(totals[f]) for f in fields], kind
 
 
+class TestSweepChecks:
+    @pytest.mark.parametrize("flag", ["--freeze-shared", "--extended"])
+    def test_rank_rows_upcycle_as_ders_lm_under_the_flag(self, tmp_path, flag):
+        """With ``upcycle.method`` vanilla, as in the README config, a rank
+        row is the ders-lm upcycle at its rank under the sweep's flag: its
+        trainable count is ``report-params`` of ``upcycle --method ders-lm
+        --rank 2 <flag>``."""
+        with open(readme_config(tmp_path)) as fh:
+            data = json.load(fh)
+        assert data["upcycle"]["method"] == "vanilla"
+        data["sweep"] = {"ranks": [2]}
+        cfg = str(tmp_path / "sweep.json")
+        with open(cfg, "w") as fh:
+            json.dump(data, fh)
+        out = str(tmp_path / "run")
+        assert run("pretrain-dense", "--config", cfg, "--out", out) == 0
+        assert run("sweep", "--config", cfg, "--out", out, flag) == 0
+        with open(os.path.join(out, "sweep.csv")) as fh:
+            (row,) = [line.split(",") for line in fh.read().splitlines()[1:]]
+        assert row[:2] == ["rank", "2"]
+        argv = ("--out", out, "--method", "ders-lm", "--rank", "2", flag)
+        assert run("upcycle", "--config", cfg, *argv) == 0
+        assert run("report-params", "--out", out) == 0
+        assert row[5] == str(read_json(out, "params.json")["totals"]["trainable_values"])
+
+    @pytest.mark.parametrize(
+        "sweep,key,bad",
+        [
+            ({"ranks": [2, 3, 0]}, "ranks", 0),
+            ({"drop_rates": [0.5, 1.5]}, "drop_rates", 1.5),
+            ({"bit_widths": [8, 3]}, "bit_widths", 3),
+            ({"ranks": [2, 100]}, "ranks", 100),  # above min(d, d_h) = 12
+        ],
+    )
+    def test_bad_value_exits_2_before_any_row_computes(
+        self, tmp_path, pipeline, monkeypatch, capsys, sweep, key, bad
+    ):
+        """Every sweep value is checked before the first row compresses or
+        trains; the one error line names ``sweep.<key>`` and the value."""
+        _, src = pipeline
+        out = str(tmp_path / "run")
+        for name in ("dense.ckpt", "trained.ckpt"):
+            copy_ckpt(src, name, out)
+        calls = []
+        for name in ("train_loop", "ders_compress"):
+            real = getattr(cli, name)
+            monkeypatch.setattr(
+                cli, name, lambda *a, real=real, name=name: calls.append(name) or real(*a)
+            )
+        # The base config's sweep lists a drop rate and a bit width: rows that
+        # would compute before a later bad value if values were checked late.
+        cfg = write_config(tmp_path, {"sweep": sweep})
+        assert run("sweep", "--config", cfg, "--out", out) == 2
+        assert calls == []
+        assert not os.path.exists(os.path.join(out, "sweep.csv"))
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and f"sweep.{key}" in err[0] and repr(bad) in err[0], err
+
+
 class TestIdentityAndChance:
     def test_untrained_eval_near_chance(self, tmp_path):
         cfg = write_config(
@@ -430,6 +491,15 @@ class TestExitCodes:
         assert run("train", "--config", cfg, "--out", out) == 2
         assert "'train.steps'" in capsys.readouterr().err
         assert not os.path.exists(os.path.join(out, "trained.ckpt"))
+
+    def test_missing_task_parameter_names_its_key_path(self, tmp_path, capsys):
+        data = json.loads(json.dumps(BASE_CONFIG))
+        del data["task"]["params"]["n_clusters"]
+        cfg = str(tmp_path / "config.json")
+        with open(cfg, "w") as fh:
+            json.dump(data, fh)
+        assert run("pretrain-dense", "--config", cfg, "--out", str(tmp_path / "run")) == 2
+        assert "config field 'task.params.n_clusters' is required" in capsys.readouterr().err
 
     def test_negative_noise_exit_2(self, tmp_path, capsys):
         params = {"d": 1, "n_clusters": 8, "noise": -1.0}
@@ -637,10 +707,135 @@ class TestExitCodes:
         exp = Experiment(load_config(cfg))
         moe, _ = load_model(os.path.join(src, "moe.ckpt"))
         with np.errstate(all="ignore"), pytest.raises(NumericError) as exc:
-            train_loop(moe, exp.task(), exp.train_config("train"))
+            train_loop(moe, exp.task(), exp.build(TrainConfig, "train"))
         rows = texts[0].decode().splitlines()[1:]
         assert [int(row.split(",")[0]) for row in rows] == [r["step"] for r in exc.value.trace]
         assert 0 < len(rows) < 200
+
+
+# A tiny config for the mutation properties: d = 2 and d_h = 3, so a rank
+# above 2 is out of range.
+_TINY_CONFIG = {
+    "seed": 1,
+    "model": {"d": 2, "d_h": 3, "depth": 1},
+    "task": {
+        "kind": "cluster_regression",
+        "params": {"d": 1, "n_clusters": 1, "out_width": 1, "eval_size": 2},
+    },
+    "pretrain": {"steps": 1, "batch_size": 2},
+    "upcycle": {"n_experts": 2, "topk_count": 1},
+    "train": {"steps": 1, "batch_size": 2},
+}
+
+_NOT_A_NUMBER = st.one_of(
+    st.text(max_size=3), st.booleans(), st.none(), st.lists(st.integers(), max_size=2)
+)
+_NOT_AN_INT = _NOT_A_NUMBER | st.floats().filter(lambda v: not v.is_integer()) | st.just(2.0)
+_NAN = st.just(float("nan"))
+_MISSING = object()
+
+# Each model key with the bad values to try: a wrong type, NaN, a missing key,
+# zero and negatives (depth 0 is a valid depth).
+_BAD_MODEL_VALUES = {
+    "d": _NOT_AN_INT | _NAN | st.just(_MISSING) | st.integers(max_value=0),
+    "d_h": _NOT_AN_INT | _NAN | st.just(_MISSING) | st.integers(max_value=0),
+    "depth": _NOT_AN_INT | _NAN | st.just(_MISSING) | st.integers(max_value=-1),
+    "activation": st.integers()
+    | st.none()
+    | st.text(max_size=6).filter(lambda a: a not in ACTIVATIONS),
+}
+
+
+def _bad_list(good, bad):
+    """A list of valid values with a bad one somewhere, or a value that is not
+    a list of the right item type at all."""
+    planted = st.tuples(st.lists(good, max_size=2), bad, st.lists(good, max_size=2))
+    wrong_items = st.lists(st.text(max_size=2) | st.booleans() | st.none(), min_size=1, max_size=2)
+    not_a_list = st.text(max_size=3) | st.booleans() | st.none() | st.integers() | st.floats()
+    return planted.map(lambda t: [*t[0], t[1], *t[2]]) | wrong_items | not_a_list
+
+
+# Each sweep key with bad values: out of range (zero, negative, too large),
+# NaN, a wrong type, or a missing key (an empty sweep).
+_BAD_SWEEP_VALUES = {
+    "drop_rates": _bad_list(
+        st.floats(0.0, 0.99), st.floats(min_value=1.0) | st.floats(max_value=-1e-9) | _NAN
+    )
+    | st.just(_MISSING),
+    "bit_widths": _bad_list(
+        st.sampled_from([1, 2, 4, 8, 16]),
+        st.integers().filter(lambda k: k not in (1, 2, 4, 8, 16)) | _NAN | st.just(4.0),
+    )
+    | st.just(_MISSING),
+    "ranks": _bad_list(st.integers(1, 2), st.integers(max_value=0) | st.integers(3, 10**6) | _NAN)
+    | st.just(_MISSING),
+}
+
+
+@pytest.fixture(scope="module")
+def tiny_run(tmp_path_factory):
+    """A run directory holding the tiny config's dense.ckpt and trained.ckpt."""
+    tmp = tmp_path_factory.mktemp("tiny")
+    cfg = str(tmp / "config.json")
+    with open(cfg, "w") as fh:
+        json.dump(_TINY_CONFIG, fh)
+    out = str(tmp / "run")
+    for cmd in ("pretrain-dense", "upcycle", "train"):
+        assert run(cmd, "--config", cfg, "--out", out) == 0
+    os.remove(os.path.join(out, "moe.ckpt"))
+    os.remove(os.path.join(out, "metrics.csv"))
+    return tmp, out
+
+
+def _mutated_run(tmp, out, command, section, key, value):
+    """Run ``command`` on the tiny config with ``section.key`` set to
+    ``value`` (or deleted); returns (exit code, stderr lines, files in out)."""
+    data = json.loads(json.dumps(_TINY_CONFIG))
+    data[section] = dict(data.get(section, {}))
+    if value is _MISSING:
+        data[section].pop(key, None)
+    else:
+        data[section][key] = value
+    cfg = str(tmp / "mutated.json")
+    with open(cfg, "w") as fh:
+        json.dump(data, fh)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run(command, "--config", cfg, "--out", out)
+    return code, err.getvalue().splitlines(), sorted(os.listdir(out))
+
+
+class TestConfigSectionMutations:
+    """A bad ``model`` or ``sweep`` key exits 2 with one ``error:`` line that
+    names its key path, before anything is written."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_bad_model_key(self, tiny_run, data):
+        tmp, _ = tiny_run
+        key = data.draw(st.sampled_from(sorted(_BAD_MODEL_VALUES)))
+        value = data.draw(_BAD_MODEL_VALUES[key])
+        out = str(tmp / "model_run")
+        os.makedirs(out, exist_ok=True)
+        code, err, files = _mutated_run(tmp, out, "pretrain-dense", "model", key, value)
+        assert code == 2 and len(err) == 1 and err[0].startswith("error: "), err
+        assert re.search(rf"\bmodel\.{key}\b", err[0]), err
+        assert files == []
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_bad_sweep_key(self, tiny_run, data):
+        """The sweep lists only the mutated key, so deleting it empties the
+        sweep, whose error names every sweep key."""
+        tmp, out = tiny_run
+        key = data.draw(st.sampled_from(sorted(_BAD_SWEEP_VALUES)))
+        value = data.draw(_BAD_SWEEP_VALUES[key])
+        code, err, files = _mutated_run(tmp, out, "sweep", "sweep", key, value)
+        assert code == 2 and len(err) == 1 and err[0].startswith("error: "), err
+        assert re.search(rf"\bsweep\.{key}\b", err[0]) or (
+            value is _MISSING and all(k in err[0] for k in _BAD_SWEEP_VALUES)
+        ), err
+        assert files == ["dense.ckpt", "trained.ckpt"]
 
 
 class TestDeterminismAndThreads:

@@ -36,19 +36,19 @@ def forward_stack(model, seeds=(0, 1, 2)):
 class TestSpecValidation:
     def test_bad_technique(self):
         with pytest.raises(ConfigError):
-            CompressionSpec("prune").validate()
+            CompressionSpec("prune")
 
     def test_bad_drop_rate(self):
         with pytest.raises(ConfigError):
-            CompressionSpec("sparsify", drop_rate=1.0).validate()
+            CompressionSpec("sparsify", drop_rate=1.0)
         with pytest.raises(ConfigError):
-            CompressionSpec("sparsify", drop_rate=-0.1).validate()
+            CompressionSpec("sparsify", drop_rate=-0.1)
         with pytest.raises(ConfigError):
-            CompressionSpec("sparsify", drop_rate="0.5").validate()
+            CompressionSpec("sparsify", drop_rate="0.5")
 
     def test_bad_bit_width(self):
         with pytest.raises(ConfigError):
-            CompressionSpec("quantize", bit_width=3).validate()
+            CompressionSpec("quantize", bit_width=3)
 
 
 class TestPreconditions:

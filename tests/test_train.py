@@ -1,5 +1,6 @@
 """Tasks, exact gradients vs finite differences, optimizers, training loop."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -454,13 +455,15 @@ class TestTrainLoop:
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
-            TrainConfig(steps=0).validate()
+            TrainConfig(steps=0)
         with pytest.raises(ConfigError):
-            TrainConfig(steps=1, optimizer="lion").validate()
+            TrainConfig(steps=1, optimizer="lion")
         with pytest.raises(ConfigError):
-            TrainConfig(steps=1, schedule="warmup").validate()
+            TrainConfig(steps=1, schedule="warmup")
         with pytest.raises(ConfigError):
-            TrainConfig(steps=1, lr=float("nan")).validate()
+            TrainConfig(steps=1, lr=float("nan"))
+        with pytest.raises(ConfigError):  # replace constructs, so it checks too
+            dataclasses.replace(TrainConfig(steps=1), beta2=1.0)
 
     def test_sgd_and_schedules_run(self):
         task = regression_task(seed=59, d=4, n_clusters=2, out_width=2)

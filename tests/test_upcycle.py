@@ -190,27 +190,27 @@ class TestPatternsAndValidation:
 
     def test_topk_exceeds_experts(self):
         with pytest.raises(ConfigError):
-            cfg_for("vanilla", topk_count=5).validate()
+            cfg_for("vanilla", topk_count=5)
 
     def test_bool_n_experts_rejected(self):
         with pytest.raises(ConfigError):
-            UpcycleConfig(n_experts=True, topk_count=1).validate()
+            UpcycleConfig(n_experts=True, topk_count=1)
 
     def test_extended_requires_universal(self):
         with pytest.raises(ConfigError):
-            cfg_for("ders_sm", extended=True).validate()
+            cfg_for("ders_sm", extended=True)
 
     def test_extended_vanilla_rejected(self):
         with pytest.raises(ConfigError):
-            cfg_for("vanilla", parallel_universal=True, extended=True).validate()
+            cfg_for("vanilla", parallel_universal=True, extended=True)
 
     def test_freeze_shared_vanilla_rejected(self):
         with pytest.raises(ConfigError):
-            cfg_for("vanilla", freeze_shared=True).validate()
+            cfg_for("vanilla", freeze_shared=True)
 
     def test_bad_method(self):
         with pytest.raises(ConfigError):
-            cfg_for("ders_xx").validate()
+            cfg_for("ders_xx")
 
     def test_ancestor_params_recorded(self):
         dense = dense_fixture(depth=2)
