@@ -15,7 +15,8 @@ Subcommands chain through fixed artifact names inside ``--out``:
 The JSON config is validated before any compute: unknown and wrongly typed
 keys are rejected with their full field path. Only ``seed`` (mandatory: the
 default seed of every stage that does not set its own), ``task.kind`` and
-``task.seed`` are typed by hand. Every other key is a field of a frozen
+``task.seed`` are typed by hand. Every seed, there, in a section or given as
+``--seed``, must be >= 0. Every other key is a field of a frozen
 dataclass, typed by its annotation through ``moe.FIELD_TYPES``: ``model`` of
 ``ModelConfig``, ``pretrain`` and ``train`` of ``TrainConfig``, ``upcycle`` of
 ``UpcycleConfig``, ``compress`` of ``CompressionSpec``, ``sweep`` of
@@ -92,14 +93,16 @@ def _fields_schema(cls, skip=()) -> dict:
     return {f.name: FIELD_TYPES[f.type] for f in fields(cls) if f.init and f.name not in skip}
 
 
+_SEED = ("an integer >= 0", lambda v: FIELD_TYPES["int"][1](v) and v >= 0)
+
 # Every config key with its type, as (what the error says it must be, test); a
 # nested dict is a JSON object with its own keys.
 _SCHEMA: dict = {
-    "seed": FIELD_TYPES["int"],
+    "seed": _SEED,
     "model": _fields_schema(ModelConfig),
     "task": {
         "kind": (f"one of {TASK_KINDS}", lambda v: v in TASK_KINDS),
-        "seed": FIELD_TYPES["int"],
+        "seed": _SEED,
         "params": _fields_schema(SyntheticTask, skip=("kind", "seed")),
     },
     "pretrain": _fields_schema(TrainConfig),
@@ -158,6 +161,8 @@ class Experiment:
     """A validated config plus the command-line overrides applied to it."""
 
     def __init__(self, raw: dict, seed_override: int | None = None):
+        if seed_override is not None and seed_override < 0:
+            raise ConfigError(f"--seed must be >= 0, got {seed_override}")
         self.raw = raw
         self.seed = seed_override if seed_override is not None else raw["seed"]
 
@@ -293,11 +298,20 @@ def _cmd_pretrain(args, out: str) -> int:
     return 0
 
 
+def _upcycle(dense: Model, cfg: UpcycleConfig) -> Model:
+    """``upcycle``, with a config error named by its key path, as
+    ``Experiment.build`` names the errors ``UpcycleConfig`` raises."""
+    try:
+        return upcycle(dense, cfg)
+    except ConfigError as exc:
+        raise ConfigError(f"upcycle.{exc}") from exc
+
+
 def _cmd_upcycle(args, out: str) -> int:
     exp = Experiment(load_config(args.config), args.seed)
     cfg = exp.upcycle_config(args)
     dense, _ = _load_ckpt(os.path.join(out, "dense.ckpt"))
-    moe = upcycle(dense, cfg)
+    moe = _upcycle(dense, cfg)
     save_model(
         moe,
         os.path.join(out, "moe.ckpt"),
@@ -409,7 +423,7 @@ def _cmd_sweep(args, out: str) -> int:
         for value in getattr(sweep, key):
             try:
                 if kind == "rank":
-                    arm = upcycle(dense, exp.upcycle_config(args, method="ders_lm", rank=value))
+                    arm = _upcycle(dense, exp.upcycle_config(args, method="ders_lm", rank=value))
                 else:
                     arm = exp.compression_spec(argparse.Namespace(**{**vars(args), kind: value}))
             except ConfigError as exc:

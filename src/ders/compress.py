@@ -57,7 +57,7 @@ class CompressionSpec:
     seed: int = 0
 
     def __post_init__(self):
-        check_fields(self)
+        check_fields(self, seed=0)
         if self.technique not in TECHNIQUES:
             raise ConfigError(f"technique must be one of {TECHNIQUES}, got {self.technique!r}")
         if not 0.0 <= self.drop_rate < 1.0:

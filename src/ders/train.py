@@ -79,7 +79,7 @@ class SyntheticTask:
     _cache: dict = field(default_factory=dict, repr=False, init=False)
 
     def __post_init__(self):
-        check_fields(self, d=1, n_clusters=1, out_width=1, eval_size=1, noise=0)
+        check_fields(self, d=1, n_clusters=1, out_width=1, eval_size=1, noise=0, seed=0)
         if self.kind not in TASK_KINDS:
             raise ConfigError(f"kind must be one of {TASK_KINDS}, got {self.kind!r}")
         if self.kind == "modular_classification":

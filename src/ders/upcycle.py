@@ -28,7 +28,7 @@ import numpy as np
 from . import numkern
 from .deltas import DenseDelta, ExpertGroup, init_lowrank_trainable, init_sparse_trainable
 from .errors import ConfigError, StateError
-from .moe import FFN, METHODS, DenseBlock, Model, MoELayer, Router, check_fields
+from .moe import FFN, METHODS, DenseBlock, Model, MoELayer, Router, check_fields, model_arrays
 
 LAYER_PATTERNS = ("every_layer", "every_other_layer")
 
@@ -81,7 +81,7 @@ def selected_layers(depth: int, pattern: str) -> list[int]:
     else:
         raise ConfigError(f"unknown layer_pattern {pattern!r}")
     if not picked:
-        raise ConfigError(f"layer pattern {pattern!r} selects zero of {depth} blocks")
+        raise ConfigError(f"layer_pattern {pattern!r} selects zero of {depth} blocks")
     return picked
 
 
@@ -93,12 +93,9 @@ def _router(d: int, n_experts: int, topk: int, seed: int, layer_idx: int, dtype)
 
 
 def _dense_stored_values(model: Model) -> int:
-    total = model.embed.size + model.readout.size
-    for block in model.blocks:
-        if not isinstance(block, DenseBlock):
-            raise StateError("model already contains MoE layers; upcycle a dense model")
-        total += block.ffn.w_in.size + block.ffn.w_out.size
-    return total
+    if not all(isinstance(block, DenseBlock) for block in model.blocks):
+        raise StateError("model already contains MoE layers; upcycle a dense model")
+    return sum(arr.size for _, arr, _, _ in model_arrays(model))
 
 
 def _initial_delta(cfg: UpcycleConfig, j: int, mat_tag: str, i: int, w: np.ndarray):

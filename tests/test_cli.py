@@ -38,9 +38,10 @@ from ders.checkpoint import load_model, save_model
 from ders.cli import Experiment, load_config, main
 from ders.compress import CompressionSpec, ders_compress
 from ders.deltas import LowRankDelta, QuantizedDelta, SparseDelta
-from ders.errors import NumericError
+from ders.errors import ConfigError, NumericError
 from ders.moe import ACTIVATIONS, build_dense_model
-from ders.train import TrainConfig, train_loop
+from ders.train import SyntheticTask, TrainConfig, train_loop
+from ders.upcycle import UpcycleConfig
 
 BASE_CONFIG = {
     "seed": 7,
@@ -836,6 +837,105 @@ class TestConfigSectionMutations:
             value is _MISSING and all(k in err[0] for k in _BAD_SWEEP_VALUES)
         ), err
         assert files == ["dense.ckpt", "trained.ckpt"]
+
+
+# The tiny config with every section a stage reads: ``compress`` and ``sweep``
+# as well.
+_TINY_FULL_CONFIG = {
+    **_TINY_CONFIG,
+    "compress": {"technique": "sparsify", "drop_rate": 0.5},
+    "sweep": {"drop_rates": [0.5]},
+}
+
+
+@pytest.fixture(scope="module")
+def tiny_ckpts(tmp_path_factory):
+    """A run directory holding the tiny config's dense, moe and trained checkpoints."""
+    tmp = tmp_path_factory.mktemp("tiny_ckpts")
+    cfg = str(tmp / "config.json")
+    with open(cfg, "w") as fh:
+        json.dump(_TINY_FULL_CONFIG, fh)
+    out = str(tmp / "run")
+    for cmd in ("pretrain-dense", "upcycle", "train"):
+        assert run(cmd, "--config", cfg, "--out", out) == 0
+    return out
+
+
+def _run_tiny(tmp_path, tiny_ckpts, config, command, *flags):
+    """``command`` with ``flags`` on ``config`` in a copy of the tiny run;
+    returns (exit code, stderr lines)."""
+    out = str(tmp_path / "run")
+    shutil.copytree(tiny_ckpts, out)
+    cfg = str(tmp_path / "config.json")
+    with open(cfg, "w") as fh:
+        json.dump(config, fh)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run(command, "--config", cfg, "--out", out, *flags)
+    return code, err.getvalue().splitlines()
+
+
+class TestSeedRule:
+    """Every seed must be >= 0. A negative one exits 2 with one error line
+    naming the key or flag that set it."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: CompressionSpec("sparsify", seed=-1),
+            lambda: SyntheticTask("cluster_regression", d=1, n_clusters=1, seed=-1),
+            lambda: TrainConfig(steps=1, seed=-1),
+            lambda: UpcycleConfig(n_experts=2, topk_count=1, seed=-1),
+        ],
+        ids=["CompressionSpec", "SyntheticTask", "TrainConfig", "UpcycleConfig"],
+    )
+    def test_every_config_dataclass_refuses_a_negative_seed(self, build):
+        with pytest.raises(ConfigError, match=r"^seed must be >= 0, got -1$"):
+            build()
+
+    @pytest.mark.parametrize("command", ["pretrain-dense", "upcycle", "train", "compress", "eval"])
+    def test_negative_task_seed_names_task_seed(self, tmp_path, tiny_ckpts, command):
+        """``task.seed`` sits beside ``task.params``, not inside it."""
+        config = {**_TINY_FULL_CONFIG, "task": {**_TINY_CONFIG["task"], "seed": -3}}
+        code, err = _run_tiny(tmp_path, tiny_ckpts, config, command)
+        assert code == 2 and len(err) == 1, err
+        assert "'task.seed'" in err[0] and "-3" in err[0] and "params" not in err[0], err
+
+    @pytest.mark.parametrize("command", ["compress", "sweep"])
+    def test_negative_compress_seed_names_compress_seed(self, tmp_path, tiny_ckpts, command):
+        config = {**_TINY_FULL_CONFIG, "compress": {**_TINY_FULL_CONFIG["compress"], "seed": -5}}
+        code, err = _run_tiny(tmp_path, tiny_ckpts, config, command)
+        assert code == 2 and len(err) == 1, err
+        assert re.search(r"\bcompress\.seed must be >= 0, got -5$", err[0]), err
+
+    @pytest.mark.parametrize("command", ["pretrain-dense", "train"])
+    def test_negative_root_seed_names_seed(self, tmp_path, tiny_ckpts, command):
+        """The root seed is every stage's default seed; the error names the
+        key the user wrote, not a stage's."""
+        code, err = _run_tiny(tmp_path, tiny_ckpts, {**_TINY_FULL_CONFIG, "seed": -7}, command)
+        assert code == 2 and len(err) == 1, err
+        assert "'seed'" in err[0] and "-7" in err[0] and "pretrain" not in err[0], err
+
+    @pytest.mark.parametrize("command", ["pretrain-dense", "train"])
+    def test_negative_seed_flag_names_the_flag(self, tmp_path, tiny_ckpts, command):
+        code, err = _run_tiny(tmp_path, tiny_ckpts, _TINY_FULL_CONFIG, command, "--seed", "-2")
+        assert (code, err) == (2, ["error: --seed must be >= 0, got -2"])
+
+
+class TestRankBoundNamesItsKeyPath:
+    """The ders-lm rank bound depends on the dense model, so ``upcycle``
+    checks it, not ``UpcycleConfig``; the CLI still names its key path."""
+
+    def test_upcycle_rank_flag(self, tmp_path, tiny_ckpts):
+        argv = ("upcycle", "--method", "ders-lm", "--rank", "100")
+        code, err = _run_tiny(tmp_path, tiny_ckpts, _TINY_FULL_CONFIG, *argv)
+        assert (code, err) == (2, ["error: upcycle.rank must be <= min(d, d_h) = 2, got 100"])
+
+    def test_sweep_rank(self, tmp_path, tiny_ckpts):
+        config = {**_TINY_FULL_CONFIG, "sweep": {"ranks": [100]}}
+        code, err = _run_tiny(tmp_path, tiny_ckpts, config, "sweep")
+        expected = "error: sweep.ranks: upcycle.rank must be <= min(d, d_h) = 2, got 100"
+        assert (code, err) == (2, [expected])
 
 
 class TestDeterminismAndThreads:

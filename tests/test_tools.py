@@ -1,11 +1,14 @@
 """The command-line tools under ``tools/``: how they end when their reader
-does, and the manifest's ``save → load → save`` check."""
+does, the manifest's ``save → load → save`` check, and kernel_bench's census."""
 
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+
+from ders import numkern
 
 TOOLS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools")
 
@@ -55,3 +58,24 @@ def test_manifest_names_a_checkpoint_that_changes_on_resave(tmp_path, monkeypatc
     with pytest.raises(SystemExit) as exc:
         pipeline_manifest.run(pipeline_manifest.PIPELINE[:1], str(tmp_path))
     assert "vanilla/dense.ckpt changed on save → load → save" in str(exc.value.code)
+
+
+def test_census_records_matmul_outside_paused_blocks(monkeypatch):
+    """As a workload's tracer, the census counts each ``numkern.matmul`` call
+    by phase, shape and layout, except inside ``paused()``; ``span`` returns
+    what the function it calls returns."""
+    monkeypatch.syspath_prepend(TOOLS)
+    import kernel_bench
+
+    a, b = np.ones((2, 3)), np.ones((3, 4))
+    real = numkern.matmul
+    with kernel_bench.Census() as census:
+        census.phase = "round"
+        with census.paused():
+            numkern.matmul(a, b)
+        assert not census.calls
+        assert census.span("numkern.matmul", numkern.matmul, a, np.asfortranarray(b)).shape == (2, 4)
+        assert census.span("add", lambda x, y=0: x + y, 1, y=2) == 3
+    assert numkern.matmul is real
+    numkern.matmul(a, b)  # after the block: not counted
+    assert census.calls == {("round", 2, 3, 4, "C", "F"): 1}

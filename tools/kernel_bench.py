@@ -5,24 +5,16 @@ serving forward's layers; print JSON.
     python3 tools/kernel_bench.py [--repeat N] [--seed S]
 
 Run from anywhere in a source checkout: the program is imported from the
-checkout's ``src/`` directory.
+checkout's ``src/`` directory, and the workloads from its ``perfbench/``.
 
-First a census. Each workload's operations are replayed in-process at the
-benchmark's shapes and counts, with every ``numkern.matmul`` call recorded by
-its shape (n × k · k × m) and operand layouts (``C`` for C-contiguous, ``F``
-for a transposed view):
-
-* ``upcycle_train``: set-up is a dense pretrain of 150 32-row steps (d = 32,
-  d_h = 64, two blocks, the README regression task, 256 eval rows); a round
-  upcycles ``vanilla``, ``ders_sm`` (drop rate 0.75) and ``ders_lm`` (rank 4)
-  with N = 4, k = 2 and trains each for 60 Adam steps of 32 rows.
-* ``compress_serve``: set-up is a 40-step dense pretrain (d = 32, d_h = 128,
-  eight clusters, 2,048 eval rows), a ders_lm and a vanilla MoE (N = 8,
-  k = 2) trained 10 steps each, and the vanilla one sparsified (p = 0.9) and
-  quantized (4 bits); a round compresses (p = 0.9), evaluates the result,
-  sweeps drop rates {0.5, 0.9, 0.99} and bit widths {1, 2, 4, 8} with an eval
-  each, and serves 240 requests of 1–8 rows round-robin over the sparse,
-  4-bit and low-rank models.
+First a census. Each workload of ``perfbench/workloads.py``, which defines
+its shapes, counts and stages, runs in-process in a temporary directory at
+workload seed ``--seed`` (the seed ``perfbench/run.py --seed`` takes): its
+set-up and ``prepare``, then one round. Every ``numkern.matmul`` call is
+recorded by phase (``setup`` or ``round``), shape (n × k · k × m) and operand
+layouts (``C`` for C-contiguous, ``F`` for a transposed view). The
+workload's own checks run paused and are not counted, so a round's count is
+the ``numkern.matmul.calls`` of a traced perfbench round.
 
 Then every recorded key is timed through ``matmul``'s one einsum form in
 each orientation: ``direct``, the form over ``(a, b)`` as ``matmul``
@@ -41,8 +33,8 @@ uses T = 32), for the faster orientation per shape (``best_of_both_us``),
 and for ``matmul`` as it stands. ``act_forward`` and ``act_grad`` time each
 activation and its derivative at 16×64, 32×64 and 512×128 float64.
 
-``forward`` times the serving path on the three served models of
-``compress_serve`` (``sparse``, ``4-bit``, ``lowrank``): ``synthesize`` of
+``forward`` times the serving path on the three models ``compress_serve``
+serves (``sparse``, ``4-bit``, ``lowrank``): ``synthesize`` of
 expert 0's two matrices, and ``route`` (the first MoE layer, on its input)
 and ``model_forward`` at 1, 4, 8 and 2,048 rows.
 """
@@ -51,26 +43,27 @@ from __future__ import annotations
 
 import argparse
 import collections
+import contextlib
 import json
 import os
 import statistics
 import sys
+import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 import numpy as np  # noqa: E402
 
-from ders import moe, numkern, train  # noqa: E402
-from ders.compress import CompressionSpec, ders_compress  # noqa: E402
+from ders import moe, numkern  # noqa: E402
 from ders.deltas import synthesize  # noqa: E402
-from ders.moe import build_dense_model  # noqa: E402
-from ders.upcycle import UpcycleConfig, upcycle  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
 
 THRESHOLDS = (0, 1, 2, 4, 8, 16, 32, 64, 128)
 ACT_SHAPES = ((16, 64), (32, 64), (512, 128))
 FORWARD_ROWS = (1, 4, 8, 2048)
+SERVED = ("sparse", "4-bit", "lowrank")  # compress_serve's models, in its MODELS order
 
 
 def _layout(x: np.ndarray) -> str:
@@ -78,17 +71,23 @@ def _layout(x: np.ndarray) -> str:
 
 
 class Census:
-    """Counts ``numkern.matmul`` calls per (phase, n, k, m, layout of a, of b)."""
+    """Counts ``numkern.matmul`` calls per (phase, n, k, m, layout of a, of b).
+
+    It serves as a workload's tracer: ``span`` calls straight through, and
+    nothing is recorded inside ``paused()``, where the workload runs its own
+    checks."""
 
     def __init__(self):
         self.calls: collections.Counter = collections.Counter()
         self.phase = ""
+        self.recording = True
 
     def __enter__(self):
         inner = self.inner = numkern.matmul
 
         def recording(a, b):
-            self.calls[(self.phase, a.shape[0], a.shape[1], b.shape[1], _layout(a), _layout(b))] += 1
+            if self.recording:
+                self.calls[(self.phase, a.shape[0], a.shape[1], b.shape[1], _layout(a), _layout(b))] += 1
             return inner(a, b)
 
         numkern.matmul = recording
@@ -97,61 +96,36 @@ class Census:
     def __exit__(self, *exc):
         numkern.matmul = self.inner
 
+    @contextlib.contextmanager
+    def paused(self):
+        recording, self.recording = self.recording, False
+        try:
+            yield
+        finally:
+            self.recording = recording
 
-def _task(seed: int, n_clusters: int, eval_size: int):
-    params = {"d": 8, "n_clusters": n_clusters, "out_width": 4, "eval_size": eval_size}
-    return train.make_task("cluster_regression", params, seed)
-
-
-def _pretrained(task, d_h: int, steps: int, seed: int):
-    dense = build_dense_model(d=32, d_h=d_h, depth=2, in_width=task.in_width,
-                              out_width=task.target_width, seed=seed)
-    return train.train_loop(dense, task, train.TrainConfig(steps=steps, lr=0.01, seed=seed)).model
-
-
-def upcycle_train(census: Census, seed: int) -> dict:
-    """Replay the workload; it serves no model, so return an empty dict."""
-    task = _task(seed, 4, 256)
-    census.phase = "setup"
-    dense = _pretrained(task, 64, 150, seed)
-    census.phase = "round"
-    for method in ("vanilla", "ders_sm", "ders_lm"):
-        cfg = UpcycleConfig(n_experts=4, topk_count=2, method=method, sparse_rate=0.75, rank=4, seed=seed)
-        train.train_loop(upcycle(dense, cfg), task, train.TrainConfig(steps=60, lr=0.003, seed=seed))
-    return {}
+    def span(self, name: str, fn, *args, **kwargs):
+        return fn(*args, **kwargs)
 
 
-def compress_serve(census: Census, seed: int) -> dict:
-    """Replay the workload; return its served models by name."""
-    task = _task(seed, 8, 2048)
-    train_cfg = train.TrainConfig(steps=10, lr=0.003, seed=seed)
-    census.phase = "setup"
-    dense = _pretrained(task, 128, 40, seed)
-    models = {}
-    for method in ("ders_lm", "vanilla"):
-        cfg = UpcycleConfig(n_experts=8, topk_count=2, method=method, rank=4, seed=seed)
-        models[method] = train.train_loop(upcycle(dense, cfg), task, train_cfg).model
-    trained = models["vanilla"]
-    served = [
-        ders_compress(trained, CompressionSpec("sparsify", drop_rate=0.9, seed=seed)),
-        ders_compress(trained, CompressionSpec("quantize", bit_width=4, seed=seed)),
-        models["ders_lm"],
-    ]
-    rng = np.random.default_rng(seed)
-    requests = [2.0 * rng.standard_normal((int(n), task.in_width)) for n in rng.integers(1, 9, 240)]
-    census.phase = "round"
-    train.evaluate(ders_compress(trained, CompressionSpec("sparsify", drop_rate=0.9, seed=seed)), task)
-    train.evaluate(trained, task)  # the sweep's baseline row
-    specs = [CompressionSpec("sparsify", drop_rate=p, seed=seed) for p in (0.5, 0.9, 0.99)]
-    specs += [CompressionSpec("quantize", bit_width=k, seed=seed) for k in (1, 2, 4, 8)]
-    for spec in specs:
-        train.evaluate(ders_compress(trained, spec), task)
-    for i, x in enumerate(requests):
-        moe.model_forward(served[i % len(served)], x)
-    return dict(zip(("sparse", "4-bit", "lowrank"), served))
-
-
-WORKLOADS = {"upcycle_train": upcycle_train, "compress_serve": compress_serve}
+def run_workloads(seed: int) -> tuple[dict, dict]:
+    """Each workload's census, after its set-up and one round in a temporary
+    directory, and the models ``compress_serve`` serves, by name."""
+    census, workloads = {}, {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, workload_class in WORKLOADS.items():
+            with Census() as c:
+                workload = workloads[name] = workload_class(seed, os.path.join(tmp, name), c)
+                out = os.path.join(tmp, name, "setup")
+                c.phase = "setup"
+                workload.setup(out)
+                workload.prepare(out)
+                c.phase = "round"
+                rnd = workload.round()
+            if rnd.failed:
+                print(f"kernel_bench: {name}: {rnd.failed} of {rnd.ops} operations failed", file=sys.stderr)
+            census[name] = c.calls
+    return census, dict(zip(SERVED, workloads["compress_serve"].models, strict=True))
 
 
 def _operand(rng, rows: int, cols: int, layout: str) -> np.ndarray:
@@ -227,11 +201,7 @@ def forward(served: dict, repeat: int, seed: int) -> dict:
 
 
 def bench(repeat: int, seed: int) -> dict:
-    census, served = {}, {}
-    for name, replay in WORKLOADS.items():
-        with Census() as c:
-            served.update(replay(c, seed))
-        census[name] = c.calls
+    census, served = run_workloads(seed)
     keys = sorted({key[1:] for calls in census.values() for key in calls})
     rng = np.random.default_rng(seed)
     table = []

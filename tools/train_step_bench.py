@@ -3,10 +3,12 @@
     python3 tools/train_step_bench.py [--steps N] [--seed S]
 
 Run from anywhere in a source checkout: the program is imported from the
-checkout's ``src/`` directory. The model has the shape of the benchmark's
-``upcycle_train`` workload (d = 32, d_h = 64, two blocks, N = 4 experts,
-top-2, drop rate 0.75, rank 4, 32-row Adam steps on the README regression
-task), built in-process from a fresh dense model rather than a pretrained one.
+checkout's ``src/`` directory, and the workload from its ``perfbench/``. The
+model is the benchmark's ``upcycle_train`` model at workload seed ``--seed``
+(the seed ``perfbench/run.py --seed`` takes), whose shapes
+``perfbench/workloads.py`` defines: the dense model the workload's set-up
+pretrains, in a temporary directory, upcycled by each method with the
+workload config's ``upcycle`` section and stepped with its ``train`` section.
 
 Each step runs as ``train_loop`` runs it, on one gradient layout, and times:
 
@@ -23,35 +25,43 @@ is a warm-up and is not timed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import statistics
 import sys
+import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 import numpy as np  # noqa: E402
 
-from ders import numkern, train  # noqa: E402
-from ders.moe import build_dense_model, named_parameters  # noqa: E402
+from ders import cli, numkern, train  # noqa: E402
+from ders.moe import METHODS, named_parameters  # noqa: E402
 from ders.upcycle import UpcycleConfig, upcycle  # noqa: E402
-
-METHODS = ("vanilla", "ders_sm", "ders_lm")
+from spans import Tracer  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
 
 
 def _us(samples: list) -> float:
     return round(1e6 * statistics.median(samples), 2)
 
 
-def bench_method(method: str, steps: int, seed: int) -> dict:
-    task = train.make_task("cluster_regression", {"d": 8, "n_clusters": 4, "out_width": 4}, seed)
-    dense = build_dense_model(d=32, d_h=64, depth=2, in_width=task.in_width,
-                              out_width=task.target_width, seed=seed)
-    model = upcycle(dense, UpcycleConfig(n_experts=4, topk_count=2, method=method,
-                                         sparse_rate=0.75, rank=4, seed=seed))
-    cfg = train.TrainConfig(steps=steps + 1, lr=0.003, seed=seed)
+def pretrained(seed: int, workdir: str):
+    """The dense model of the ``upcycle_train`` set-up, and the workload's config."""
+    workload = WORKLOADS["upcycle_train"](seed, workdir, Tracer())
+    out = os.path.join(workdir, "setup")
+    workload.setup(out)
+    workload.prepare(out)
+    return workload.dense, cli.Experiment(workload.config())
+
+
+def bench_method(method: str, steps: int, dense, exp: cli.Experiment) -> dict:
+    task = exp.task()
+    model = upcycle(dense, exp.build(UpcycleConfig, "upcycle", method=method))
+    cfg = dataclasses.replace(exp.build(train.TrainConfig, "train"), steps=steps + 1)
     layout = train.GradLayout(named_parameters(model))
     state = train.optimizer_state(layout)
     times = {"loss_parts_us": [], "optimizer_us": [], "zero_check_us": []}
@@ -88,7 +98,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.steps < 1:
         parser.error("--steps must be >= 1")
-    print(json.dumps({m: bench_method(m, args.steps, args.seed) for m in METHODS}, indent=2))
+    with tempfile.TemporaryDirectory() as tmp:
+        dense, exp = pretrained(args.seed, tmp)
+    print(json.dumps({m: bench_method(m, args.steps, dense, exp) for m in METHODS}, indent=2))
     return 0
 
 
