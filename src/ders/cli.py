@@ -55,19 +55,6 @@ from .moe import (
 from .train import TASK_KINDS, SyntheticTask, TrainConfig, evaluate, train_loop
 from .upcycle import UpcycleConfig, upcycle
 
-# Each subcommand with the only flags it takes besides --config, --seed and --out.
-SUBCOMMANDS = {
-    "pretrain-dense": (),
-    "upcycle": ("method", "drop_rate", "rank", "extended", "freeze_shared"),
-    "train": (),
-    "compress": ("drop_rate", "bit_width", "extended"),
-    "eval": ("ckpt",),
-    "report-params": ("ckpt", "format"),
-    "analyze-similarity": ("ckpt", "format"),
-    # The rank arms upcycle: the upcycle flags the sweep does not set itself.
-    "sweep": ("extended", "freeze_shared"),
-}
-
 _CKPT_CHAIN = ("compressed.ckpt", "trained.ckpt", "moe.ckpt", "dense.ckpt")
 
 
@@ -443,15 +430,18 @@ def _cmd_sweep(args, out: str) -> int:
     return 0
 
 
-_COMMANDS = {
-    "pretrain-dense": _cmd_pretrain,
-    "upcycle": _cmd_upcycle,
-    "train": _cmd_train,
-    "compress": _cmd_compress,
-    "eval": _cmd_eval,
-    "report-params": _cmd_report_params,
-    "analyze-similarity": _cmd_analyze_similarity,
-    "sweep": _cmd_sweep,
+# Each subcommand's handler and the only flags it takes besides --config,
+# --seed and --out.
+SUBCOMMANDS = {
+    "pretrain-dense": (_cmd_pretrain, ()),
+    "upcycle": (_cmd_upcycle, ("method", "drop_rate", "rank", "extended", "freeze_shared")),
+    "train": (_cmd_train, ()),
+    "compress": (_cmd_compress, ("drop_rate", "bit_width", "extended")),
+    "eval": (_cmd_eval, ("ckpt",)),
+    "report-params": (_cmd_report_params, ("ckpt", "format")),
+    "analyze-similarity": (_cmd_analyze_similarity, ("ckpt", "format")),
+    # The rank arms upcycle: the upcycle flags the sweep does not set itself.
+    "sweep": (_cmd_sweep, ("extended", "freeze_shared")),
 }
 
 
@@ -482,7 +472,7 @@ def _build_parser() -> argparse.ArgumentParser:
     # shares with other subcommands (``Experiment.upcycle_config``) still work.
     parser.set_defaults(**dict.fromkeys(_FLAGS))
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, flags in SUBCOMMANDS.items():
+    for name, (_, flags) in SUBCOMMANDS.items():
         sp = sub.add_parser(name)
         sp.add_argument("--config", default=None, help="path to the JSON experiment config")
         sp.add_argument("--seed", type=int, default=None, help="override the config seed")
@@ -500,7 +490,7 @@ def main(argv=None) -> int:
     out = args.out
     try:
         os.makedirs(out, exist_ok=True)
-        return _COMMANDS[args.command](args, out)
+        return SUBCOMMANDS[args.command][0](args, out)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

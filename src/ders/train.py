@@ -23,7 +23,8 @@ disables it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -51,7 +52,7 @@ SCHEDULES = ("constant", "cosine", "linear")
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class SyntheticTask:
     """A deterministic synthetic data generator with disjoint train/eval splits.
 
@@ -64,6 +65,10 @@ class SyntheticTask:
     ``modular_classification``: inputs are one-hot pairs (a, b), the label is
     (a+b) mod m with m = n_clusters; the pair universe is split 80/20 into
     disjoint train/eval sets.
+
+    The task data each derives from its fields (centers and maps, pair split,
+    eval set) is built on first use and kept, so equality and hashing see the
+    fields only.
     """
 
     kind: str
@@ -76,7 +81,6 @@ class SyntheticTask:
     shift: float = 0.0
     shift_seed: int = 0
     eval_size: int = 256
-    _cache: dict = field(default_factory=dict, repr=False, init=False)
 
     def __post_init__(self):
         check_fields(self, d=1, n_clusters=1, out_width=1, eval_size=1, noise=0, seed=0)
@@ -104,35 +108,31 @@ class SyntheticTask:
     def loss_kind(self) -> str:
         return "mse" if self.kind == "cluster_regression" else "ce"
 
+    @cached_property
     def _centers_and_maps(self):
-        if "maps" not in self._cache:
-            g = numkern.RngStream(self.seed, numkern.derive_stream_id("task", "centers")).generator
-            centers = self.spread * g.standard_normal((self.n_clusters, self.d))
-            g = numkern.RngStream(self.seed, numkern.derive_stream_id("task", "maps")).generator
-            maps = g.standard_normal((self.n_clusters, self.d, self.out_width)) / np.sqrt(self.d)
-            if self.shift != 0.0:
-                gs = numkern.RngStream(
-                    self.seed, numkern.derive_stream_id("task", "shift", self.shift_seed)
-                ).generator
-                maps = maps + (
-                    self.shift
-                    * gs.standard_normal((self.n_clusters, self.d, self.out_width))
-                    / np.sqrt(self.d)
-                )
-            self._cache["centers"] = centers
-            self._cache["maps"] = maps
-        return self._cache["centers"], self._cache["maps"]
+        g = numkern.RngStream(self.seed, numkern.derive_stream_id("task", "centers")).generator
+        centers = self.spread * g.standard_normal((self.n_clusters, self.d))
+        g = numkern.RngStream(self.seed, numkern.derive_stream_id("task", "maps")).generator
+        maps = g.standard_normal((self.n_clusters, self.d, self.out_width)) / np.sqrt(self.d)
+        if self.shift != 0.0:
+            gs = numkern.RngStream(
+                self.seed, numkern.derive_stream_id("task", "shift", self.shift_seed)
+            ).generator
+            maps = maps + (
+                self.shift
+                * gs.standard_normal((self.n_clusters, self.d, self.out_width))
+                / np.sqrt(self.d)
+            )
+        return centers, maps
 
+    @cached_property
     def _pair_split(self):
-        if "train_pairs" not in self._cache:
-            m = self.n_clusters
-            pairs = np.array([(a, b) for a in range(m) for b in range(m)], dtype=np.int64)
-            g = numkern.RngStream(self.seed, numkern.derive_stream_id("task", "split")).generator
-            order = g.permutation(len(pairs))
-            n_eval = max(1, len(pairs) // 5)
-            self._cache["eval_pairs"] = pairs[order[:n_eval]]
-            self._cache["train_pairs"] = pairs[order[n_eval:]]
-        return self._cache["train_pairs"], self._cache["eval_pairs"]
+        m = self.n_clusters
+        pairs = np.array([(a, b) for a in range(m) for b in range(m)], dtype=np.int64)
+        g = numkern.RngStream(self.seed, numkern.derive_stream_id("task", "split")).generator
+        order = g.permutation(len(pairs))
+        n_eval = max(1, len(pairs) // 5)
+        return pairs[order[n_eval:]], pairs[order[:n_eval]]
 
     def _onehot_pairs(self, pairs: np.ndarray) -> np.ndarray:
         m = self.n_clusters
@@ -142,7 +142,7 @@ class SyntheticTask:
         return x
 
     def _regression_sample(self, n: int, rng: numkern.RngStream):
-        centers, maps = self._centers_and_maps()
+        centers, maps = self._centers_and_maps
         g = rng.generator
         c = g.integers(0, self.n_clusters, size=n)
         x = centers[c] + g.standard_normal((n, self.d))
@@ -162,30 +162,28 @@ class SyntheticTask:
             raise ParameterError("batch size must be >= 1")
         if self.kind == "cluster_regression":
             return self._regression_sample(n, rng)
-        train_pairs, _ = self._pair_split()
+        train_pairs, _ = self._pair_split
         picks = rng.generator.integers(0, len(train_pairs), size=n)
         pairs = train_pairs[picks]
         labels = (pairs[:, 0] + pairs[:, 1]) % self.n_clusters
         return self._onehot_pairs(pairs), labels
 
+    @cached_property
+    def _eval_set(self):
+        if self.kind == "cluster_regression":
+            rng = numkern.RngStream(self.seed, numkern.derive_stream_id("task", "eval"))
+            return self._regression_sample(self.eval_size, rng)
+        _, eval_pairs = self._pair_split
+        return self._onehot_pairs(eval_pairs), (eval_pairs[:, 0] + eval_pairs[:, 1]) % self.n_clusters
+
     def eval_set(self):
-        if "eval_x" not in self._cache:
-            if self.kind == "cluster_regression":
-                rng = numkern.RngStream(self.seed, numkern.derive_stream_id("task", "eval"))
-                self._cache["eval_x"], self._cache["eval_y"] = self._regression_sample(
-                    self.eval_size, rng
-                )
-            else:
-                _, eval_pairs = self._pair_split()
-                self._cache["eval_x"] = self._onehot_pairs(eval_pairs)
-                self._cache["eval_y"] = (eval_pairs[:, 0] + eval_pairs[:, 1]) % self.n_clusters
-        return self._cache["eval_x"], self._cache["eval_y"]
+        return self._eval_set
 
 
 def make_task(kind: str, params: dict, seed: int) -> SyntheticTask:
     """The task ``kind`` with ``params``: any :class:`SyntheticTask` field but
     ``kind`` and ``seed``, each required unless it has a default."""
-    allowed = {f.name for f in fields(SyntheticTask) if f.init} - {"kind", "seed"}
+    allowed = {f.name for f in fields(SyntheticTask)} - {"kind", "seed"}
     unknown = set(params) - allowed
     if unknown:
         raise ConfigError(f"unknown task parameters: {sorted(unknown)}")

@@ -1,5 +1,6 @@
 """The command-line tools under ``tools/``: how they end when their reader
-does, the manifest's ``save → load → save`` check, and kernel_bench's census."""
+does, the manifest's ``save → load → save`` check, and kernel_bench's census
+and training step section."""
 
 import os
 import subprocess
@@ -8,7 +9,10 @@ import sys
 import numpy as np
 import pytest
 
-from ders import numkern
+from ders import cli, numkern
+from ders.accounting import count_report
+from ders.moe import METHODS, named_parameters
+from ders.upcycle import UpcycleConfig, upcycle
 
 TOOLS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools")
 
@@ -17,7 +21,6 @@ TOOLS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     "argv",
     [
         ["pipeline_manifest.py"],
-        ["train_step_bench.py", "--steps", "1"],
         ["kernel_bench.py", "--repeat", "1"],
     ],
     ids=lambda argv: argv[0],
@@ -79,3 +82,22 @@ def test_census_records_matmul_outside_paused_blocks(monkeypatch):
     assert numkern.matmul is real
     numkern.matmul(a, b)  # after the block: not counted
     assert census.calls == {("round", 2, 3, 4, "C", "F"): 1}
+
+
+def test_train_step_counts_the_trainable_parameters_of_each_method(tmp_path, monkeypatch):
+    """kernel_bench's ``train_step`` steps each method's upcycled model of
+    the prepared ``upcycle_train`` workload, whose trainable arrays and
+    values are the upcycled model's."""
+    monkeypatch.syspath_prepend(TOOLS)
+    import kernel_bench
+
+    workload = kernel_bench.WORKLOADS["upcycle_train"](0, str(tmp_path), kernel_bench.Census())
+    workload.setup(str(tmp_path / "setup"))
+    workload.prepare(str(tmp_path / "setup"))
+    report = kernel_bench.train_step(workload, 1)
+    exp = cli.Experiment(workload.config())
+    for method in METHODS:
+        upcycled = upcycle(workload.dense, exp.build(UpcycleConfig, "upcycle", method=method))
+        assert report[method]["steps"] == 1
+        assert report[method]["trainable_values"] == count_report(upcycled).totals.trainable_values
+        assert report[method]["trainable_arrays"] == len(named_parameters(upcycled))

@@ -62,6 +62,26 @@ class TestMakeTask:
         ea, eb = a.eval_set(), b.eval_set()
         assert np.array_equal(ea[0], eb[0])
 
+    @pytest.mark.parametrize(
+        "kind, params",
+        [
+            ("cluster_regression", {"d": 4, "n_clusters": 2}),
+            ("modular_classification", {"d": 1, "n_clusters": 4}),
+        ],
+    )
+    def test_equality_and_hash_ignore_the_data_built_on_use(self, kind, params):
+        """Tasks are frozen values: sampling and the eval set build data
+        that equality and hashing do not see."""
+        a, b = make_task(kind, params, 1), make_task(kind, params, 1)
+        a.eval_set()
+        assert a == b and hash(a) == hash(b)
+        b.sample_train(4, RngStream(0, 0))
+        b.eval_set()
+        assert a == b and hash(a) == hash(b)
+        assert a != make_task(kind, params, 2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            a.seed = 2
+
     def test_train_eval_disjoint_regression(self):
         t = regression_task(eval_size=64)
         ex, _ = t.eval_set()

@@ -1,6 +1,6 @@
 """Time ``numkern.matmul`` on every product shape of the two benchmark
-workloads, in each orientation, the activations on three shapes, and the
-serving forward's layers; print JSON.
+workloads, in each orientation, the activations on three shapes, the serving
+forward's layers and the parts of a training step; print JSON.
 
     python3 tools/kernel_bench.py [--repeat N] [--seed S]
 
@@ -24,8 +24,7 @@ through ``matmul`` itself. An orientation whose einsum output would have one
 column is not timed (it would not give the triple loop's bytes), and 1×1
 outputs take the k-loop. Times are medians over ``--repeat`` interleaved
 calls, in microseconds. ``einsum_k_ordered`` is the probe decision
-``matmul`` took at import, and ``einsum_form_k_ordered`` the probe run again
-on that form.
+``matmul`` took at import.
 
 ``rules`` sums calls × time per workload and phase for each rule "compute
 the product as ``ba`` when m ≤ T < n or m = 1, else ``direct``" (``matmul``
@@ -37,6 +36,16 @@ activation and its derivative at 16×64, 32×64 and 512×128 float64.
 serves (``sparse``, ``4-bit``, ``lowrank``): ``synthesize`` of
 expert 0's two matrices, and ``route`` (the first MoE layer, on its input)
 and ``model_forward`` at 1, 4, 8 and 2,048 rows.
+
+``train_step`` times, per upcycle method, the parts of a training step on
+``upcycle_train``'s pretrained dense model, upcycled with the workload
+config's ``upcycle`` section and stepped with its ``train`` section as
+``train_loop`` steps it, after the census: ``loss_parts_us`` (forward,
+backward and gradient landing), ``optimizer_us`` (the Adam step on the flat
+buffers) and ``zero_check_us`` (zero-filling the flat gradient buffers, which
+``loss_parts`` also does), each the median over ``--repeat`` steps after one
+warm-up step, with the step count and the number of trainable arrays and
+values.
 """
 
 from __future__ import annotations
@@ -44,6 +53,7 @@ from __future__ import annotations
 import argparse
 import collections
 import contextlib
+import dataclasses
 import json
 import os
 import statistics
@@ -56,8 +66,9 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 import numpy as np  # noqa: E402
 
-from ders import moe, numkern  # noqa: E402
+from ders import cli, moe, numkern, train  # noqa: E402
 from ders.deltas import synthesize  # noqa: E402
+from ders.upcycle import UpcycleConfig, upcycle  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 THRESHOLDS = (0, 1, 2, 4, 8, 16, 32, 64, 128)
@@ -110,7 +121,7 @@ class Census:
 
 def run_workloads(seed: int) -> tuple[dict, dict]:
     """Each workload's census, after its set-up and one round in a temporary
-    directory, and the models ``compress_serve`` serves, by name."""
+    directory, and each workload, by name."""
     census, workloads = {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         for name, workload_class in WORKLOADS.items():
@@ -125,7 +136,7 @@ def run_workloads(seed: int) -> tuple[dict, dict]:
             if rnd.failed:
                 print(f"kernel_bench: {name}: {rnd.failed} of {rnd.ops} operations failed", file=sys.stderr)
             census[name] = c.calls
-    return census, dict(zip(SERVED, workloads["compress_serve"].models, strict=True))
+    return census, workloads
 
 
 def _operand(rng, rows: int, cols: int, layout: str) -> np.ndarray:
@@ -200,8 +211,55 @@ def forward(served: dict, repeat: int, seed: int) -> dict:
     return out
 
 
+def _step_parts(model, task, cfg: train.TrainConfig) -> tuple:
+    """``model``'s gradient layout, and ``cfg.steps`` steps of ``train_loop``
+    on it in three parts, which are called in order once per step."""
+    layout = train.GradLayout(moe.named_parameters(model))
+    state = train.optimizer_state(layout)
+    batches = iter([
+        task.sample_train(cfg.batch_size, numkern.RngStream(cfg.seed, numkern.derive_stream_id("batch", t)))
+        for t in range(1, cfg.steps + 1)
+    ])
+    t = 0
+
+    def loss_parts():
+        nonlocal t
+        t += 1
+        train.loss_parts(model, next(batches), task, cfg.aux_loss_coeff, layout)
+
+    def zero_fill():
+        # The buffers now hold the update, which the next step zero-fills anyway.
+        for flat in layout.flats.values():
+            flat.fill(0)
+
+    return layout, {
+        "loss_parts_us": loss_parts,
+        "optimizer_us": lambda: train._optimizer_step(cfg, layout, state, t, train._lr_at(cfg, t)),
+        "zero_check_us": zero_fill,
+    }
+
+
+def train_step(workload, repeat: int) -> dict:
+    """Per upcycle method: the median µs of each part of ``repeat`` training
+    steps, after one warm-up step, on the prepared ``upcycle_train``
+    ``workload``'s dense model, and the trainable arrays and values."""
+    exp = cli.Experiment(workload.config())
+    cfg = dataclasses.replace(exp.build(train.TrainConfig, "train"), steps=repeat + 1)
+    out = {}
+    for method in moe.METHODS:
+        model = upcycle(workload.dense, exp.build(UpcycleConfig, "upcycle", method=method))
+        layout, parts = _step_parts(model, workload.task, cfg)
+        out[method] = {
+            "steps": repeat,
+            "trainable_arrays": len(layout.params),
+            "trainable_values": sum(flat.size for flat in layout.flats.values()),
+            **_median_us(parts, repeat),
+        }
+    return out
+
+
 def bench(repeat: int, seed: int) -> dict:
-    census, served = run_workloads(seed)
+    census, workloads = run_workloads(seed)
     keys = sorted({key[1:] for calls in census.values() for key in calls})
     rng = np.random.default_rng(seed)
     table = []
@@ -237,10 +295,10 @@ def bench(repeat: int, seed: int) -> dict:
         "repeat": repeat,
         "seed": seed,
         "einsum_k_ordered": numkern._EINSUM_K_ORDERED,
-        "einsum_form_k_ordered": numkern._einsum_is_k_ordered(),
         "rules": rules,
         **act,
-        "forward": forward(served, repeat, seed),
+        "forward": forward(dict(zip(SERVED, workloads["compress_serve"].models, strict=True)), repeat, seed),
+        "train_step": train_step(workloads["upcycle_train"], repeat),
         "matmul_us": table,
     }
 
