@@ -8,7 +8,10 @@ and a readout matrix. MoE routing follows the softmax-then-top-k convention:
 
 Expert weights are synthesized on demand from the layer's shared base and the
 expert's delta; experts whose routing score is zero are never materialized
-(instrumented by a per-layer synthesis counter). The batched forward evaluates
+(instrumented by a per-layer synthesis counter). An untaped forward takes an
+expert it has synthesized before from the layer's cache, whose sources it has
+made read-only so that the cache cannot go stale; :func:`thaw` drops the
+cache and makes them writeable again. The batched forward evaluates
 rows independently with a fixed accumulation order, so a batch result equals
 the stacked single-row results bit-for-bit.
 
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import copy
 import numbers
+import operator
 import sys
 from dataclasses import MISSING, dataclass, field, fields
 
@@ -229,6 +233,11 @@ class MoELayer:
     trainable_base: bool = False
     method: str = "vanilla"
     synthesis_count: int = field(default=0, init=False)
+    # The served-expert cache (see ``_served_weights``): expert index -> None
+    # after its first untaped synthesis, then (sources, their arrays, the
+    # synthesized pair); and, by id, each array the cache made read-only.
+    _served: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _frozen: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_fields(self, self.activation)
@@ -252,11 +261,55 @@ class MoELayer:
             raise ParameterError("extended layers fold the universal FFN into the group")
 
     def synthesized_weights(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Materialize expert i's (w_in, w_out), counting the synthesis."""
+        """Materialize expert i's (w_in, w_out), counting the synthesis. An
+        untaped forward calls it only on a miss of the layer's cache."""
         w_in = synthesize(self.group_in.base, self.group_in.deltas[i])
         w_out = synthesize(self.group_out.base, self.group_out.deltas[i])
         self.synthesis_count += 1
         return w_in, w_out
+
+    def _sources(self, i: int) -> tuple:
+        """Everything expert i's synthesis reads: each group's base, its delta,
+        and the delta's fields (record arrays and header scalars)."""
+        d_in, d_out = self.group_in.deltas[i], self.group_out.deltas[i]
+        return (self.group_in.base, d_in, *vars(d_in).values(),
+                self.group_out.base, d_out, *vars(d_out).values())
+
+    def _served_weights(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """Expert i's (w_in, w_out) for an untaped forward.
+
+        The first untaped synthesis of an expert keeps nothing. From the
+        second on, the layer keeps the pair, provided every source array owns
+        its data, and makes the pair and those sources read-only. The entry
+        is a hit while each source is the same object and every source array
+        is still read-only, so an in-place write raises instead of going
+        stale, and a rebound delta, record or scalar is a miss. Only a miss
+        calls ``synthesized_weights``."""
+        sources = self._sources(i)
+        entry = self._served.get(i)
+        if entry is not None:
+            kept, arrays, pair = entry
+            if (len(kept) == len(sources) and all(map(operator.is_, kept, sources))
+                    and not any(a.flags.writeable for a in arrays)):
+                return pair
+        pair = self.synthesized_weights(i)
+        arrays = [s for s in sources if isinstance(s, np.ndarray)]
+        if i not in self._served or not all(a.flags.owndata for a in arrays):
+            # Read-only on a view would not stop a write through the array it views.
+            self._served[i] = None
+            return pair
+        for a in arrays:
+            if a.flags.writeable:
+                a.flags.writeable = False
+                self._frozen[id(a)] = a
+        for w in pair:
+            w.flags.writeable = False
+        self._served[i] = (sources, arrays, pair)
+        return pair
+
+    def __getstate__(self):
+        # A copy or a pickle starts with no served-expert cache.
+        return {**self.__dict__, "_served": {}, "_frozen": {}}
 
 
 @dataclass
@@ -338,11 +391,13 @@ def _moe_forward(layer: MoELayer, x: np.ndarray, tape: dict | None) -> np.ndarra
     expert) pairs sorted by expert, then row, so one gather of their rows
     and weights leaves each expert a contiguous slice. Per-row accumulation
     order is fixed (experts in index order, the always-active member or
-    universal FFN last), and experts are synthesized once per call, only if
-    some row routes to them. The tape keeps each expert's ``rows``.
+    universal FFN last), and each expert's weights are taken once per call,
+    only if some row routes to them: synthesized on a tape, else through
+    :meth:`MoELayer._served_weights`. The tape keeps each expert's ``rows``.
     """
     scores = route(layer.router, x, tape)
     n = layer.n_experts
+    expert = layer.synthesized_weights if tape is not None else layer._served_weights
     if tape is not None:
         tape.update(x=x, scores=scores, experts=[None] * n, universal=None)
     y = np.zeros((x.shape[0], layer.group_out.base.shape[1]), dtype=x.dtype)
@@ -355,12 +410,12 @@ def _moe_forward(layer: MoELayer, x: np.ndarray, tape: dict | None) -> np.ndarra
         rec = None
         if tape is not None:
             rec = tape["experts"][i] = {"rows": rows[start:end]}
-        out = _ffn(rec, xs[start:end], *layer.synthesized_weights(i), layer.activation)
+        out = _ffn(rec, xs[start:end], *expert(i), layer.activation)
         y[rows[start:end]] += weights[start:end] * out
     if layer.extended or layer.universal is not None:
         rec = None if tape is None else {}
         if layer.extended:
-            y += _ffn(rec, x, *layer.synthesized_weights(n), layer.activation)
+            y += _ffn(rec, x, *expert(n), layer.activation)
         else:
             y += ffn_forward(layer.universal, x, rec)
         if tape is not None:
@@ -449,8 +504,31 @@ def build_dense_model(
 
 
 def copy_model(model: Model) -> Model:
-    """Deep copy: no array aliasing with the original."""
+    """Deep copy: no array aliasing with the original, no served-expert cache,
+    and every array writeable."""
     return copy.deepcopy(model)
+
+
+def _layers(model: Model) -> list[MoELayer]:
+    return [block for block in model.blocks if isinstance(block, MoELayer)]
+
+
+def thaw(model: Model) -> None:
+    """Drop ``model``'s served-expert cache, so that its next two forwards
+    keep nothing, and make writeable again exactly the arrays the cache made
+    read-only."""
+    for layer in _layers(model):
+        for arr in layer._frozen.values():
+            arr.flags.writeable = True
+        layer._frozen.clear()
+        layer._served.clear()
+
+
+def cache_bytes(model: Model) -> int:
+    """Bytes of the synthesized experts ``model``'s cache holds: memory
+    spent to serve, not part of any storage count."""
+    return sum(w.nbytes for layer in _layers(model) for entry in layer._served.values()
+               if entry is not None for w in entry[2])
 
 
 def _ffn_arrays(prefix: str, ffn: FFN) -> list:

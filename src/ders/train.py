@@ -40,6 +40,7 @@ from .moe import (
     missing_field,
     model_forward,
     named_parameters,
+    thaw,
 )
 
 TASK_KINDS = ("cluster_regression", "modular_classification")
@@ -493,6 +494,7 @@ def train_loop(model: Model, task: SyntheticTask, cfg: TrainConfig) -> TrainResu
             row = {"step": step, "loss": total, "aux_loss": aux_raw, "eval_metric": ""}
             if step % cfg.eval_every == 0 or step == cfg.steps:
                 metric = evaluate(model, task)
+                thaw(model)  # the next step writes into the arrays in place
                 row["eval_metric"] = metric
                 if metric > best_metric:
                     best_metric = metric

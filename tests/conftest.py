@@ -30,6 +30,7 @@ from ders.moe import (
     copy_model,
     forward_tape,
     named_parameters,
+    thaw,
 )
 from ders.numkern import RngStream, derive_stream_id
 
@@ -352,6 +353,7 @@ def oracle_train(model, task, cfg):
         row = {"step": step, "loss": total, "aux_loss": aux_raw, "eval_metric": ""}
         if step % cfg.eval_every == 0 or step == cfg.steps:
             row["eval_metric"] = train.evaluate(model, task)
+            thaw(model)  # as train_loop does: the next step writes in place
         trace.append(row)
     return model, trace
 

@@ -411,3 +411,160 @@ class TestRegistryAndCopy:
         x = rng_mat((2, 3), seed=18)
         m3 = copy_model(m)
         assert np.array_equal(model_forward(m, x), model_forward(m3, x))
+
+
+KINDS = ("dense", "sparse", "lowrank", "quantized")
+
+
+def moe_layers(model):
+    return [b for b in model.blocks if isinstance(b, MoELayer)]
+
+
+def source_arrays(layer, i):
+    """Expert i's shared bases and the record arrays of its two deltas."""
+    arrays = [layer.group_in.base, layer.group_out.base]
+    for group in (layer.group_in, layer.group_out):
+        arrays += [arr for _, arr, _ in group.deltas[i].records()]
+    return arrays
+
+
+def all_routed(kind, dtype="float64", seed=0):
+    """``mixed_model_of_kind`` with every expert routed to every row, and a
+    20-row batch. The model's arrays own their data, so the cache engages."""
+    model = mixed_model_of_kind(seed, kind, dtype)
+    for layer in moe_layers(model):
+        layer.router.topk_count = layer.n_experts
+    return model, 2.0 * np.random.default_rng(seed).standard_normal((20, model.in_width))
+
+
+def served(kind, dtype="float64", seed=0):
+    """``all_routed`` served twice: every expert is cached."""
+    model, x = all_routed(kind, dtype, seed)
+    model_forward(model, x)
+    model_forward(model, x)
+    return model, x
+
+
+class TestServedCache:
+    """The cache an untaped forward keeps of the experts it synthesized before."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        kind=st.sampled_from(KINDS),
+        dtype=st.sampled_from(["float64", "float32"]),
+        k=st.integers(1, 3),
+        sizes=st.lists(st.integers(1, 8), min_size=2, max_size=6),
+    )
+    @example(seed=1, kind="quantized", dtype="float32", k=3, sizes=[8, 1, 8])
+    @example(seed=2, kind="lowrank", dtype="float64", k=1, sizes=[1, 1, 1])
+    def test_requests_equal_the_uncached_forward(self, seed, kind, dtype, k, sizes):
+        """Each request of a sequence equals the per-expert oracle, which
+        synthesizes every expert afresh, and its stacked single rows, byte
+        for byte, whichever experts earlier requests left in the cache."""
+        model = mixed_model_of_kind(seed, kind, dtype)
+        for layer in moe_layers(model):
+            layer.router.topk_count = k
+        g = np.random.default_rng(seed)
+        for rows in sizes:
+            x = 2.0 * g.standard_normal((rows, model.in_width))
+            pred = model_forward(model, x)
+            assert pred.tobytes() == oracle_model_forward(model, x).tobytes()
+            stacked = np.concatenate([model_forward(model, x[i : i + 1]) for i in range(rows)])
+            assert stacked.tobytes() == pred.tobytes()
+        assert moe.cache_bytes(model) > 0
+
+    def test_synthesis_count_counts_misses_only(self):
+        """The first forward synthesizes and keeps nothing, the second
+        synthesizes and keeps, later ones synthesize nothing; a taped forward
+        synthesizes every time and leaves the cache as it is."""
+        model, x = all_routed("sparse")
+        layers = moe_layers(model)
+        reset_synthesis_counters(model)
+        model_forward(model, x)
+        once = [layer.synthesis_count for layer in layers]
+        assert once == [layer.n_experts + layer.extended for layer in layers]
+        assert moe.cache_bytes(model) == 0
+        model_forward(model, x)
+        held = moe.cache_bytes(model)
+        assert held == sum(
+            n * (layer.group_in.base.nbytes + layer.group_out.base.nbytes)
+            for layer, n in zip(layers, once)
+        )
+        for _ in range(3):
+            model_forward(model, x)
+        assert [layer.synthesis_count for layer in layers] == [2 * n for n in once]
+        forward_tape(model, x)
+        assert [layer.synthesis_count for layer in layers] == [3 * n for n in once]
+        assert moe.cache_bytes(model) == held
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_in_place_write_after_serving_raises(self, kind):
+        model, x = served(kind)
+        for layer in moe_layers(model):
+            for arr in source_arrays(layer, 0):
+                with pytest.raises(ValueError):
+                    arr += arr.dtype.type(1)
+        # Nothing was written: the cached forward still equals the oracle.
+        assert model_forward(model, x).tobytes() == oracle_model_forward(model, x).tobytes()
+
+    @pytest.mark.parametrize(
+        "kind, rebind",
+        [
+            ("quantized", lambda g: setattr(g.deltas[0], "scale", 2.0 * g.deltas[0].scale)),
+            ("sparse", lambda g: setattr(g.deltas[0], "value", 2.0 * g.deltas[0].value)),
+            ("lowrank", lambda g: g.deltas.__setitem__(0, LowRankDelta(g.deltas[0].a, 2.0 * g.deltas[0].b))),
+            ("dense", lambda g: g.deltas.__setitem__(0, DenseDelta(2.0 * g.deltas[0].mat))),
+        ],
+        ids=["QuantizedDelta.scale", "SparseDelta.value", "group.deltas[i] lowrank", "group.deltas[i] dense"],
+    )
+    def test_rebinding_a_source_changes_the_next_forward(self, kind, rebind):
+        model, x = served(kind)
+        before = model_forward(model, x)
+        rebind(moe_layers(model)[0].group_out)
+        after = model_forward(model, x)
+        assert after.tobytes() != before.tobytes()
+        assert after.tobytes() == oracle_model_forward(model, x).tobytes()
+
+    def test_thaw_restores_exactly_the_flags_it_set(self):
+        model, x = all_routed("lowrank")
+        layer = moe_layers(model)[0]
+        layer.group_in.base.flags.writeable = False
+        model_forward(model, x)
+        model_forward(model, x)
+        arrays = source_arrays(layer, 0)
+        assert not any(arr.flags.writeable for arr in arrays)
+        moe.thaw(model)
+        assert moe.cache_bytes(model) == 0
+        assert not layer.group_in.base.flags.writeable
+        assert all(arr.flags.writeable for arr in arrays[1:])
+        reset_synthesis_counters(model)
+        model_forward(model, x)
+        assert layer.synthesis_count == layer.n_experts and moe.cache_bytes(model) == 0
+
+    def test_copy_of_a_served_model_carries_no_cache(self):
+        model, x = served("quantized")
+        twin = copy_model(model)
+        assert moe.cache_bytes(model) > 0 and moe.cache_bytes(twin) == 0
+        for layer in moe_layers(twin):
+            for arr in source_arrays(layer, 0):
+                arr += arr.dtype.type(0)  # writeable
+        reset_synthesis_counters(twin)
+        assert model_forward(twin, x).tobytes() == model_forward(model, x).tobytes()
+        assert [layer.synthesis_count for layer in moe_layers(twin)] == [
+            layer.n_experts + layer.extended for layer in moe_layers(twin)
+        ]
+
+    def test_a_view_among_the_sources_is_served_uncached(self):
+        """Read-only on a view would not stop a write through the array it
+        views, so an expert whose sources include one is never kept."""
+        model, x = all_routed("dense")
+        layer, other = moe_layers(model)
+        base = layer.group_in.base
+        layer.group_in.base = np.concatenate([base, base])[: base.shape[0]]
+        reset_synthesis_counters(model)
+        for _ in range(3):
+            model_forward(model, x)
+        assert layer.synthesis_count == 3 * layer.n_experts
+        assert other.synthesis_count == 2 * (other.n_experts + other.extended)
+        assert layer.group_in.base.flags.writeable and layer.group_out.base.flags.writeable

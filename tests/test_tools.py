@@ -1,6 +1,6 @@
 """The command-line tools under ``tools/``: how they end when their reader
-does, the manifest's ``save → load → save`` check, and kernel_bench's census
-and training step section."""
+does, the manifest's ``save → load → save`` check, and kernel_bench's census,
+serving forward and training step sections."""
 
 import os
 import subprocess
@@ -9,9 +9,10 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import build_mixed_moe_model
 from ders import cli, numkern
 from ders.accounting import count_report
-from ders.moe import METHODS, named_parameters
+from ders.moe import METHODS, cache_bytes, copy_model, model_forward, named_parameters
 from ders.upcycle import UpcycleConfig, upcycle
 
 TOOLS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools")
@@ -101,3 +102,26 @@ def test_train_step_counts_the_trainable_parameters_of_each_method(tmp_path, mon
         assert report[method]["steps"] == 1
         assert report[method]["trainable_values"] == count_report(upcycled).totals.trainable_values
         assert report[method]["trainable_arrays"] == len(named_parameters(upcycled))
+
+
+def test_forward_states_the_cache_trade(monkeypatch):
+    """kernel_bench's ``forward`` section reports what a served model's
+    expert cache holds beside the model's stored bytes, and times the
+    forward warm and cold; the cold calls leave nothing cached."""
+    monkeypatch.syspath_prepend(TOOLS)
+    import kernel_bench
+
+    model = copy_model(build_mixed_moe_model(0))
+    x = np.random.default_rng(0).standard_normal((16, model.in_width))
+    model_forward(model, x)
+    model_forward(model, x)
+    held = cache_bytes(model)
+    totals = count_report(model).totals
+    report = kernel_bench.forward({"mixed": model}, 1, 0)["mixed"]
+    assert report["cache_bytes"] == held > 0
+    assert report["stored_bytes"] == (
+        totals.stored_bits + totals.index_overhead_bits + totals.scale_overhead_bits
+    ) // 8
+    rows = [str(r) for r in kernel_bench.FORWARD_ROWS]
+    assert list(report["model_forward_us"]["warm"]) == list(report["model_forward_us"]["cold"]) == rows
+    assert cache_bytes(model) == 0

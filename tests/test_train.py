@@ -27,6 +27,8 @@ from ders.moe import (
     MoELayer,
     Router,
     build_dense_model,
+    cache_bytes,
+    copy_model,
     forward_tape,
     model_arrays,
     model_forward,
@@ -458,6 +460,28 @@ class TestTrainLoop:
         with pytest.raises(NumericError) as exc:
             train_loop(model, task, TrainConfig(steps=200, lr=1e9, optimizer="sgd", seed=0))
         assert isinstance(exc.value.trace, list)
+
+    def test_training_a_served_model_equals_training_an_unserved_copy(self):
+        """Serving twice freezes the model's expert sources; ``train_loop``
+        trains a writeable copy, and thaws after each eval so that its own
+        evals never leave the arrays its steps write read-only."""
+        task = regression_task(seed=53, d=4, n_clusters=2, out_width=3)
+        model = build_mixed_moe_model(4)
+        unserved = copy_model(model)
+        ex, _ = task.eval_set()
+        model_forward(model, ex)
+        model_forward(model, ex)
+        assert cache_bytes(model) > 0
+        cfg = TrainConfig(steps=5, batch_size=5, lr=2e-2, eval_every=1, seed=3)
+        served, plain = train_loop(model, task, cfg), train_loop(unserved, task, cfg)
+
+        def stored(m):
+            return [(name, arr.tobytes()) for name, arr, _, _ in model_arrays(m)]
+
+        assert served.trace == plain.trace
+        assert stored(served.model) == stored(plain.model)
+        assert stored(served.best_model) == stored(plain.best_model)
+        assert cache_bytes(served.model) == 0
 
     def test_best_checkpoint_tracked(self):
         task = regression_task(seed=47, d=4, n_clusters=2, out_width=2)

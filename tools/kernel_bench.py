@@ -10,11 +10,14 @@ checkout's ``src/`` directory, and the workloads from its ``perfbench/``.
 First a census. Each workload of ``perfbench/workloads.py``, which defines
 its shapes, counts and stages, runs in-process in a temporary directory at
 workload seed ``--seed`` (the seed ``perfbench/run.py --seed`` takes): its
-set-up and ``prepare``, then one round. Every ``numkern.matmul`` call is
-recorded by phase (``setup`` or ``round``), shape (n × k · k × m) and operand
-layouts (``C`` for C-contiguous, ``F`` for a transposed view). The
-workload's own checks run paused and are not counted, so a round's count is
-the ``numkern.matmul.calls`` of a traced perfbench round.
+set-up and ``prepare``, then one round that is not recorded, as perfbench
+does not trace its warm-up round, then one recorded round. Every
+``numkern.matmul`` call is recorded by phase (``setup`` or ``round``), shape
+(n × k · k × m) and operand layouts (``C`` for C-contiguous, ``F`` for a
+transposed view). The workload's own checks run paused and are not counted,
+so a round's count is the ``numkern.matmul.calls`` of a traced perfbench
+round: a warm round, whose served models take their experts from the cache
+the first round filled.
 
 Then every recorded key is timed through ``matmul``'s one einsum form in
 each orientation: ``direct``, the form over ``(a, b)`` as ``matmul``
@@ -35,7 +38,12 @@ activation and its derivative at 16×64, 32×64 and 512×128 float64.
 ``forward`` times the serving path on the three models ``compress_serve``
 serves (``sparse``, ``4-bit``, ``lowrank``): ``synthesize`` of
 expert 0's two matrices, and ``route`` (the first MoE layer, on its input)
-and ``model_forward`` at 1, 4, 8 and 2,048 rows.
+and ``model_forward`` at 1, 4, 8 and 2,048 rows, ``warm`` (experts from the
+cache) and ``cold`` (each call after ``moe.thaw``, so every routed expert is
+synthesized). Beside them it states the trade: ``cache_bytes``, what the
+model's expert cache holds after the census rounds, and ``stored_bytes``,
+the model's stored bits with their index and scale overheads from
+``accounting.count_report``, in bytes.
 
 ``train_step`` times, per upcycle method, the parts of a training step on
 ``upcycle_train``'s pretrained dense model, upcycled with the workload
@@ -67,6 +75,7 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 import numpy as np  # noqa: E402
 
 from ders import cli, moe, numkern, train  # noqa: E402
+from ders.accounting import count_report  # noqa: E402
 from ders.deltas import synthesize  # noqa: E402
 from ders.upcycle import UpcycleConfig, upcycle  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
@@ -120,8 +129,8 @@ class Census:
 
 
 def run_workloads(seed: int) -> tuple[dict, dict]:
-    """Each workload's census, after its set-up and one round in a temporary
-    directory, and each workload, by name."""
+    """Each workload's census, after its set-up, one uncounted round and one
+    counted round in a temporary directory, and each workload, by name."""
     census, workloads = {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         for name, workload_class in WORKLOADS.items():
@@ -131,6 +140,8 @@ def run_workloads(seed: int) -> tuple[dict, dict]:
                 c.phase = "setup"
                 workload.setup(out)
                 workload.prepare(out)
+                with c.paused():
+                    workload.round()  # the warm-up round perfbench does not trace
                 c.phase = "round"
                 rnd = workload.round()
             if rnd.failed:
@@ -160,12 +171,16 @@ def _orientations(a: np.ndarray, b: np.ndarray) -> dict:
     return calls
 
 
-def _median_us(fns: dict, repeat: int) -> dict:
+def _median_us(fns: dict, repeat: int, before=lambda: None) -> dict:
+    """Median µs of each call over ``repeat`` interleaved calls after one
+    warm-up call, with ``before`` called untimed ahead of every call."""
     samples = {name: [] for name in fns}
     for fn in fns.values():
+        before()
         fn()  # warm-up
     for _ in range(repeat):
         for name, fn in fns.items():
+            before()
             t0 = time.perf_counter()
             fn()
             samples[name].append(time.perf_counter() - t0)
@@ -187,8 +202,10 @@ def _best_us(row: dict) -> float:
 
 
 def forward(served: dict, repeat: int, seed: int) -> dict:
-    """Per served model: its delta kind, ``synthesize`` of expert 0's
-    ``w_in`` and ``w_out``, and ``route`` and ``model_forward`` per row count."""
+    """Per served model: its delta kind, the bytes its expert cache holds
+    after the census beside its stored bytes, ``synthesize`` of expert 0's
+    ``w_in`` and ``w_out``, and ``route`` and ``model_forward`` per row count,
+    the forward ``warm`` (from the cache) and ``cold`` (after ``moe.thaw``)."""
     rng = np.random.default_rng(seed)
     out = {}
     for name, model in served.items():
@@ -196,17 +213,22 @@ def forward(served: dict, repeat: int, seed: int) -> dict:
         x = {rows: 2.0 * rng.standard_normal((rows, model.in_width)) for rows in FORWARD_ROWS}
         h = {rows: numkern.matmul(x[rows], model.embed) for rows in FORWARD_ROWS}
         groups = {"w_in": layer.group_in, "w_out": layer.group_out}
+        forwards = {str(r): (lambda r=r: moe.model_forward(model, x[r])) for r in FORWARD_ROWS}
+        totals = count_report(model).totals
         out[name] = {
             "kind": layer.group_in.deltas[0].kind,
+            "cache_bytes": moe.cache_bytes(model),
+            "stored_bytes": (totals.stored_bits + totals.index_overhead_bits + totals.scale_overhead_bits) // 8,
             "synthesize_us": _median_us(
                 {tag: (lambda g=g: synthesize(g.base, g.deltas[0])) for tag, g in groups.items()}, repeat
             ),
             "route_us": _median_us(
                 {str(r): (lambda r=r: moe.route(layer.router, h[r])) for r in FORWARD_ROWS}, repeat
             ),
-            "model_forward_us": _median_us(
-                {str(r): (lambda r=r: moe.model_forward(model, x[r])) for r in FORWARD_ROWS}, repeat
-            ),
+            "model_forward_us": {
+                "warm": _median_us(forwards, repeat),
+                "cold": _median_us(forwards, repeat, before=lambda: moe.thaw(model)),
+            },
         }
     return out
 
