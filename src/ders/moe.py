@@ -16,10 +16,16 @@ rows independently with a fixed accumulation order, so a batch result equals
 the stacked single-row results bit-for-bit.
 
 Every FFN-shaped computation, act(x · W_in) · W_out, runs through one private
-forward: a dense block, each routed expert on the rows routed to it, the
-extended always-active member N+1, and the parallel universal FFN. On a tape it
-records x, both weights, the activation, h, a and out, which is all that
-``ders.train._ffn_backward`` reads.
+forward over one or more spans of rows, each with its own weights: a dense
+block, the extended always-active member N+1 and the parallel universal FFN
+as one span, and a block of routed experts as one span per expert, the rows
+routed to it. An untaped forward puts consecutive routed experts in a block
+of at most ``_BLOCK_PAIRS`` (row, expert) pairs, which shares one
+activation, one score multiply and one combine; the activation is
+elementwise and each row's contributions are added in expert index order,
+so the bytes do not depend on the blocks. A taped forward runs one expert
+per block and records x, both weights, the activation, h, a and out, which
+is all that ``ders.train._ffn_backward`` reads.
 """
 
 from __future__ import annotations
@@ -367,21 +373,55 @@ def route(router: Router, x: np.ndarray, tape: dict | None = None) -> np.ndarray
     return scores[0] if np.asarray(x).ndim == 1 else scores
 
 
-def _ffn(rec: dict | None, x: np.ndarray, w_in, w_out, activation: str) -> np.ndarray:
-    """act(x · w_in) · w_out: the one FFN forward of every dense block, routed
-    expert, member N+1 and parallel universal FFN. With a ``rec``, records on
-    it what :func:`ders.train._ffn_backward` reads; without one, nothing
-    keeps ``h``, so the activation overwrites it."""
-    h = numkern.matmul(x, w_in)
+def _ffn(rec: dict | None, x: np.ndarray, spans: list, activation: str) -> np.ndarray:
+    """act(x · w_in) · w_out on each span ``(start, end, w_in, w_out)`` of
+    x's rows, the spans consecutive and covering x: the one FFN forward of a
+    dense block, member N+1 and the parallel universal FFN (one span each),
+    and of a block of routed experts (one span per expert). A block's spans
+    share one activation over their stacked ``h``. With a ``rec``, records
+    on it what :func:`ders.train._ffn_backward` reads, which a one-span call
+    only can; without one, nothing keeps ``h``, so the activation overwrites
+    it."""
+    h = _stacked([numkern.matmul(x[s:e], w_in) for s, e, w_in, _ in spans])
     a = act_forward(activation, h, out=h if rec is None else None)
-    out = numkern.matmul(a, w_out)
+    out = _stacked([numkern.matmul(a[s:e], w_out) for s, e, _, w_out in spans])
     if rec is not None:
+        ((_, _, w_in, w_out),) = spans
         rec.update(x=x, w_in=w_in, w_out=w_out, activation=activation, h=h, a=a, out=out)
     return out
 
 
+def _stacked(parts: list) -> np.ndarray:
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
 def ffn_forward(ffn: FFN, x: np.ndarray, tape: dict | None = None) -> np.ndarray:
-    return _ffn(tape, x, ffn.w_in, ffn.w_out, ffn.activation)
+    return _ffn(tape, x, [(0, x.shape[0], ffn.w_in, ffn.w_out)], ffn.activation)
+
+
+# The most (row, expert) pairs an untaped forward runs as one block of routed
+# experts. tools/kernel_bench.py's ``model_forward_us`` rows pick it: a 1- to
+# 8-row request runs each layer as one block, while a 2,048-row eval keeps
+# one expert per block, whose activation stays small enough for the CPU cache.
+_BLOCK_PAIRS = 64
+
+
+def _blocks(counts: list[int], cap: int):
+    """The experts with a nonzero ``counts`` entry, in index order, as blocks
+    ``(start, end, members)`` of consecutive slices of the pairs, each member
+    ``(expert, start, end)``. A block takes the next expert while it then
+    holds at most ``cap`` pairs; an expert with more forms a block alone."""
+    members, start, end = [], 0, 0
+    for i, count in enumerate(counts):
+        if not count:
+            continue
+        if members and end + count - start > cap:
+            yield start, end, members
+            members, start = [], end
+        members.append((i, end, end + count))
+        end += count
+    if members:
+        yield start, end, members
 
 
 def _moe_forward(layer: MoELayer, x: np.ndarray, tape: dict | None) -> np.ndarray:
@@ -389,11 +429,17 @@ def _moe_forward(layer: MoELayer, x: np.ndarray, tape: dict | None) -> np.ndarra
 
     One dispatch per call: ``np.nonzero(scores.T)`` lists the routed (row,
     expert) pairs sorted by expert, then row, so one gather of their rows
-    and weights leaves each expert a contiguous slice. Per-row accumulation
-    order is fixed (experts in index order, the always-active member or
-    universal FFN last), and each expert's weights are taken once per call,
-    only if some row routes to them: synthesized on a tape, else through
-    :meth:`MoELayer._served_weights`. The tape keeps each expert's ``rows``.
+    and weights leaves each expert a contiguous slice. Consecutive experts
+    run as blocks of at most ``_BLOCK_PAIRS`` pairs (one expert per block on
+    a tape, whose backward reads each expert's record): per block, one
+    product with ``w_in`` per expert, one activation, one product with
+    ``w_out`` per expert, one multiply by the scores and one combine into
+    ``y``. The combine adds each row's contributions in expert index order
+    from +0.0, the always-active member or universal FFN last, so a block's
+    size never shows in the bytes. Each expert's weights are taken once per
+    call, only if some row routes to them: synthesized on a tape, else
+    through :meth:`MoELayer._served_weights`. The tape keeps each expert's
+    ``rows``.
     """
     scores = route(layer.router, x, tape)
     n = layer.n_experts
@@ -403,19 +449,24 @@ def _moe_forward(layer: MoELayer, x: np.ndarray, tape: dict | None) -> np.ndarra
     y = np.zeros((x.shape[0], layer.group_out.base.shape[1]), dtype=x.dtype)
     experts, rows = np.nonzero(scores.T)
     xs, weights = x[rows], scores[rows, experts][:, None]
-    ends = np.cumsum(np.bincount(experts, minlength=n)).tolist()
-    for i, (start, end) in enumerate(zip([0] + ends, ends)):
-        if start == end:
-            continue
+    counts = np.bincount(experts, minlength=n).tolist()
+    for start, end, members in _blocks(counts, _BLOCK_PAIRS if tape is None else 0):
         rec = None
         if tape is not None:
+            ((i, _, _),) = members
             rec = tape["experts"][i] = {"rows": rows[start:end]}
-        out = _ffn(rec, xs[start:end], *expert(i), layer.activation)
-        y[rows[start:end]] += weights[start:end] * out
+        spans = [(s - start, e - start, *expert(i)) for i, s, e in members]
+        out = _ffn(rec, xs[start:end], spans, layer.activation)
+        # A tape keeps ``out`` for the backward.
+        out = np.multiply(out, weights[start:end], out=out if rec is None else None)
+        if len(members) == 1:
+            y[rows[start:end]] += out  # one expert's rows are distinct
+        else:
+            np.add.at(y, rows[start:end], out)  # in pair order: by expert within a row
     if layer.extended or layer.universal is not None:
         rec = None if tape is None else {}
         if layer.extended:
-            y += _ffn(rec, x, *expert(n), layer.activation)
+            y += _ffn(rec, x, [(0, x.shape[0], *expert(n))], layer.activation)
         else:
             y += ffn_forward(layer.universal, x, rec)
         if tape is not None:
@@ -424,12 +475,16 @@ def _moe_forward(layer: MoELayer, x: np.ndarray, tape: dict | None) -> np.ndarra
 
 
 def _forward(model: Model, batch: np.ndarray, tape: dict | None) -> np.ndarray:
+    x = np.asarray(batch)
+    if x.dtype.kind not in "biuf":
+        # A cast would drop an imaginary part or parse strings and objects.
+        raise ParameterError(f"batch must hold bools, integers or floats, got dtype {x.dtype}")
     # The model's float dtype, so a float32 model computes in float32.
-    x = np.asarray(batch, dtype=model.embed.dtype)
+    x = x.astype(model.embed.dtype, copy=False)
     if x.ndim == 1:
         x = x.reshape(1, -1)
-    if x.ndim != 2 or x.shape[1] != model.in_width:
-        raise DimensionError(f"batch is {x.shape}, expected (*, {model.in_width})")
+    if x.ndim != 2 or x.shape[1] != model.in_width or x.shape[0] == 0:
+        raise DimensionError(f"batch is {x.shape}, expected (n, {model.in_width}) with n >= 1")
     numkern.check_finite(x, "the input batch")
     h = numkern.matmul(x, model.embed)
     if tape is not None:

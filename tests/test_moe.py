@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -287,6 +287,40 @@ class TestModelForward:
         with pytest.raises(DimensionError):
             model_forward(m, np.zeros((2, 5)))
 
+    @pytest.mark.parametrize("build", ["dense", "mixed"])
+    @pytest.mark.parametrize("forward", [model_forward, forward_tape])
+    def test_empty_batch_refused(self, build, forward):
+        """A zero-row batch is refused alike by a dense and an MoE model,
+        naming its shape."""
+        if build == "dense":
+            m = build_dense_model(d=4, d_h=7, depth=1, in_width=4, out_width=3, seed=1)
+        else:
+            m = build_mixed_moe_model(1)
+        with pytest.raises(DimensionError, match=r"batch is \(0, 4\)"):
+            forward(m, np.zeros((0, m.in_width)))
+
+    @pytest.mark.parametrize(
+        "batch",
+        [
+            np.full((2, 4), 1.0 + 1.0j),
+            np.array([["1", "0", "0", "0"]]),
+            np.array([[1.0, 0.0, 0.0, 0.0]], dtype=object),
+        ],
+        ids=["complex", "string", "object"],
+    )
+    @pytest.mark.parametrize("forward", [model_forward, forward_tape])
+    def test_non_numeric_batch_refused(self, batch, forward):
+        m = build_mixed_moe_model(1)
+        with pytest.raises(ParameterError, match="bools, integers or floats"):
+            forward(m, batch)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint8, bool])
+    def test_int_and_bool_one_hot_batches_serve(self, dtype):
+        m = build_mixed_moe_model(1)
+        one_hot = np.eye(m.in_width)[[0, 2, 3]]
+        expected = model_forward(m, one_hot)
+        assert model_forward(m, one_hot.astype(dtype)).tobytes() == expected.tobytes()
+
     def test_synthesis_counter_resets(self):
         m = build_dense_model(d=4, d_h=6, depth=1, in_width=4, out_width=2, seed=3)
         layer = make_vanilla_layer()
@@ -568,3 +602,73 @@ class TestServedCache:
         assert layer.synthesis_count == 3 * layer.n_experts
         assert other.synthesis_count == 2 * (other.n_experts + other.extended)
         assert layer.group_in.base.flags.writeable and layer.group_out.base.flags.writeable
+
+
+def capped_forward(model, x, cap, thawed):
+    """``model_forward(model, x)`` with blocks of at most ``cap`` pairs, after
+    two warm-up forwards and, if ``thawed``, ``moe.thaw``: the prediction,
+    each MoE layer's syntheses in it, its activation calls and the stacked
+    single-row forwards that follow it."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(moe, "_BLOCK_PAIRS", cap)
+        model_forward(model, x)
+        model_forward(model, x)
+        if thawed:
+            moe.thaw(model)
+        reset_synthesis_counters(model)
+        calls = []
+        mp.setattr(moe, "act_forward", lambda *args, **kw: calls.append(args) or act_forward(*args, **kw))
+        pred = model_forward(model, x)
+        counts, act_calls = [layer.synthesis_count for layer in moe_layers(model)], len(calls)
+        stacked = np.concatenate([model_forward(model, x[i : i + 1]) for i in range(x.shape[0])])
+    return pred, counts, act_calls, stacked
+
+
+class TestBlocks:
+    """An untaped forward runs consecutive routed experts as blocks of at
+    most ``moe._BLOCK_PAIRS`` (row, expert) pairs."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        kind=st.sampled_from(KINDS),
+        dtype=st.sampled_from(["float64", "float32"]),
+        k=st.integers(1, 3),
+        rows=st.integers(2, 12),
+        case=st.sampled_from(["one block", "several blocks", "an expert past the cap"]),
+        thawed=st.booleans(),
+    )
+    @example(seed=1, kind="quantized", dtype="float32", k=3, rows=12, case="one block", thawed=False)
+    @example(seed=2, kind="sparse", dtype="float64", k=3, rows=9, case="several blocks", thawed=True)
+    @example(seed=3, kind="lowrank", dtype="float32", k=2, rows=7, case="an expert past the cap", thawed=False)
+    @example(seed=4, kind="dense", dtype="float64", k=1, rows=5, case="several blocks", thawed=False)
+    def test_blocks_equal_the_per_expert_path(self, seed, kind, dtype, k, rows, case, thawed):
+        """Whether every routed expert of a layer shares one block, they
+        split into several, or one expert's span alone passes the cap, the
+        forward equals the per-expert oracle and its stacked single rows
+        byte for byte, and synthesizes what the per-expert path (one expert
+        per block) does, warm or after ``thaw``."""
+        model = mixed_model_of_kind(seed, kind, dtype)
+        for layer in moe_layers(model):
+            layer.router.topk_count = k
+        x = 2.0 * np.random.default_rng(seed).standard_normal((rows, model.in_width))
+        expected = oracle_model_forward(copy_model(model), x)
+        _, tape = forward_tape(copy_model(model), x)
+        pairs = [(rec["scores"] != 0.0).sum(axis=0) for rec in tape["blocks"] if rec["kind"] == "moe"]
+        largest = max(int(p.max()) for p in pairs)
+        cap = {"one block": moe._BLOCK_PAIRS, "several blocks": largest, "an expert past the cap": largest - 1}[case]
+        if case == "several blocks":
+            assume(any(p.sum() > cap for p in pairs))
+        per_expert = copy_model(model)
+
+        pred, counts, act_calls, stacked = capped_forward(model, x, cap, thawed)
+        assert pred.tobytes() == expected.tobytes()
+        assert stacked.tobytes() == pred.tobytes()
+        assert counts == capped_forward(per_expert, x, 0, thawed)[1]
+        # One activation for the dense block, the universal FFN and member
+        # N+1 each, and one per block of routed experts.
+        moe_blocks = act_calls - 3
+        if case == "one block":
+            assert moe_blocks == len(pairs)
+        else:
+            assert moe_blocks > len(pairs)

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from conftest import build_mixed_moe_model
-from ders import cli, numkern
+from ders import cli, moe, numkern
 from ders.accounting import count_report
-from ders.moe import METHODS, cache_bytes, copy_model, model_forward, named_parameters
+from ders.moe import METHODS, cache_bytes, copy_model, forward_tape, model_forward, named_parameters
 from ders.upcycle import UpcycleConfig, upcycle
 
 TOOLS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools")
@@ -83,6 +83,54 @@ def test_census_records_matmul_outside_paused_blocks(monkeypatch):
     assert numkern.matmul is real
     numkern.matmul(a, b)  # after the block: not counted
     assert census.calls == {("round", 2, 3, 4, "C", "F"): 1}
+
+
+def test_census_counts_act_forward_outside_paused_blocks(monkeypatch):
+    """The census counts each ``moe.act_forward`` call by phase, except
+    inside ``paused()``, and restores ``moe.act_forward`` on exit."""
+    monkeypatch.syspath_prepend(TOOLS)
+    import kernel_bench
+
+    x = np.ones((2, 3))
+    real = moe.act_forward
+    with kernel_bench.Census() as census:
+        census.phase = "setup"
+        assert moe.act_forward("relu", x).tobytes() == real("relu", x).tobytes()
+        census.phase = "round"
+        with census.paused():
+            moe.act_forward("gelu", x)
+        moe.act_forward("tanh", x, out=x.copy())
+        moe.act_forward("identity", x)
+    assert moe.act_forward is real
+    moe.act_forward("gelu", x)  # after the block: not counted
+    assert census.acts == {"setup": 1, "round": 2}
+    assert not census.calls
+
+
+def test_census_counts_one_activation_per_block(monkeypatch):
+    """A served forward's activation count in the census falls with blocks
+    while its matmul count stays: each MoE layer of a 2-row forward runs one
+    block instead of one per routed expert."""
+    monkeypatch.syspath_prepend(TOOLS)
+    import kernel_bench
+
+    model = build_mixed_moe_model(2)
+    x = np.random.default_rng(2).standard_normal((2, model.in_width))
+    censuses = []
+    for cap in (0, moe._BLOCK_PAIRS):  # one expert per block, then the default
+        monkeypatch.setattr(moe, "_BLOCK_PAIRS", cap)
+        with kernel_bench.Census() as census:
+            census.phase = "round"
+            model_forward(model, x)
+        censuses.append(census)
+    per_expert, blocked = censuses
+    _, tape = forward_tape(model, x)
+    routed = sum(int((rec["scores"] != 0.0).any(axis=0).sum()) for rec in tape["blocks"] if rec["kind"] == "moe")
+    assert routed > 2
+    # The dense block, the universal FFN and member N+1 run one activation each.
+    assert per_expert.acts["round"] == 3 + routed
+    assert blocked.acts["round"] == 3 + 2
+    assert blocked.calls == per_expert.calls
 
 
 def test_train_step_counts_the_trainable_parameters_of_each_method(tmp_path, monkeypatch):

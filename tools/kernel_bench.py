@@ -14,10 +14,11 @@ set-up and ``prepare``, then one round that is not recorded, as perfbench
 does not trace its warm-up round, then one recorded round. Every
 ``numkern.matmul`` call is recorded by phase (``setup`` or ``round``), shape
 (n × k · k × m) and operand layouts (``C`` for C-contiguous, ``F`` for a
-transposed view). The workload's own checks run paused and are not counted,
-so a round's count is the ``numkern.matmul.calls`` of a traced perfbench
-round: a warm round, whose served models take their experts from the cache
-the first round filled.
+transposed view), and every ``moe.act_forward`` call by phase. The
+workload's own checks run paused and are not counted, so a round's matmul
+count is the ``numkern.matmul.calls`` of a traced perfbench round: a warm
+round, whose served models take their experts from the cache the first
+round filled.
 
 Then every recorded key is timed through ``matmul``'s one einsum form in
 each orientation: ``direct``, the form over ``(a, b)`` as ``matmul``
@@ -32,7 +33,10 @@ calls, in microseconds. ``einsum_k_ordered`` is the probe decision
 ``rules`` sums calls × time per workload and phase for each rule "compute
 the product as ``ba`` when m ≤ T < n or m = 1, else ``direct``" (``matmul``
 uses T = 32), for the faster orientation per shape (``best_of_both_us``),
-and for ``matmul`` as it stands. ``act_forward`` and ``act_grad`` time each
+and for ``matmul`` as it stands, beside the phase's matmul ``calls`` and
+``act_forward_calls``: an untaped MoE forward runs one activation per block
+of routed experts, not one per expert, so fewer activation calls at equal
+matmul calls show what blocks save. ``act_forward`` and ``act_grad`` time each
 activation and its derivative at 16×64, 32×64 and 512×128 float64.
 
 ``forward`` times the serving path on the three models ``compress_serve``
@@ -43,7 +47,15 @@ cache) and ``cold`` (each call after ``moe.thaw``, so every routed expert is
 synthesized). Beside them it states the trade: ``cache_bytes``, what the
 model's expert cache holds after the census rounds, and ``stored_bytes``,
 the model's stored bits with their index and scale overheads from
-``accounting.count_report``, in bytes.
+``accounting.count_report``, in bytes. The ``model_forward_us`` rows, warm
+and cold, are the evidence for ``moe._BLOCK_PAIRS`` = 64, the most (row,
+expert) pairs of one block (``BENCH_25.json`` has them at caps 0 to a whole
+layer). A 1-, 4- or 8-row request, at most 16 pairs a layer with top-2
+routing, runs each layer's routed experts as one block: 4- and 8-row
+forwards take about a fifth less time than with one expert per block. The
+2,048-row eval, about 512 pairs an expert, keeps one expert per block; with
+one block a layer, its 4 MiB activation slows that forward from about 24 to
+35 ms.
 
 ``train_step`` times, per upcycle method, the parts of a training step on
 ``upcycle_train``'s pretrained dense model, upcycled with the workload
@@ -91,7 +103,8 @@ def _layout(x: np.ndarray) -> str:
 
 
 class Census:
-    """Counts ``numkern.matmul`` calls per (phase, n, k, m, layout of a, of b).
+    """Counts ``numkern.matmul`` calls per (phase, n, k, m, layout of a, of b)
+    in ``calls``, and ``moe.act_forward`` calls per phase in ``acts``.
 
     It serves as a workload's tracer: ``span`` calls straight through, and
     nothing is recorded inside ``paused()``, where the workload runs its own
@@ -99,22 +112,28 @@ class Census:
 
     def __init__(self):
         self.calls: collections.Counter = collections.Counter()
+        self.acts: collections.Counter = collections.Counter()
         self.phase = ""
         self.recording = True
 
     def __enter__(self):
-        inner = self.inner = numkern.matmul
+        inner, act = self.inner, self.act = numkern.matmul, moe.act_forward
 
         def recording(a, b):
             if self.recording:
                 self.calls[(self.phase, a.shape[0], a.shape[1], b.shape[1], _layout(a), _layout(b))] += 1
             return inner(a, b)
 
-        numkern.matmul = recording
+        def counting(*args, **kwargs):
+            if self.recording:
+                self.acts[self.phase] += 1
+            return act(*args, **kwargs)
+
+        numkern.matmul, moe.act_forward = recording, counting
         return self
 
     def __exit__(self, *exc):
-        numkern.matmul = self.inner
+        numkern.matmul, moe.act_forward = self.inner, self.act
 
     @contextlib.contextmanager
     def paused(self):
@@ -129,7 +148,7 @@ class Census:
 
 
 def run_workloads(seed: int) -> tuple[dict, dict]:
-    """Each workload's census, after its set-up, one uncounted round and one
+    """Each workload's :class:`Census`, after its set-up, one uncounted round and one
     counted round in a temporary directory, and each workload, by name."""
     census, workloads = {}, {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -146,7 +165,7 @@ def run_workloads(seed: int) -> tuple[dict, dict]:
                 rnd = workload.round()
             if rnd.failed:
                 print(f"kernel_bench: {name}: {rnd.failed} of {rnd.ops} operations failed", file=sys.stderr)
-            census[name] = c.calls
+            census[name] = c
     return census, workloads
 
 
@@ -282,16 +301,16 @@ def train_step(workload, repeat: int) -> dict:
 
 def bench(repeat: int, seed: int) -> dict:
     census, workloads = run_workloads(seed)
-    keys = sorted({key[1:] for calls in census.values() for key in calls})
+    keys = sorted({key[1:] for c in census.values() for key in c.calls})
     rng = np.random.default_rng(seed)
     table = []
     for n, k, m, layout_a, layout_b in keys:
         a, b = _operand(rng, n, k, layout_a), _operand(rng, k, m, layout_b)
         row = {"n": n, "k": k, "m": m, "a": layout_a, "b": layout_b}
         row.update(_median_us(_orientations(a, b), repeat))
-        for name, calls in census.items():
+        for name, c in census.items():
             for phase in ("setup", "round"):
-                count = calls.get((phase, n, k, m, layout_a, layout_b), 0)
+                count = c.calls.get((phase, n, k, m, layout_a, layout_b), 0)
                 if count:
                     row[f"{name}.{phase}.calls"] = count
         table.append(row)
@@ -305,6 +324,7 @@ def bench(repeat: int, seed: int) -> dict:
             totals["best_of_both_us"] = sum(r[col] * _best_us(r) for r in rows)
             totals["matmul_us"] = sum(r[col] * r["matmul"] for r in rows)
             totals["calls"] = sum(r[col] for r in rows)
+            totals["act_forward_calls"] = census[name].acts[phase]
             rules[f"{name}.{phase}"] = {key: round(v, 1) for key, v in totals.items()}
 
     act = {"act_forward_us": {}, "act_grad_us": {}}
