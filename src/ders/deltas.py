@@ -22,12 +22,14 @@ lists it): the checkpoint tag, header scalars (its ``int`` and ``float``
 fields) and record layout, from which the storage counts follow, the
 trainable arrays and their gradients, and ``materialize``.
 Checkpoints, training, accounting and compression use only that interface, so
-a new form is one new class here, listed in ``DELTA_KINDS``.
+a new form is one new class here, listed in ``DELTA_KINDS``. The forms and
+``ExpertGroup`` are frozen: rebinding a field or a group member raises, and
+only arrays are written in place, which ``ders.moe``'s expert cache relies on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import ClassVar
 
 import numpy as np
@@ -93,7 +95,7 @@ class DeltaWeight:
         raise NotImplementedError
 
 
-@dataclass
+@dataclass(frozen=True)
 class DenseDelta(DeltaWeight):
     """A full-resolution delta matrix (shape d × d_h)."""
 
@@ -118,7 +120,7 @@ class DenseDelta(DeltaWeight):
         return self.mat.astype(dtype)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SparseDelta(DeltaWeight):
     """Index/value storage for a mostly-zero delta.
 
@@ -140,9 +142,9 @@ class SparseDelta(DeltaWeight):
     rescale: float = 1.0
 
     def __post_init__(self):
-        self.index = np.asarray(self.index, dtype=np.int64)
-        self.value = np.asarray(self.value)
-        self.rescale = float(self.rescale)
+        object.__setattr__(self, "index", np.asarray(self.index, dtype=np.int64))
+        object.__setattr__(self, "value", np.asarray(self.value))
+        object.__setattr__(self, "rescale", float(self.rescale))
         if self.index.ndim != 1 or self.value.ndim != 1:
             raise CorruptionError("SparseDelta index/value must be 1-D vectors")
         if len(self.index) != len(self.value):
@@ -176,7 +178,7 @@ class SparseDelta(DeltaWeight):
         return out.reshape(self.rows, self.cols)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LowRankDelta(DeltaWeight):
     """A delta factored as A·B with inner dimension ``rank``."""
 
@@ -212,7 +214,7 @@ class LowRankDelta(DeltaWeight):
         return numkern.matmul(self.a, self.b).astype(dtype, copy=False)
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuantizedDelta(DeltaWeight):
     """Bit-packed k-bit codes plus one per-matrix scale (not trainable).
 
@@ -236,8 +238,8 @@ class QuantizedDelta(DeltaWeight):
             raise ParameterError(
                 f"bit_width must be one of {SUPPORTED_BIT_WIDTHS}, got {self.bit_width}"
             )
-        self.packed = np.ascontiguousarray(self.packed, dtype=np.uint8)
-        self.scale = float(self.scale)
+        object.__setattr__(self, "packed", np.ascontiguousarray(self.packed, dtype=np.uint8))
+        object.__setattr__(self, "scale", float(self.scale))
         expected = packed_byte_count(self.rows * self.cols, self.bit_width)
         if self.packed.size != expected:
             raise CorruptionError(
@@ -275,14 +277,15 @@ class QuantizedDelta(DeltaWeight):
 DELTA_KINDS = {cls.kind: cls for cls in (DenseDelta, SparseDelta, LowRankDelta, QuantizedDelta)}
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExpertGroup:
-    """One shared base weight plus the per-expert deltas that refine it."""
+    """One shared base weight plus the per-expert deltas (a tuple) that refine it."""
 
     base: np.ndarray
-    deltas: list = field(default_factory=list)
+    deltas: tuple = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "deltas", tuple(self.deltas))
         if self.base.ndim != 2:
             raise DimensionError("ExpertGroup base must be 2-D")
         for i, d in enumerate(self.deltas):

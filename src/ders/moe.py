@@ -9,11 +9,11 @@ and a readout matrix. MoE routing follows the softmax-then-top-k convention:
 Expert weights are synthesized on demand from the layer's shared base and the
 expert's delta; experts whose routing score is zero are never materialized
 (instrumented by a per-layer synthesis counter). An untaped forward takes an
-expert it has synthesized before from the layer's cache, whose sources it has
-made read-only so that the cache cannot go stale; :func:`thaw` drops the
-cache and makes them writeable again. The batched forward evaluates
-rows independently with a fixed accumulation order, so a batch result equals
-the stacked single-row results bit-for-bit.
+expert it has synthesized before from the layer's cache, whose frozen groups
+it keeps and whose arrays it makes read-only, so that it cannot go stale;
+:func:`thaw` drops the cache and makes them writeable again. The batched
+forward evaluates rows independently with a fixed accumulation order, so a
+batch result equals the stacked single-row results bit-for-bit.
 
 Every FFN-shaped computation, act(x · W_in) · W_out, runs through one private
 forward over one or more spans of rows, each with its own weights: a dense
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import copy
 import numbers
-import operator
 import sys
 from dataclasses import MISSING, dataclass, field, fields
 
@@ -240,8 +239,8 @@ class MoELayer:
     method: str = "vanilla"
     synthesis_count: int = field(default=0, init=False)
     # The served-expert cache (see ``_served_weights``): expert index -> None
-    # after its first untaped synthesis, then (sources, their arrays, the
-    # synthesized pair); and, by id, each array the cache made read-only.
+    # after its first untaped synthesis, then (group_in, group_out, the arrays
+    # read, the pair); and, by id, each array the cache made read-only.
     _served: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _frozen: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -274,32 +273,26 @@ class MoELayer:
         self.synthesis_count += 1
         return w_in, w_out
 
-    def _sources(self, i: int) -> tuple:
-        """Everything expert i's synthesis reads: each group's base, its delta,
-        and the delta's fields (record arrays and header scalars)."""
-        d_in, d_out = self.group_in.deltas[i], self.group_out.deltas[i]
-        return (self.group_in.base, d_in, *vars(d_in).values(),
-                self.group_out.base, d_out, *vars(d_out).values())
-
     def _served_weights(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Expert i's (w_in, w_out) for an untaped forward.
 
         The first untaped synthesis of an expert keeps nothing. From the
-        second on, the layer keeps the pair, provided every source array owns
-        its data, and makes the pair and those sources read-only. The entry
-        is a hit while each source is the same object and every source array
-        is still read-only, so an in-place write raises instead of going
-        stale, and a rebound delta, record or scalar is a miss. Only a miss
-        calls ``synthesized_weights``."""
-        sources = self._sources(i)
+        second on, the layer keeps the pair and its two groups, provided each
+        array synthesis reads (the bases, the deltas' records) owns its data,
+        and makes the pair and those arrays read-only. Groups and deltas are
+        frozen, so the entry is a hit while the layer holds the kept groups
+        and the arrays are still read-only: an in-place write raises instead
+        of going stale, and a rebound group is a miss. Only a miss calls
+        ``synthesized_weights``."""
         entry = self._served.get(i)
         if entry is not None:
-            kept, arrays, pair = entry
-            if (len(kept) == len(sources) and all(map(operator.is_, kept, sources))
+            group_in, group_out, arrays, pair = entry
+            if (group_in is self.group_in and group_out is self.group_out
                     and not any(a.flags.writeable for a in arrays)):
                 return pair
         pair = self.synthesized_weights(i)
-        arrays = [s for s in sources if isinstance(s, np.ndarray)]
+        groups = self.group_in, self.group_out
+        arrays = [a for g in groups for a in (g.base, *(r[1] for r in g.deltas[i].records()))]
         if i not in self._served or not all(a.flags.owndata for a in arrays):
             # Read-only on a view would not stop a write through the array it views.
             self._served[i] = None
@@ -310,7 +303,7 @@ class MoELayer:
                 self._frozen[id(a)] = a
         for w in pair:
             w.flags.writeable = False
-        self._served[i] = (sources, arrays, pair)
+        self._served[i] = (*groups, arrays, pair)
         return pair
 
     def __getstate__(self):
@@ -583,7 +576,7 @@ def cache_bytes(model: Model) -> int:
     """Bytes of the synthesized experts ``model``'s cache holds: memory
     spent to serve, not part of any storage count."""
     return sum(w.nbytes for layer in _layers(model) for entry in layer._served.values()
-               if entry is not None for w in entry[2])
+               if entry is not None for w in entry[-1])
 
 
 def _ffn_arrays(prefix: str, ffn: FFN) -> list:

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy._core.multiarray import c_einsum
 
 from .errors import DimensionError, NumericError, ParameterError
 
@@ -101,10 +102,12 @@ def _k_loop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _einsum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``einsum("ik,kj->ij")`` of ``a`` in any layout and a C-ordered ``b`` of
     one dtype: no copy of ``a``, and k-ordered at ≥ 2 columns, where b's
-    contiguous rows make the columns the inner loop."""
-    dtype = np.result_type(a, b)
-    a, b = a.astype(dtype, copy=False), np.ascontiguousarray(b, dtype=dtype)
-    return np.einsum("ik,kj->ij", a, b, optimize=False)
+    contiguous rows make the columns the inner loop. Other operands are
+    converted first; the kernel is ``c_einsum``, which ``np.einsum`` calls."""
+    if a.dtype != b.dtype or not b.flags.c_contiguous:
+        dtype = np.result_type(a, b)
+        a, b = a.astype(dtype, copy=False), np.ascontiguousarray(b, dtype=dtype)
+    return c_einsum("ik,kj->ij", a, b)
 
 
 def _einsum_is_k_ordered(form=_einsum) -> bool:

@@ -4,7 +4,7 @@ import csv
 import io
 import json
 import struct
-from dataclasses import fields, is_dataclass
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 
@@ -563,17 +563,17 @@ def oracle_model_forward(model, batch: np.ndarray) -> np.ndarray:
 
 
 def cast_floats(model, dtype):
-    """A copy of ``model`` with every float array, at any depth, cast to ``dtype``."""
-    out = copy_model(model)
+    """A copy of ``model`` with every float array, at any depth, cast to
+    ``dtype``: each dataclass is rebuilt, since the expert groups and deltas
+    are frozen."""
 
-    def walk(obj):
-        for f in fields(obj):
-            value = getattr(obj, f.name)
-            if isinstance(value, np.ndarray) and value.dtype.kind == "f":
-                setattr(obj, f.name, value.astype(dtype))
-            for item in value if isinstance(value, list) else [value]:
-                if is_dataclass(item):
-                    walk(item)
+    def cast(value):
+        if isinstance(value, np.ndarray) and value.dtype.kind == "f":
+            return value.astype(dtype)
+        if isinstance(value, (list, tuple)):
+            return type(value)(map(cast, value))
+        if is_dataclass(value):
+            return replace(value, **{f.name: cast(getattr(value, f.name)) for f in fields(value) if f.init})
+        return value
 
-    walk(out)
-    return out
+    return cast(copy_model(model))

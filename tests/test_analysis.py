@@ -159,10 +159,10 @@ class TestDeltaStats:
         model = vanilla_model(n=2, depth=1)
         layer = next(b for b in model.blocks if hasattr(b, "group_in"))
         rng = np.random.default_rng(3)
-        layer.group_in.deltas[0].mat += 0.01 * rng.normal(size=layer.group_in.base.shape)
-        layer.group_out.deltas[0].mat += 0.01 * rng.normal(size=layer.group_out.base.shape)
-        layer.group_in.deltas[1].mat += 2.0 * rng.normal(size=layer.group_in.base.shape)
-        layer.group_out.deltas[1].mat += 2.0 * rng.normal(size=layer.group_out.base.shape)
+        layer.group_in.deltas[0].mat[...] += 0.01 * rng.normal(size=layer.group_in.base.shape)
+        layer.group_out.deltas[0].mat[...] += 0.01 * rng.normal(size=layer.group_out.base.shape)
+        layer.group_in.deltas[1].mat[...] += 2.0 * rng.normal(size=layer.group_in.base.shape)
+        layer.group_out.deltas[1].mat[...] += 2.0 * rng.normal(size=layer.group_out.base.shape)
         rows = delta_rows(model)
         ratio = {(r["matrix"], r["member"]): r["ratio"] for r in rows}
         assert ratio[("w_in", "E2")] > ratio[("w_in", "E1")]

@@ -1,5 +1,8 @@
 """Routing, MoE forward, model forward: equivalences and sparse activation."""
 
+import operator
+from dataclasses import FrozenInstanceError, fields, replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -17,6 +20,7 @@ from conftest import (
 )
 from ders import moe, numkern
 from ders.deltas import (
+    DELTA_KINDS,
     SUPPORTED_BIT_WIDTHS,
     DenseDelta,
     ExpertGroup,
@@ -241,10 +245,10 @@ class TestMoEForward:
             MoELayer(
                 router=make_layer.router,
                 group_in=ExpertGroup(
-                    make_layer.group_in.base, make_layer.group_in.deltas + [DenseDelta(np.zeros((4, 6)))]
+                    make_layer.group_in.base, [*make_layer.group_in.deltas, DenseDelta(np.zeros((4, 6)))]
                 ),
                 group_out=ExpertGroup(
-                    make_layer.group_out.base, make_layer.group_out.deltas + [DenseDelta(np.zeros((6, 4)))]
+                    make_layer.group_out.base, [*make_layer.group_out.deltas, DenseDelta(np.zeros((6, 4)))]
                 ),
                 n_experts=2,
                 extended=True,
@@ -343,7 +347,8 @@ def mixed_model_of_kind(seed, kind, dtype):
         if not isinstance(block, MoELayer):
             continue
         block.router.topk_count = 1 + (seed + j) % block.n_experts
-        for group in (block.group_in, block.group_out):
+        for tag in ("group_in", "group_out"):
+            group, deltas = getattr(block, tag), []
             rows, cols = group.base.shape
             for i in range(len(group)):
                 mat = DenseDelta(0.1 * g.standard_normal((rows, cols)))
@@ -353,7 +358,10 @@ def mixed_model_of_kind(seed, kind, dtype):
                     mat = LowRankDelta(g.standard_normal((rows, 2)), 0.1 * g.standard_normal((2, cols)))
                 elif kind == "quantized":
                     mat = quantize(mat, SUPPORTED_BIT_WIDTHS[(i + j) % len(SUPPORTED_BIT_WIDTHS)])
-                group.deltas[i] = mat
+                elif kind != "dense":
+                    raise NotImplementedError(f"no random {kind} delta")
+                deltas.append(mat)
+            setattr(block, tag, ExpertGroup(group.base, deltas))
     return cast_floats(model, dtype)
 
 
@@ -447,7 +455,7 @@ class TestRegistryAndCopy:
         assert np.array_equal(model_forward(m, x), model_forward(m3, x))
 
 
-KINDS = ("dense", "sparse", "lowrank", "quantized")
+KINDS = tuple(DELTA_KINDS)
 
 
 def moe_layers(model):
@@ -460,6 +468,17 @@ def source_arrays(layer, i):
     for group in (layer.group_in, layer.group_out):
         arrays += [arr for _, arr, _ in group.deltas[i].records()]
     return arrays
+
+
+def doubled(delta):
+    """``delta`` of the same form with each float scalar and float record
+    doubled: a changed delta."""
+    changes = {}
+    for f in fields(delta):
+        value = getattr(delta, f.name)
+        if isinstance(value, float) or (isinstance(value, np.ndarray) and value.dtype.kind == "f"):
+            changes[f.name] = 2.0 * value
+    return replace(delta, **changes)
 
 
 def all_routed(kind, dtype="float64", seed=0):
@@ -534,28 +553,65 @@ class TestServedCache:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_in_place_write_after_serving_raises(self, kind):
+        """A write into an array a kept expert was synthesized from raises;
+        a record of its own made writeable again by hand makes its entry
+        miss, so a write through it is served."""
         model, x = served(kind)
         for layer in moe_layers(model):
             for arr in source_arrays(layer, 0):
                 with pytest.raises(ValueError):
                     arr += arr.dtype.type(1)
         # Nothing was written: the cached forward still equals the oracle.
-        assert model_forward(model, x).tobytes() == oracle_model_forward(model, x).tobytes()
+        before = model_forward(model, x)
+        assert before.tobytes() == oracle_model_forward(model, x).tobytes()
+        record = moe_layers(model)[0].group_out.deltas[0].records()[-1][1]
+        record.flags.writeable = True
+        record[...] = 2 * record if record.dtype.kind == "f" else record ^ 0x55
+        after = model_forward(model, x)
+        assert after.tobytes() != before.tobytes()
+        assert after.tobytes() == oracle_model_forward(model, x).tobytes()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_expert_structures_refuse_rebinding(self, kind):
+        """A hit tests only that the layer holds the kept groups, so no field
+        of a group or a delta, nor a group member, can be rebound."""
+        group = moe_layers(mixed_model_of_kind(0, kind, "float64"))[0].group_out
+        delta = group.deltas[0]
+        assert type(delta) is DELTA_KINDS[kind]
+        for obj in (group, delta):
+            for f in fields(obj):
+                with pytest.raises(FrozenInstanceError):
+                    setattr(obj, f.name, getattr(obj, f.name))
+        with pytest.raises(TypeError):
+            group.deltas[0] = delta
 
     @pytest.mark.parametrize(
-        "kind, rebind",
+        "kind, rebind, error",
         [
-            ("quantized", lambda g: setattr(g.deltas[0], "scale", 2.0 * g.deltas[0].scale)),
-            ("sparse", lambda g: setattr(g.deltas[0], "value", 2.0 * g.deltas[0].value)),
-            ("lowrank", lambda g: g.deltas.__setitem__(0, LowRankDelta(g.deltas[0].a, 2.0 * g.deltas[0].b))),
-            ("dense", lambda g: g.deltas.__setitem__(0, DenseDelta(2.0 * g.deltas[0].mat))),
+            ("quantized", lambda g: setattr(g.deltas[0], "scale", 2.0 * g.deltas[0].scale), FrozenInstanceError),
+            ("sparse", lambda g: setattr(g.deltas[0], "value", 2.0 * g.deltas[0].value), FrozenInstanceError),
+            ("lowrank", lambda g: operator.setitem(g.deltas, 0, LowRankDelta(g.deltas[0].a, 2.0 * g.deltas[0].b)), TypeError),
+            ("dense", lambda g: operator.setitem(g.deltas, 0, DenseDelta(2.0 * g.deltas[0].mat)), TypeError),
         ],
         ids=["QuantizedDelta.scale", "SparseDelta.value", "group.deltas[i] lowrank", "group.deltas[i] dense"],
     )
-    def test_rebinding_a_source_changes_the_next_forward(self, kind, rebind):
+    def test_rebinding_a_source_is_refused(self, kind, rebind, error):
         model, x = served(kind)
         before = model_forward(model, x)
-        rebind(moe_layers(model)[0].group_out)
+        with pytest.raises(error):
+            rebind(moe_layers(model)[0].group_out)
+        assert model_forward(model, x).tobytes() == before.tobytes()
+        assert before.tobytes() == oracle_model_forward(model, x).tobytes()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_rebound_group_is_served_afresh(self, kind):
+        """A layer given a new group whose delta changed misses, so it
+        serves the new weights."""
+        model, x = served(kind)
+        before = model_forward(model, x)
+        layer = moe_layers(model)[0]
+        group = layer.group_out
+        layer.group_out = ExpertGroup(group.base, [doubled(group.deltas[0]), *group.deltas[1:]])
         after = model_forward(model, x)
         assert after.tobytes() != before.tobytes()
         assert after.tobytes() == oracle_model_forward(model, x).tobytes()
@@ -595,7 +651,7 @@ class TestServedCache:
         model, x = all_routed("dense")
         layer, other = moe_layers(model)
         base = layer.group_in.base
-        layer.group_in.base = np.concatenate([base, base])[: base.shape[0]]
+        layer.group_in = ExpertGroup(np.concatenate([base, base])[: base.shape[0]], layer.group_in.deltas)
         reset_synthesis_counters(model)
         for _ in range(3):
             model_forward(model, x)

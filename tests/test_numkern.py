@@ -36,7 +36,7 @@ _MATMUL_CASES = st.builds(
     n=st.integers(1, 70),
     inner=st.integers(1, 70),
     m=st.integers(1, 70),
-    dtype=st.sampled_from(["float64", "float32"]),
+    dtype=st.sampled_from(["float64", "float32", "float32 float64", "float64 float32"]),
     seed=st.integers(0, 2**32 - 1),
     zeros=st.sampled_from([0.0, 0.1, 0.5]),
     neg_zero_row=st.booleans(),
@@ -48,14 +48,15 @@ _MATMUL_CASES = st.builds(
 
 
 def _operands(case):
-    """Random operands with injected +0.0/-0.0 entries, optionally a first
-    row of ``a`` whose products with column 0 of ``b`` are all -0.0,
-    optionally as transposed views of Fortran-ordered copies, ``a``
-    optionally as every other column of a wider array, and ``b`` as every
-    other row of a taller one."""
+    """Random operands of ``case["dtype"]``, or of its two dtypes in order,
+    with injected +0.0/-0.0 entries, optionally a first row of ``a`` whose
+    products with column 0 of ``b`` are all -0.0, optionally as transposed
+    views of Fortran-ordered copies, ``a`` optionally as every other column
+    of a wider array, and ``b`` as every other row of a taller one."""
     g = np.random.default_rng(case["seed"])
-    a = g.standard_normal((case["n"], case["inner"])).astype(case["dtype"])
-    b = g.standard_normal((case["inner"], case["m"])).astype(case["dtype"])
+    dtype_a, dtype_b = (case["dtype"].split() * 2)[:2]
+    a = g.standard_normal((case["n"], case["inner"])).astype(dtype_a)
+    b = g.standard_normal((case["inner"], case["m"])).astype(dtype_b)
     for arr in (a, b):
         hit = g.random(arr.shape) < case["zeros"]
         arr[hit] = np.where(g.random(arr.shape) < 0.5, 0.0, -0.0)[hit]
@@ -71,6 +72,19 @@ def _operands(case):
     if case["strided_b"]:
         b = np.repeat(b, 2, axis=0)[::2]
     return a, b
+
+
+def _converted_einsum(a, b):
+    """``np.einsum("ik,kj->ij")`` on ``a`` and ``b`` converted to one dtype
+    with ``b`` C-ordered: the kernel on the operands the probe covers."""
+    dtype = np.result_type(a, b)
+    return np.einsum("ik,kj->ij", a.astype(dtype), np.ascontiguousarray(b, dtype=dtype), optimize=False)
+
+
+# Whether this numpy's einsum kernel is k-ordered, judged apart from
+# ``numkern._einsum``, so that a fault in its conversions cannot hide behind
+# a probe it makes fail.
+_KERNEL_K_ORDERED = numkern._einsum_is_k_ordered(_converted_einsum)
 
 
 def _fma_matmul(a, b):
@@ -159,15 +173,24 @@ class TestMatmul:
     @example(case=_case(8, 64, 32, dtype="float32", transpose_a=True, transpose_b=True))
     @example(case=_case(512, 32, 128, dtype="float32", strided_a=True))
     @example(case=_case(2, 70, 2, transpose_b=True, neg_zero_row=True))
+    # Operands of two dtypes, which ``_einsum`` converts before the kernel.
+    @example(case=_case(33, 64, 2, dtype="float32 float64", transpose_a=True))
+    @example(case=_case(5, 40, 3, dtype="float64 float32", neg_zero_row=True))
     def test_bytes_match_triple_loop_oracle(self, einsum, case):
-        """Either evaluation, every form, any layout, float32 or float64,
-        signed zeros: the bytes of the naive triple loop in a C-contiguous
-        array, and batch == stacked rows."""
+        """Either evaluation, every form, any layout, float32, float64 or one
+        of each, signed zeros: the bytes of the naive triple loop in a
+        C-contiguous array, and batch == stacked rows."""
         a, b = _operands(case)
+        kernel, seen = numkern.c_einsum, []
+
+        def spy(form, x, y):
+            seen.append((x.dtype, y.dtype, y.flags.c_contiguous))
+            return kernel(form, x, y)
+
         with pytest.MonkeyPatch.context() as mp:
-            if not einsum:
-                # What a numpy whose einsum fails the import-time probe runs.
-                mp.setattr(numkern, "_EINSUM_K_ORDERED", False)
+            # The k-loop case is what a numpy whose einsum fails the probe runs.
+            mp.setattr(numkern, "_EINSUM_K_ORDERED", einsum and _KERNEL_K_ORDERED)
+            mp.setattr(numkern, "c_einsum", spy)
             out = numkern.matmul(a, b)
             rows = [numkern.matmul(a[i : i + 1], b) for i in range(a.shape[0])]
         expected = triple_loop_matmul(a, b)
@@ -175,6 +198,8 @@ class TestMatmul:
         assert out.flags.c_contiguous
         assert out.tobytes() == expected.tobytes()
         assert np.concatenate(rows).tobytes() == out.tobytes()
+        # The kernel sees only what the probe covers: one dtype, a C-ordered b.
+        assert all(dtype_x == dtype_y and c_ordered for dtype_x, dtype_y, c_ordered in seen)
 
     def test_single_element_takes_the_loop_and_matches_oracle(self, monkeypatch):
         """A 1×1 output is the one shape einsum would sum out of order; a

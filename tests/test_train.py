@@ -218,10 +218,8 @@ class TestGradients:
         layer, olayer = sm.blocks[0], oracle.blocks[0]
         olayer.trainable_base = True
         for tag in ("group_in", "group_out"):
-            for i in range(3):
-                getattr(olayer, tag).deltas[i] = DenseDelta(
-                    getattr(layer, tag).deltas[i].materialize(np.float64)
-                )
+            dense = [DenseDelta(d.materialize(np.float64)) for d in getattr(layer, tag).deltas]
+            setattr(olayer, tag, ExpertGroup(getattr(olayer, tag).base, dense))
         for arr_pair in ((layer.group_in.base, olayer.group_in.base),
                          (layer.group_out.base, olayer.group_out.base)):
             assert np.array_equal(*arr_pair)
@@ -558,8 +556,9 @@ class TestFiniteness:
         which, arrays = _PLANT_SITES[site]
         model = _planted_models()[which]
         if arrays is None:
-            for delta in model.blocks[0].group_in.deltas:
-                delta.scale = value
+            group = model.blocks[0].group_in
+            planted = [dataclasses.replace(delta, scale=value) for delta in group.deltas]
+            model.blocks[0].group_in = ExpertGroup(group.base, planted)
         else:
             for arr in arrays(model):
                 arr.flat[0] = value
@@ -600,14 +599,15 @@ class TestFiniteness:
         model = upcycle(dense, UpcycleConfig(n_experts=3, topk_count=2, method="ders_lm",
                                              rank=2, seed=1))
         delta = model.blocks[1].group_out.deltas[2]
-        exact = delta.weight_grads
+        exact = type(delta).weight_grads
 
-        def planted(d_w):
-            d_w = d_w.copy()
-            d_w.flat[0] = np.nan
-            return exact(d_w)
+        def planted(self, d_w):
+            if self is delta:
+                d_w = d_w.copy()
+                d_w.flat[0] = np.nan
+            return exact(self, d_w)
 
-        monkeypatch.setattr(delta, "weight_grads", planted)
+        monkeypatch.setattr(type(delta), "weight_grads", planted)
         with pytest.raises(NumericError, match=r"the gradient of blocks\.1\.group_out\.delta2\.a$"):
             loss_and_grads(model, task.sample_train(16, RngStream(5, 0)), task)
 

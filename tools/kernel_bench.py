@@ -44,7 +44,10 @@ serves (``sparse``, ``4-bit``, ``lowrank``): ``synthesize`` of
 expert 0's two matrices, and ``route`` (the first MoE layer, on its input)
 and ``model_forward`` at 1, 4, 8 and 2,048 rows, ``warm`` (experts from the
 cache) and ``cold`` (each call after ``moe.thaw``, so every routed expert is
-synthesized). Beside them it states the trade: ``cache_bytes``, what the
+synthesized). Each row count of ``route`` and ``model_forward`` is timed in
+its own loop of ``--repeat`` calls, as a served request runs after other
+small ones, not right after a 2,048-row forward that has evicted the CPU
+caches. Beside them it states the trade: ``cache_bytes``, what the
 model's expert cache holds after the census rounds, and ``stored_bytes``,
 the model's stored bits with their index and scale overheads from
 ``accounting.count_report``, in bytes. The ``model_forward_us`` rows, warm
@@ -206,6 +209,11 @@ def _median_us(fns: dict, repeat: int, before=lambda: None) -> dict:
     return {name: round(1e6 * statistics.median(s), 2) for name, s in samples.items()}
 
 
+def _each_alone_us(fns: dict, repeat: int, before=lambda: None) -> dict:
+    """:func:`_median_us` of each call in a loop of its own."""
+    return {name: _median_us({name: fn}, repeat, before)[name] for name, fn in fns.items()}
+
+
 def _rule_us(row: dict, threshold: int) -> float:
     """One call's time under "``ba`` when m ≤ threshold < n or m = 1, else
     ``direct``"."""
@@ -241,12 +249,12 @@ def forward(served: dict, repeat: int, seed: int) -> dict:
             "synthesize_us": _median_us(
                 {tag: (lambda g=g: synthesize(g.base, g.deltas[0])) for tag, g in groups.items()}, repeat
             ),
-            "route_us": _median_us(
+            "route_us": _each_alone_us(
                 {str(r): (lambda r=r: moe.route(layer.router, h[r])) for r in FORWARD_ROWS}, repeat
             ),
             "model_forward_us": {
-                "warm": _median_us(forwards, repeat),
-                "cold": _median_us(forwards, repeat, before=lambda: moe.thaw(model)),
+                "warm": _each_alone_us(forwards, repeat),
+                "cold": _each_alone_us(forwards, repeat, before=lambda: moe.thaw(model)),
             },
         }
     return out
