@@ -9,9 +9,9 @@ and a readout matrix. MoE routing follows the softmax-then-top-k convention:
 Expert weights are synthesized on demand from the layer's shared base and the
 expert's delta; experts whose routing score is zero are never materialized
 (instrumented by a per-layer synthesis counter). An untaped forward takes an
-expert it has synthesized before from the layer's cache, whose frozen groups
-it keeps and whose arrays it makes read-only, so that it cannot go stale;
-:func:`thaw` drops the cache and makes them writeable again. The batched
+expert it synthesized before from the layer's cache, one record checked once
+per forward that keeps the frozen groups and makes their arrays read-only; a
+taped forward or :func:`thaw` drops it and restores the flags. The batched
 forward evaluates rows independently with a fixed accumulation order, so a
 batch result equals the stacked single-row results bit-for-bit.
 
@@ -34,6 +34,7 @@ import copy
 import numbers
 import sys
 from dataclasses import MISSING, dataclass, field, fields
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -225,7 +226,8 @@ class MoELayer:
     routed experts (its output is summed in). ``extended`` means the universal
     FFN has instead been folded into the groups as delta N+1, still always
     active but sharing the group's base. A vanilla layer's base is frozen:
-    it is the dense FFN every expert was copied from.
+    it is the dense FFN every expert was copied from. ``_served`` is the
+    layer's served-expert cache, which ``_expert_weights`` checks per forward.
     """
 
     router: Router
@@ -238,11 +240,11 @@ class MoELayer:
     trainable_base: bool = False
     method: str = "vanilla"
     synthesis_count: int = field(default=0, init=False)
-    # The served-expert cache (see ``_served_weights``): expert index -> None
-    # after its first untaped synthesis, then (group_in, group_out, the arrays
-    # read, the pair); and, by id, each array the cache made read-only.
-    _served: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _frozen: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # The served-expert cache (see ``_expert_weights``): None or one record of
+    # the two groups it serves, every array they hold, the arrays it made
+    # read-only (None before its first kept pair) and, by expert index, None
+    # after the expert's first synthesis, then the kept pair.
+    _served: SimpleNamespace | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_fields(self, self.activation)
@@ -273,42 +275,45 @@ class MoELayer:
         self.synthesis_count += 1
         return w_in, w_out
 
-    def _served_weights(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Expert i's (w_in, w_out) for an untaped forward.
+    def _expert_weights(self, taped: bool):
+        """The forward's one check of the layer's served cache, then the
+        callable giving expert i's (w_in, w_out) in it. The record is dropped,
+        its flags restored, if the forward is taped (the only path before
+        training's in-place writes), the layer holds other groups, or it has
+        frozen its arrays and one is writeable again. A layer whose groups
+        hold a view keeps none: read-only on a view would not stop a write
+        through the array it views."""
+        served, groups = self._served, (self.group_in, self.group_out)
+        if served is not None and (
+            taped or served.groups[0] is not groups[0] or served.groups[1] is not groups[1]
+            or served.frozen is not None and any(a.flags.writeable for a in served.arrays)
+        ):
+            for a in served.frozen or ():
+                a.flags.writeable = True
+            self._served = served = None
+        if served is None and not taped:
+            arrays = [g.base for g in groups] + [r[1] for g in groups for d in g.deltas for r in d.records()]
+            if all(a.flags.owndata for a in arrays):
+                served = self._served = SimpleNamespace(groups=groups, arrays=arrays, frozen=None, pairs={})
+        return self.synthesized_weights if served is None else self._served_weights
 
-        The first untaped synthesis of an expert keeps nothing. From the
-        second on, the layer keeps the pair and its two groups, provided each
-        array synthesis reads (the bases, the deltas' records) owns its data,
-        and makes the pair and those arrays read-only. Groups and deltas are
-        frozen, so the entry is a hit while the layer holds the kept groups
-        and the arrays are still read-only: an in-place write raises instead
-        of going stale, and a rebound group is a miss. Only a miss calls
-        ``synthesized_weights``."""
-        entry = self._served.get(i)
-        if entry is not None:
-            group_in, group_out, arrays, pair = entry
-            if (group_in is self.group_in and group_out is self.group_out
-                    and not any(a.flags.writeable for a in arrays)):
-                return pair
-        pair = self.synthesized_weights(i)
-        groups = self.group_in, self.group_out
-        arrays = [a for g in groups for a in (g.base, *(r[1] for r in g.deltas[i].records()))]
-        if i not in self._served or not all(a.flags.owndata for a in arrays):
-            # Read-only on a view would not stop a write through the array it views.
-            self._served[i] = None
-            return pair
-        for a in arrays:
-            if a.flags.writeable:
-                a.flags.writeable = False
-                self._frozen[id(a)] = a
-        for w in pair:
-            w.flags.writeable = False
-        self._served[i] = (*groups, arrays, pair)
+    def _served_weights(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """Expert i's pair from the checked record, a hit being a dict lookup;
+        the first pair kept (a second synthesis) makes its arrays read-only."""
+        served = self._served
+        pair = served.pairs.get(i)
+        if pair is None:
+            pair = self.synthesized_weights(i)
+            if i in served.pairs and served.frozen is None:
+                served.frozen = [a for a in served.arrays if a.flags.writeable]
+                for a in served.frozen:
+                    a.flags.writeable = False
+            served.pairs[i] = pair if i in served.pairs else None  # kept from the second on
         return pair
 
     def __getstate__(self):
         # A copy or a pickle starts with no served-expert cache.
-        return {**self.__dict__, "_served": {}, "_frozen": {}}
+        return {**self.__dict__, "_served": None}
 
 
 @dataclass
@@ -430,13 +435,13 @@ def _moe_forward(layer: MoELayer, x: np.ndarray, tape: dict | None) -> np.ndarra
     ``y``. The combine adds each row's contributions in expert index order
     from +0.0, the always-active member or universal FFN last, so a block's
     size never shows in the bytes. Each expert's weights are taken once per
-    call, only if some row routes to them: synthesized on a tape, else
-    through :meth:`MoELayer._served_weights`. The tape keeps each expert's
-    ``rows``.
+    call, only if some row routes to them, through the callable of
+    :meth:`MoELayer._expert_weights`, which checks the layer's served cache
+    once per call. The tape keeps each expert's ``rows``.
     """
     scores = route(layer.router, x, tape)
     n = layer.n_experts
-    expert = layer.synthesized_weights if tape is not None else layer._served_weights
+    expert = layer._expert_weights(tape is not None)
     if tape is not None:
         tape.update(x=x, scores=scores, experts=[None] * n, universal=None)
     y = np.zeros((x.shape[0], layer.group_out.base.shape[1]), dtype=x.dtype)
@@ -562,21 +567,18 @@ def _layers(model: Model) -> list[MoELayer]:
 
 
 def thaw(model: Model) -> None:
-    """Drop ``model``'s served-expert cache, so that its next two forwards
-    keep nothing, and make writeable again exactly the arrays the cache made
-    read-only."""
+    """Drop ``model``'s served-expert cache, so that its next forward
+    synthesizes every routed expert afresh and keeps nothing, and make
+    writeable again exactly the arrays the cache made read-only."""
     for layer in _layers(model):
-        for arr in layer._frozen.values():
-            arr.flags.writeable = True
-        layer._frozen.clear()
-        layer._served.clear()
+        layer._expert_weights(taped=True)  # drops the record, as a taped forward does
 
 
 def cache_bytes(model: Model) -> int:
     """Bytes of the synthesized experts ``model``'s cache holds: memory
     spent to serve, not part of any storage count."""
-    return sum(w.nbytes for layer in _layers(model) for entry in layer._served.values()
-               if entry is not None for w in entry[-1])
+    served = [layer._served for layer in _layers(model) if layer._served is not None]
+    return sum(w.nbytes for s in served for pair in s.pairs.values() if pair for w in pair)
 
 
 def _ffn_arrays(prefix: str, ffn: FFN) -> list:

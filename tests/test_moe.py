@@ -18,7 +18,7 @@ from conftest import (
     reset_synthesis_counters,
     rng_mat,
 )
-from ders import moe, numkern
+from ders import moe, numkern, train
 from ders.deltas import (
     DELTA_KINDS,
     SUPPORTED_BIT_WIDTHS,
@@ -530,7 +530,7 @@ class TestServedCache:
     def test_synthesis_count_counts_misses_only(self):
         """The first forward synthesizes and keeps nothing, the second
         synthesizes and keeps, later ones synthesize nothing; a taped forward
-        synthesizes every time and leaves the cache as it is."""
+        synthesizes every time and drops the cache."""
         model, x = all_routed("sparse")
         layers = moe_layers(model)
         reset_synthesis_counters(model)
@@ -549,7 +549,7 @@ class TestServedCache:
         assert [layer.synthesis_count for layer in layers] == [2 * n for n in once]
         forward_tape(model, x)
         assert [layer.synthesis_count for layer in layers] == [3 * n for n in once]
-        assert moe.cache_bytes(model) == held
+        assert moe.cache_bytes(model) == 0
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_in_place_write_after_serving_raises(self, kind):
@@ -615,6 +615,71 @@ class TestServedCache:
         after = model_forward(model, x)
         assert after.tobytes() != before.tobytes()
         assert after.tobytes() == oracle_model_forward(model, x).tobytes()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_shared_source_made_writeable_drops_the_layer(self, kind):
+        """A group base that every kept expert of a layer read, made
+        writeable by hand and written, drops the whole layer: its next
+        forward synthesizes every routed expert afresh and equals the
+        oracle, while the other layer still serves from its cache."""
+        model, x = served(kind)
+        layer, other = moe_layers(model)
+        base = layer.group_out.base
+        base.flags.writeable = True
+        base *= 2
+        reset_synthesis_counters(model)
+        pred = model_forward(model, x)
+        assert layer.synthesis_count == layer.n_experts + layer.extended
+        assert other.synthesis_count == 0
+        assert pred.tobytes() == oracle_model_forward(model, x).tobytes()
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        kind=st.sampled_from(KINDS),
+        steps=st.lists(
+            st.tuples(st.sampled_from(["request", "train", "rebind", "flip"]), st.integers(0, 2**16)),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    @example(seed=0, kind="sparse", steps=[("request", 3), ("request", 3), ("train", 0), ("request", 5)])
+    @example(seed=1, kind="lowrank", steps=[("request", 2), ("request", 2), ("flip", 0), ("request", 2)])
+    def test_every_lifecycle_serves_the_uncached_bytes(self, seed, kind, steps):
+        """Over any sequence of requests, training steps (taped gradients,
+        then an in-place update of every trainable array, with no ``thaw``),
+        rebound groups, and source arrays made writeable by hand and written,
+        each request equals the per-expert oracle and its stacked single
+        rows byte for byte."""
+        model = mixed_model_of_kind(seed, kind, "float64")
+        task = train.make_task(
+            "cluster_regression", dict(d=model.in_width, n_clusters=2, out_width=model.out_width), seed
+        )
+        for step, n in steps:
+            layer = moe_layers(model)[n % 2]
+            tag = ("group_in", "group_out")[n // 2 % 2]
+            if step == "request":
+                x = 2.0 * np.random.default_rng(n).standard_normal((1 + n % 6, model.in_width))
+                pred = model_forward(model, x)
+                assert pred.tobytes() == oracle_model_forward(model, x).tobytes()
+                stacked = np.concatenate([model_forward(model, x[i : i + 1]) for i in range(x.shape[0])])
+                assert stacked.tobytes() == pred.tobytes()
+            elif step == "train":
+                _, grads = train.loss_and_grads(model, task.sample_train(4, numkern.RngStream(seed, n)), task)
+                for name, arr in named_parameters(model):
+                    arr -= 1e-2 * grads[name]
+            elif step == "rebind":
+                deltas = list(getattr(layer, tag).deltas)
+                deltas[n % len(deltas)] = doubled(deltas[n % len(deltas)])
+                setattr(layer, tag, ExpertGroup(getattr(layer, tag).base, deltas))
+            else:
+                # Any float array or packed payload the layer's groups hold.
+                groups = (layer.group_in, layer.group_out)
+                arrays = [g.base for g in groups] + [r[1] for g in groups for d in g.deltas for r in d.records()]
+                arrays = [a for a in arrays if a.dtype.kind == "f" or a.dtype == np.uint8]
+                arr = arrays[n % len(arrays)]
+                arr.flags.writeable = True
+                arr[...] = 2 * arr if arr.dtype.kind == "f" else arr ^ 0x55
 
     def test_thaw_restores_exactly_the_flags_it_set(self):
         model, x = all_routed("lowrank")

@@ -461,8 +461,9 @@ class TestTrainLoop:
 
     def test_training_a_served_model_equals_training_an_unserved_copy(self):
         """Serving twice freezes the model's expert sources; ``train_loop``
-        trains a writeable copy, and thaws after each eval so that its own
-        evals never leave the arrays its steps write read-only."""
+        trains a writeable copy, and each step's taped forward drops the
+        cache its evals leave, so its in-place writes never meet a read-only
+        array."""
         task = regression_task(seed=53, d=4, n_clusters=2, out_width=3)
         model = build_mixed_moe_model(4)
         unserved = copy_model(model)
