@@ -19,13 +19,13 @@ Every FFN-shaped computation, act(x · W_in) · W_out, runs through one private
 forward over one or more spans of rows, each with its own weights: a dense
 block, the extended always-active member N+1 and the parallel universal FFN
 as one span, and a block of routed experts as one span per expert, the rows
-routed to it. An untaped forward puts consecutive routed experts in a block
-of at most ``_BLOCK_PAIRS`` (row, expert) pairs, which shares one
-activation, one score multiply and one combine; the activation is
-elementwise and each row's contributions are added in expert index order,
-so the bytes do not depend on the blocks. A taped forward runs one expert
-per block and records x, both weights, the activation, h, a and out, which
-is all that ``ders.train._ffn_backward`` reads.
+routed to it. A forward puts consecutive routed experts in a block of at
+most ``_BLOCK_PAIRS`` (row, expert) pairs, which shares one activation, one
+score multiply and one combine; the activation is elementwise and each
+row's contributions are added in expert index order, so the bytes do not
+depend on the blocks. A taped forward runs the same blocks and records per
+block x, the spans, the activation, h, a and out, which is all that
+``ders.train._ffn_backward`` reads, so the backward walks them too.
 """
 
 from __future__ import annotations
@@ -377,15 +377,14 @@ def _ffn(rec: dict | None, x: np.ndarray, spans: list, activation: str) -> np.nd
     dense block, member N+1 and the parallel universal FFN (one span each),
     and of a block of routed experts (one span per expert). A block's spans
     share one activation over their stacked ``h``. With a ``rec``, records
-    on it what :func:`ders.train._ffn_backward` reads, which a one-span call
-    only can; without one, nothing keeps ``h``, so the activation overwrites
-    it."""
+    on it what :func:`ders.train._ffn_backward` reads: x, the spans, the
+    activation, h, a and out; without one, nothing keeps ``h``, so the
+    activation overwrites it."""
     h = _stacked([numkern.matmul(x[s:e], w_in) for s, e, w_in, _ in spans])
     a = act_forward(activation, h, out=h if rec is None else None)
     out = _stacked([numkern.matmul(a[s:e], w_out) for s, e, _, w_out in spans])
     if rec is not None:
-        ((_, _, w_in, w_out),) = spans
-        rec.update(x=x, w_in=w_in, w_out=w_out, activation=activation, h=h, a=a, out=out)
+        rec.update(x=x, spans=spans, activation=activation, h=h, a=a, out=out)
     return out
 
 
@@ -422,45 +421,57 @@ def _blocks(counts: list[int], cap: int):
         yield start, end, members
 
 
+def _combine(y: np.ndarray, rows: np.ndarray, out: np.ndarray, members: int) -> None:
+    """``y[rows] += out`` for a block's pairs, each row's contributions added
+    in pair order, by expert: one fancy-index add for one member, whose rows
+    are distinct, else ``np.add.at`` over the elements of C-ordered ``y``
+    (on 2-D it is about twice as slow)."""
+    if members == 1:
+        y[rows] += out
+        return
+    d = y.shape[1]
+    np.add.at(y.reshape(-1), (rows[:, None] * d + np.arange(d)).reshape(-1), out.reshape(-1))
+
+
 def _moe_forward(layer: MoELayer, x: np.ndarray, tape: dict | None) -> np.ndarray:
     """Batched MoE forward; with a ``tape``, records intermediates for backprop.
 
     One dispatch per call: ``np.nonzero(scores.T)`` lists the routed (row,
     expert) pairs sorted by expert, then row, so one gather of their rows
     and weights leaves each expert a contiguous slice. Consecutive experts
-    run as blocks of at most ``_BLOCK_PAIRS`` pairs (one expert per block on
-    a tape, whose backward reads each expert's record): per block, one
-    product with ``w_in`` per expert, one activation, one product with
-    ``w_out`` per expert, one multiply by the scores and one combine into
-    ``y``. The combine adds each row's contributions in expert index order
-    from +0.0, the always-active member or universal FFN last, so a block's
-    size never shows in the bytes. Each expert's weights are taken once per
-    call, only if some row routes to them, through the callable of
+    run as blocks of at most ``_BLOCK_PAIRS`` pairs, taped or not: per
+    block, one product with ``w_in`` per expert, one activation, one product
+    with ``w_out`` per expert, one multiply by the scores and one combine
+    into ``y``. The combine adds each row's contributions in expert index
+    order from +0.0, the always-active member or universal FFN last, so a
+    block's size never shows in the bytes. Each expert's weights are taken
+    once per call, only if some row routes to them, through the callable of
     :meth:`MoELayer._expert_weights`, which checks the layer's served cache
-    once per call. The tape keeps each expert's ``rows``.
+    once per call. The tape keeps the dispatch ``counts`` per expert and one
+    record per block: its pairs' ``rows``, ``experts`` and ``weights``, its
+    ``members`` ``(expert, start, end)`` in index order, and what
+    :func:`_ffn` records.
     """
     scores = route(layer.router, x, tape)
     n = layer.n_experts
     expert = layer._expert_weights(tape is not None)
-    if tape is not None:
-        tape.update(x=x, scores=scores, experts=[None] * n, universal=None)
     y = np.zeros((x.shape[0], layer.group_out.base.shape[1]), dtype=x.dtype)
     experts, rows = np.nonzero(scores.T)
     xs, weights = x[rows], scores[rows, experts][:, None]
-    counts = np.bincount(experts, minlength=n).tolist()
-    for start, end, members in _blocks(counts, _BLOCK_PAIRS if tape is None else 0):
+    counts = np.bincount(experts, minlength=n)
+    if tape is not None:
+        tape.update(x=x, scores=scores, counts=counts, routed=[], universal=None)
+    for start, end, members in _blocks(counts.tolist(), _BLOCK_PAIRS):
         rec = None
         if tape is not None:
-            ((i, _, _),) = members
-            rec = tape["experts"][i] = {"rows": rows[start:end]}
+            rec = {"rows": rows[start:end], "experts": experts[start:end],
+                   "weights": weights[start:end], "members": members}
+            tape["routed"].append(rec)
         spans = [(s - start, e - start, *expert(i)) for i, s, e in members]
         out = _ffn(rec, xs[start:end], spans, layer.activation)
         # A tape keeps ``out`` for the backward.
         out = np.multiply(out, weights[start:end], out=out if rec is None else None)
-        if len(members) == 1:
-            y[rows[start:end]] += out  # one expert's rows are distinct
-        else:
-            np.add.at(y, rows[start:end], out)  # in pair order: by expert within a row
+        _combine(y, rows[start:end], out, len(members))
     if layer.extended or layer.universal is not None:
         rec = None if tape is None else {}
         if layer.extended:

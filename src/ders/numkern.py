@@ -11,8 +11,9 @@ are bit-reproducible:
   element. One einsum form, ``einsum("ik,kj->ij")`` over its first operand
   as given, adds the products in that order, checked by an import-time probe
   in both orientations ``matmul`` uses it in: ``a·b`` for most outputs, and
-  ``(bᵀ·aᵀ)ᵀ`` for a tall output of at most 32 columns or of one column,
-  which sums the same products (x·y == y·x exactly) in the same order. 1×1
+  ``(bᵀ·aᵀ)ᵀ`` for an output of at least 32 rows and at most 32 columns,
+  fewer columns than rows, or of one column, which sums the same products
+  (x·y == y·x exactly) in the same order. 1×1
   outputs, and all outputs where the probe fails (an einsum that fuses the
   multiply-add, as FMA builds may), take a Python loop of rank-1 updates.
   BLAS is deliberately not used (its blocked summation is not bit-stable
@@ -141,10 +142,14 @@ def _einsum_is_k_ordered(form=_einsum) -> bool:
 
 _EINSUM_K_ORDERED = _einsum_is_k_ordered()  # False where einsum fuses (FMA builds) or reorders
 
-# A tall output (more than 32 rows) at most this narrow is computed
-# transposed: einsum's inner loop then runs along its many rows instead of
-# its few columns. tools/kernel_bench.py times both orientations on the
-# benchmark's shapes: ``a·b`` wins everywhere else.
+# An output of at least this many rows, and at most this many columns and
+# fewer columns than rows, is computed transposed: einsum's inner loop then
+# runs along its many rows instead of its few columns. tools/kernel_bench.py
+# times both orientations on the benchmark's shapes: at --repeat 30 this
+# rule's matmul time per workload phase is within 1.7% of taking the faster
+# orientation of every shape. The transposed form wins from 32 rows at 4 or
+# 8 columns (a 32-row batch's router and readout products), ``a·b`` at 8 to
+# 16 rows and at as many columns as rows.
 _NARROW_COLUMNS = 32
 
 
@@ -159,9 +164,10 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     operand's rows. The output's n rows and m columns pick how it is used:
 
     * ``a·b`` for every output with m ≥ 2 that is not tall-narrow;
-    * ``(bᵀ·aᵀ)ᵀ`` for tall-narrow outputs (m ≤ 32 < n) and one-column
-      outputs of n ≥ 2 rows: the same k-ordered sums with the operands
-      swapped (x·y == y·x exactly), faster when the columns are few;
+    * ``(bᵀ·aᵀ)ᵀ`` for tall-narrow outputs (m ≤ 32 ≤ n and m < n) and
+      one-column outputs of n ≥ 2 rows: the same k-ordered sums with the
+      operands swapped (x·y == y·x exactly), faster when the columns are
+      few;
     * the k-loop for a 1×1 output, whose sum einsum would unroll, and for
       every output if the import-time probe rejected einsum.
 
@@ -176,7 +182,7 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     n, m = a.shape[0], b.shape[1]
     if not _EINSUM_K_ORDERED or n == m == 1:
         return _k_loop(a, b)
-    if m == 1 or m <= _NARROW_COLUMNS < n:
+    if m == 1 or m < n and m <= _NARROW_COLUMNS <= n:
         return np.ascontiguousarray(_einsum(b.T, a.T).T)
     return _einsum(a, b)
 

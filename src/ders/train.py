@@ -2,9 +2,13 @@
 
 Gradients are hand-derived reverse-mode derivatives computed from the forward
 tape — no autograd. One FFN backward, ``_ffn_backward``, serves every FFN the
-forward ran (dense block, routed expert, member N+1, parallel universal FFN)
-and returns (dX, dW_in, dW_out); the caller lands the weight gradients in one
-flat buffer per dtype (:class:`GradLayout`). Special cases the MoE stack needs:
+forward ran (dense block, block of routed experts, member N+1, parallel
+universal FFN) and returns dX and (dW_in, dW_out) per span; the caller lands
+the weight gradients in one flat buffer per dtype (:class:`GradLayout`). A
+block of routed experts is walked as the forward ran it, with one activation
+derivative and one combine of its dX, which adds each row's contributions in
+expert index order, so the bytes do not depend on the blocks. Special cases
+the MoE stack needs:
 
 * the top-k routing mask is treated as a constant (straight-through): task-loss
   gradient flows only through surviving softmax entries;
@@ -17,8 +21,8 @@ flat buffer per dtype (:class:`GradLayout`). Special cases the MoE stack needs:
   payloads) get no gradient entry at all.
 
 The auxiliary load-balance penalty is N·Σᵢ fractionᵢ·mean_probᵢ with the
-dispatch fraction treated as a constant; its coefficient is configurable and 0
-disables it.
+dispatch fraction, the tape's per-expert ``counts`` over the batch rows,
+treated as a constant; its coefficient is configurable and 0 disables it.
 """
 
 from __future__ import annotations
@@ -33,6 +37,8 @@ from .errors import ConfigError, NumericError, ParameterError
 from .moe import (
     Model,
     MoELayer,
+    _combine,
+    _stacked,
     act_grad,
     check_fields,
     copy_model,
@@ -249,13 +255,17 @@ def evaluate(model: Model, task: SyntheticTask) -> float:
 
 
 def _ffn_backward(rec: dict, d_out: np.ndarray):
-    """(d_x, d_w_in, d_w_out) of one FFN forward that recorded ``rec``; the
-    caller lands the weight gradients where its weights live."""
-    d_a = numkern.matmul(d_out, rec["w_out"].T)
-    d_w_out = numkern.matmul(rec["a"].T, d_out)
+    """(d_x, [(d_w_in, d_w_out) per span]) of one FFN forward that recorded
+    ``rec``, one activation derivative over its stacked ``h``; the caller
+    lands the weight gradients where each span's weights live."""
+    spans = rec["spans"]
+    d_a = _stacked([numkern.matmul(d_out[s:e], w_out.T) for s, e, _, w_out in spans])
     d_h = d_a * act_grad(rec["activation"], rec["h"])
-    d_w_in = numkern.matmul(rec["x"].T, d_h)
-    return numkern.matmul(d_h, rec["w_in"].T), d_w_in, d_w_out
+    d_ws = [
+        (numkern.matmul(rec["x"][s:e].T, d_h[s:e]), numkern.matmul(rec["a"][s:e].T, d_out[s:e]))
+        for s, e, _, _ in spans
+    ]
+    return _stacked([numkern.matmul(d_h[s:e], w_in.T) for s, e, w_in, _ in spans]), d_ws
 
 
 def _land_member(buffers: dict, layer: MoELayer, i: int, d_w_in, d_w_out) -> None:
@@ -273,23 +283,25 @@ def _land_member(buffers: dict, layer: MoELayer, i: int, d_w_in, d_w_out) -> Non
 def _moe_backward(
     buffers: dict, layer: MoELayer, tape: dict, d_y: np.ndarray, aux_coeff: float
 ) -> np.ndarray:
-    x = tape["x"]
-    probs = tape["probs"]
-    scores = tape["scores"]
+    """The layer's input gradient, landing its weight gradients. Each block
+    of routed experts the forward ran is walked once: one gather of ``d_y``,
+    one score product, one backward through its FFN and one combine into
+    ``d_x``, in pair order as the forward combined ``y``."""
+    x, probs, scores = tape["x"], tape["probs"], tape["scores"]
     b = x.shape[0]
-    d_x = np.zeros_like(x)
+    d_x = np.zeros(x.shape, x.dtype)  # C-ordered, as ``_combine`` needs
     d_scores = np.zeros_like(scores)
-    for i, rec in enumerate(tape["experts"]):
-        if rec is None:
-            continue
-        rows = rec["rows"]
-        d_scores[rows, i] = np.sum(d_y[rows] * rec["out"], axis=1)
-        d_rows, d_w_in, d_w_out = _ffn_backward(rec, scores[rows, i : i + 1] * d_y[rows])
-        d_x[rows] += d_rows
-        _land_member(buffers, layer, i, d_w_in, d_w_out)
+    for rec in tape["routed"]:
+        rows, members = rec["rows"], rec["members"]
+        d_rows = d_y[rows]
+        d_scores[rows, rec["experts"]] = np.sum(d_rows * rec["out"], axis=1)
+        d_xs, d_ws = _ffn_backward(rec, rec["weights"] * d_rows)
+        _combine(d_x, rows, d_xs, len(members))
+        for (i, _, _), (d_w_in, d_w_out) in zip(members, d_ws):
+            _land_member(buffers, layer, i, d_w_in, d_w_out)
     uni = tape["universal"]
     if uni is not None:
-        d_uni, d_w_in, d_w_out = _ffn_backward(uni, d_y)
+        d_uni, ((d_w_in, d_w_out),) = _ffn_backward(uni, d_y)
         d_x += d_uni
         if layer.extended:
             _land_member(buffers, layer, layer.n_experts, d_w_in, d_w_out)
@@ -300,7 +312,7 @@ def _moe_backward(
     d_probs = np.where(scores != 0.0, d_scores, 0.0)
     if aux_coeff != 0.0:
         # aux = N · Σ_i fraction_i · mean_prob_i, fraction treated constant.
-        fraction = np.mean(scores != 0.0, axis=0)
+        fraction = tape["counts"] / b
         d_probs = d_probs + aux_coeff * layer.n_experts * fraction / b
     d_logits = probs * (d_probs - np.sum(d_probs * probs, axis=1, keepdims=True))
     buffers[id(layer.router.w_r)] += numkern.matmul(x.T, d_logits)
@@ -314,8 +326,7 @@ def _aux_loss(tape: dict, model: Model) -> float:
         if not isinstance(block, MoELayer):
             continue
         probs = block_tape["probs"]
-        scores = block_tape["scores"]
-        fraction = np.mean(scores != 0.0, axis=0)
+        fraction = block_tape["counts"] / probs.shape[0]  # each expert's share of the rows
         mean_prob = np.mean(probs, axis=0)
         total += float(block.n_experts * np.sum(fraction * mean_prob))
     return total
@@ -372,7 +383,7 @@ def loss_parts(model: Model, batch, task: SyntheticTask, aux_loss_coeff: float =
         if isinstance(block, MoELayer):
             d_block_in = _moe_backward(buffers, block, rec, d_h, aux_loss_coeff)
         else:
-            d_block_in, d_w_in, d_w_out = _ffn_backward(rec, d_h)
+            d_block_in, ((d_w_in, d_w_out),) = _ffn_backward(rec, d_h)
             buffers[id(block.ffn.w_in)] += d_w_in
             buffers[id(block.ffn.w_out)] += d_w_out
         d_h = d_h + d_block_in  # residual path

@@ -11,10 +11,16 @@ import numpy as np
 from ders import cli, numkern, train
 from ders.checkpoint import save_model
 from ders.deltas import (
+    SUPPORTED_BIT_WIDTHS,
+    DenseDelta,
     ExpertGroup,
+    LowRankDelta,
     init_lowrank_trainable,
     init_sparse_trainable,
+    quantize,
     sparse_keep_count,
+    sparsify,
+    synthesize,
 )
 from ders.errors import ParameterError
 from ders.moe import (
@@ -26,6 +32,7 @@ from ders.moe import (
     Router,
     _moe_forward,
     act_forward,
+    act_grad,
     build_dense_model,
     copy_model,
     forward_tape,
@@ -527,9 +534,16 @@ def _fresh_ffn(x, w_in, w_out, activation):
     return numkern.matmul(act_forward(activation, numkern.matmul(x, w_in)), w_out)
 
 
+def expert_weights(layer: MoELayer, i: int):
+    """Group member i's (w_in, w_out), synthesized from its base and delta."""
+    return (synthesize(layer.group_in.base, layer.group_in.deltas[i]),
+            synthesize(layer.group_out.base, layer.group_out.deltas[i]))
+
+
 def per_expert_moe_forward(layer: MoELayer, x: np.ndarray) -> np.ndarray:
     """The MoE block output by one mask per routed expert, argsort routing and
-    a fresh activation array per FFN."""
+    a fresh activation array per FFN, each expert synthesized afresh without
+    touching the layer's ``synthesis_count``."""
     probs = numkern.softmax(numkern.matmul(x, layer.router.w_r))
     scores = argsort_topk_mask(probs, layer.router.topk_count)
     n = layer.n_experts
@@ -537,10 +551,10 @@ def per_expert_moe_forward(layer: MoELayer, x: np.ndarray) -> np.ndarray:
     routed = scores != 0.0
     for i in np.flatnonzero(routed.any(axis=0)):
         rows = np.flatnonzero(routed[:, i])
-        out = _fresh_ffn(x[rows], *layer.synthesized_weights(i), layer.activation)
+        out = _fresh_ffn(x[rows], *expert_weights(layer, i), layer.activation)
         y[rows] += scores[rows, i : i + 1] * out
     if layer.extended:
-        y += _fresh_ffn(x, *layer.synthesized_weights(n), layer.activation)
+        y += _fresh_ffn(x, *expert_weights(layer, n), layer.activation)
     elif layer.universal is not None:
         uni = layer.universal
         y += _fresh_ffn(x, uni.w_in, uni.w_out, uni.activation)
@@ -560,6 +574,105 @@ def oracle_model_forward(model, batch: np.ndarray) -> np.ndarray:
     return numkern.matmul(h, model.readout)
 
 
+class _OracleFfn:
+    """One FFN run on its own rows: x, its weights, h, a and out."""
+
+    def __init__(self, x, w_in, w_out, activation):
+        self.x, self.w_in, self.w_out, self.activation = x, w_in, w_out, activation
+        self.h = numkern.matmul(x, w_in)
+        self.a = act_forward(activation, self.h)  # a fresh array: h is kept
+        self.out = numkern.matmul(self.a, w_out)
+
+    def backward(self, d_out):
+        """(d_x, d_w_in, d_w_out)."""
+        d_a = numkern.matmul(d_out, self.w_out.T)
+        d_w_out = numkern.matmul(self.a.T, d_out)
+        d_h = d_a * act_grad(self.activation, self.h)
+        return numkern.matmul(d_h, self.w_in.T), numkern.matmul(self.x.T, d_h), d_w_out
+
+
+def oracle_loss_parts(model, batch, task, aux_coeff):
+    """``train.loss_parts`` as (total, (task_loss, aux_raw), grads by name),
+    by one FFN per routed expert forward and backward, argsort routing, and
+    the dispatch fraction read as ``np.mean(scores != 0.0, axis=0)``."""
+    x, y = batch
+    grads = {id(arr): np.zeros_like(arr) for _, arr in named_parameters(model)}
+
+    def land(layer, i, d_w_in, d_w_out):
+        for group, d_w in ((layer.group_in, d_w_in), (layer.group_out, d_w_out)):
+            if layer.trainable_base:
+                grads[id(group.base)] += d_w
+            for field, grad in group.deltas[i].weight_grads(d_w):
+                grads[id(getattr(group.deltas[i], field))] += grad
+
+    x_in = np.asarray(x, dtype=model.embed.dtype)
+    h, records, aux_raw = numkern.matmul(x_in, model.embed), [], 0.0
+    for block in model.blocks:
+        if isinstance(block, MoELayer):
+            probs = numkern.softmax(numkern.matmul(h, block.router.w_r))
+            scores = argsort_topk_mask(probs, block.router.topk_count)
+            fraction = np.mean(scores != 0.0, axis=0)
+            aux_raw += float(block.n_experts * np.sum(fraction * np.mean(probs, axis=0)))
+            out, experts = np.zeros_like(h), []
+            for i in np.flatnonzero((scores != 0.0).any(axis=0)):
+                rows = np.flatnonzero(scores[:, i] != 0.0)
+                ffn = _OracleFfn(h[rows], *expert_weights(block, i), block.activation)
+                out[rows] += scores[rows, i : i + 1] * ffn.out
+                experts.append((i, rows, ffn))
+            uni = None
+            if block.extended:
+                uni = _OracleFfn(h, *expert_weights(block, block.n_experts), block.activation)
+            elif block.universal is not None:
+                uni = _OracleFfn(h, block.universal.w_in, block.universal.w_out, block.universal.activation)
+            if uni is not None:
+                out += uni.out
+            records.append((h, probs, scores, fraction, experts, uni))
+        else:
+            ffn = _OracleFfn(h, block.ffn.w_in, block.ffn.w_out, block.ffn.activation)
+            out = ffn.out
+            records.append(ffn)
+        h = h + out
+    pred = numkern.matmul(h, model.readout)
+    if task.loss_kind == "mse":
+        y = np.asarray(y, dtype=pred.dtype)
+    task_loss, d_pred = train.task_loss_and_grad(pred, y, task.loss_kind)
+
+    grads[id(model.readout)] += numkern.matmul(h.T, d_pred)
+    d_h = numkern.matmul(d_pred, model.readout.T)
+    for block, rec in zip(reversed(model.blocks), reversed(records)):
+        if isinstance(block, MoELayer):
+            h_in, probs, scores, fraction, experts, uni = rec
+            d_x, d_scores = np.zeros_like(h_in), np.zeros_like(scores)
+            for i, rows, ffn in experts:
+                d_scores[rows, i] = np.sum(d_h[rows] * ffn.out, axis=1)
+                d_rows, d_w_in, d_w_out = ffn.backward(scores[rows, i : i + 1] * d_h[rows])
+                d_x[rows] += d_rows
+                land(block, i, d_w_in, d_w_out)
+            if uni is not None:
+                d_uni, d_w_in, d_w_out = uni.backward(d_h)
+                d_x += d_uni
+                if block.extended:
+                    land(block, block.n_experts, d_w_in, d_w_out)
+                else:
+                    grads[id(block.universal.w_in)] += d_w_in
+                    grads[id(block.universal.w_out)] += d_w_out
+            d_probs = np.where(scores != 0.0, d_scores, 0.0)
+            if aux_coeff != 0.0:
+                d_probs = d_probs + aux_coeff * block.n_experts * fraction / h_in.shape[0]
+            d_logits = probs * (d_probs - np.sum(d_probs * probs, axis=1, keepdims=True))
+            grads[id(block.router.w_r)] += numkern.matmul(h_in.T, d_logits)
+            d_x += numkern.matmul(d_logits, block.router.w_r.T)
+        else:
+            d_x, d_w_in, d_w_out = rec.backward(d_h)
+            grads[id(block.ffn.w_in)] += d_w_in
+            grads[id(block.ffn.w_out)] += d_w_out
+        d_h = d_h + d_x
+    grads[id(model.embed)] += numkern.matmul(x_in.T, d_h)
+    aux_raw = aux_raw if aux_coeff != 0.0 else 0.0
+    total = task_loss + aux_coeff * aux_raw
+    return total, (task_loss, aux_raw), {name: grads[id(arr)] for name, arr in named_parameters(model)}
+
+
 def cast_floats(model, dtype):
     """A copy of ``model`` with every float array, at any depth, cast to
     ``dtype``: each dataclass is rebuilt, since the expert groups and deltas
@@ -575,3 +688,33 @@ def cast_floats(model, dtype):
         return value
 
     return cast(copy_model(model))
+
+
+def mixed_model_of_kind(seed, kind, dtype):
+    """:func:`build_mixed_moe_model` with every delta of both MoE layers
+    (one beside a universal FFN, one extended) replaced by a random delta of
+    form ``kind``, the quantized ones over every bit width, at ``dtype``. Each
+    layer routes to 1, 2 or 3 of its 3 experts, by ``seed``: at 3 the order
+    in which the experts are added shows in the bytes."""
+    model = build_mixed_moe_model(seed)
+    g = np.random.default_rng(seed)
+    for j, block in enumerate(model.blocks):
+        if not isinstance(block, MoELayer):
+            continue
+        block.router.topk_count = 1 + (seed + j) % block.n_experts
+        for tag in ("group_in", "group_out"):
+            group, deltas = getattr(block, tag), []
+            rows, cols = group.base.shape
+            for i in range(len(group)):
+                mat = DenseDelta(0.1 * g.standard_normal((rows, cols)))
+                if kind == "sparse":
+                    mat = sparsify(mat, 0.5, numkern.RngStream(seed, 10 * j + i))
+                elif kind == "lowrank":
+                    mat = LowRankDelta(g.standard_normal((rows, 2)), 0.1 * g.standard_normal((2, cols)))
+                elif kind == "quantized":
+                    mat = quantize(mat, SUPPORTED_BIT_WIDTHS[(i + j) % len(SUPPORTED_BIT_WIDTHS)])
+                elif kind != "dense":
+                    raise NotImplementedError(f"no random {kind} delta")
+                deltas.append(mat)
+            setattr(block, tag, ExpertGroup(group.base, deltas))
+    return cast_floats(model, dtype)

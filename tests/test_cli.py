@@ -434,6 +434,34 @@ class TestExitCodes:
     def test_bad_flag_exit_2(self):
         assert run("upcycle", "--method", "magic") == 2
 
+    def test_one_parser_parses_every_call_as_a_fresh_one(self, tmp_path, monkeypatch, capsys):
+        """``main`` builds its parser once per process, and each call still
+        parses as a freshly built parser would: a flag that an earlier call
+        set, or that the subcommand does not take, reads None."""
+        seen = []
+        for name, (_, flags) in cli.SUBCOMMANDS.items():
+            monkeypatch.setitem(cli.SUBCOMMANDS, name, (lambda args, out: seen.append(args) or 0, flags))
+        out = ["--out", str(tmp_path)]
+        argvs = [
+            ["upcycle", "--method", "ders-sm", "--drop-rate", "0.5", "--extended", "--seed", "3"],
+            ["compress", "--bit-width", "4", "--config", "c.json"],
+            ["upcycle"],
+            ["report-params", "--format", "json", "--ckpt", "m.ckpt"],
+            ["sweep", "--freeze-shared"],
+            ["eval"],
+        ]
+        for argv in argvs:
+            assert main(argv + out) == 0
+            fresh = cli._build_parser.__wrapped__().parse_args(argv + out)
+            assert vars(seen[-1]) == vars(fresh)
+            assert [key for key in cli._FLAGS if getattr(seen[-1], key) is not None] == [
+                key for key in cli._FLAGS if f"--{key.replace('_', '-')}" in argv
+            ]
+        assert main(["eval", "--rank", "2"] + out) == 2  # a flag eval does not take
+        assert "unrecognized arguments: --rank 2" in capsys.readouterr().err
+        assert main(["train"] + out) == 0 and seen[-1].rank is None
+        assert cli._build_parser() is cli._build_parser()
+
     def test_empty_eval_set_exit_2(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from conftest import (
     build_mixed_moe_model,
-    cast_floats,
     gelu_grad_oracle,
     gelu_oracle,
+    mixed_model_of_kind,
     moe_forward,
     oracle_model_forward,
     reset_synthesis_counters,
@@ -21,12 +21,9 @@ from conftest import (
 from ders import moe, numkern, train
 from ders.deltas import (
     DELTA_KINDS,
-    SUPPORTED_BIT_WIDTHS,
     DenseDelta,
     ExpertGroup,
     LowRankDelta,
-    quantize,
-    sparsify,
     synthesize,
 )
 from ders.errors import DimensionError, ParameterError
@@ -335,44 +332,14 @@ class TestModelForward:
         assert layer.synthesis_count == 0
 
 
-def mixed_model_of_kind(seed, kind, dtype):
-    """``conftest.build_mixed_moe_model`` with every delta of both MoE layers
-    (one beside a universal FFN, one extended) replaced by a random delta of
-    form ``kind``, the quantized ones over every bit width, at ``dtype``. Each
-    layer routes to 1, 2 or 3 of its 3 experts, by ``seed``: at 3 the order
-    in which the experts are added shows in the bytes."""
-    model = build_mixed_moe_model(seed)
-    g = np.random.default_rng(seed)
-    for j, block in enumerate(model.blocks):
-        if not isinstance(block, MoELayer):
-            continue
-        block.router.topk_count = 1 + (seed + j) % block.n_experts
-        for tag in ("group_in", "group_out"):
-            group, deltas = getattr(block, tag), []
-            rows, cols = group.base.shape
-            for i in range(len(group)):
-                mat = DenseDelta(0.1 * g.standard_normal((rows, cols)))
-                if kind == "sparse":
-                    mat = sparsify(mat, 0.5, numkern.RngStream(seed, 10 * j + i))
-                elif kind == "lowrank":
-                    mat = LowRankDelta(g.standard_normal((rows, 2)), 0.1 * g.standard_normal((2, cols)))
-                elif kind == "quantized":
-                    mat = quantize(mat, SUPPORTED_BIT_WIDTHS[(i + j) % len(SUPPORTED_BIT_WIDTHS)])
-                elif kind != "dense":
-                    raise NotImplementedError(f"no random {kind} delta")
-                deltas.append(mat)
-            setattr(block, tag, ExpertGroup(group.base, deltas))
-    return cast_floats(model, dtype)
-
-
 def ffn_records(tape):
-    """Every FFN record of a model tape: dense blocks, routed experts, and
-    the universal FFN or member N+1."""
+    """Every FFN record of a model tape: dense blocks, blocks of routed
+    experts, and the universal FFN or member N+1."""
     for rec in tape["blocks"]:
         if rec["kind"] == "dense":
             yield rec
         else:
-            yield from (r for r in rec["experts"] + [rec["universal"]] if r is not None)
+            yield from (r for r in rec["routed"] + [rec["universal"]] if r is not None)
 
 
 class TestOneDispatch:
@@ -396,8 +363,9 @@ class TestOneDispatch:
     def test_matches_the_per_expert_loop(self, seed, kind, dtype, rows):
         """The batch forward equals the oracle and the stacked single-row
         forwards byte for byte, the taped forward predicts the same, each
-        layer synthesizes each routed expert (and member N+1) once, and no
-        recorded ``h`` is overwritten by its activation."""
+        layer synthesizes each routed expert (and member N+1) once, each
+        routed expert is a member of exactly one taped block, with its rows,
+        and no recorded ``h`` is overwritten by its activation."""
         model = mixed_model_of_kind(seed, kind, dtype)
         layers = [b for b in model.blocks if isinstance(b, MoELayer)]
         x = 2.0 * np.random.default_rng(seed).standard_normal((rows, model.in_width))
@@ -416,13 +384,16 @@ class TestOneDispatch:
         for layer, rec, count in zip(layers, moe_tapes, counts):
             routed = (rec["scores"] != 0.0).any(axis=0)
             assert count == int(routed.sum()) + layer.extended
-            for i, expert in enumerate(rec["experts"]):
-                assert (expert is None) == (not routed[i])
-                if expert is not None:
-                    assert np.array_equal(expert["rows"], np.flatnonzero(rec["scores"][:, i]))
+            members = [(block, *member) for block in rec["routed"] for member in block["members"]]
+            assert [i for _, i, _, _ in members] == np.flatnonzero(routed).tolist()
+            for block, i, start, end in members:
+                first = block["members"][0][1]  # the block's first pair
+                assert np.array_equal(block["rows"][start - first : end - first], np.flatnonzero(rec["scores"][:, i]))
+                assert (block["experts"][start - first : end - first] == i).all()
         for rec in ffn_records(tape):
             assert rec["a"] is not rec["h"]
-            assert rec["h"].tobytes() == numkern.matmul(rec["x"], rec["w_in"]).tobytes()
+            for start, end, w_in, _ in rec["spans"]:
+                assert rec["h"][start:end].tobytes() == numkern.matmul(rec["x"][start:end], w_in).tobytes()
 
 
 class TestRegistryAndCopy:
@@ -460,6 +431,18 @@ KINDS = tuple(DELTA_KINDS)
 
 def moe_layers(model):
     return [b for b in model.blocks if isinstance(b, MoELayer)]
+
+
+def test_the_oracle_leaves_every_synthesis_count_as_it_was():
+    """``oracle_model_forward`` synthesizes its experts itself, so a test may
+    read a layer's count after calling the oracle on the same model."""
+    model = build_mixed_moe_model(0)
+    x = np.random.default_rng(0).standard_normal((8, model.in_width))
+    expected = model_forward(model, x)
+    before = [layer.synthesis_count for layer in moe_layers(model)]
+    assert all(before)
+    assert oracle_model_forward(model, x).tobytes() == expected.tobytes()
+    assert [layer.synthesis_count for layer in moe_layers(model)] == before
 
 
 def source_arrays(layer, i):

@@ -161,12 +161,16 @@ class TestMatmul:
     @example(case=_case(64, 32, 4, strided_b=True))
     @example(case=_case(64, 32, 4, dtype="float32", strided_b=True, neg_zero_row=True))
     # The edges of the ``a·b`` orientation's rule: one column (transposed) at
-    # n ≥ 2, one row, 32 and 33 rows at 32 and 33 columns, and an F-ordered,
-    # strided or float32 ``a`` and an F-ordered ``b`` taken as ``a·b``.
+    # n ≥ 2, one row, 32 and 33 rows at 32 and 33 columns, 31 and 32 rows at
+    # 4 columns, and an F-ordered, strided or float32 ``a`` and an F-ordered
+    # ``b`` taken as ``a·b``.
     @example(case=_case(2, 40, 1, transpose_a=True))
     @example(case=_case(5, 64, 1, dtype="float32", strided_a=True))
     @example(case=_case(1, 128, 32, strided_a=True, neg_zero_row=True))
     @example(case=_case(32, 64, 32, transpose_a=True))
+    @example(case=_case(31, 32, 4, dtype="float32", transpose_a=True))
+    @example(case=_case(32, 32, 4, transpose_a=True, neg_zero_row=True))
+    @example(case=_case(32, 64, 4, dtype="float32", transpose_b=True))
     @example(case=_case(33, 64, 32, dtype="float32", strided_a=True))
     @example(case=_case(33, 64, 33, transpose_a=True, transpose_b=True))
     @example(case=_case(4, 128, 32, strided_a=True, zeros=0.3))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import build_mixed_moe_model
-from ders import cli, moe, numkern
+from ders import cli, moe, numkern, train
 from ders.accounting import count_report
 from ders.moe import METHODS, cache_bytes, copy_model, forward_tape, model_forward, named_parameters
 from ders.upcycle import UpcycleConfig, upcycle
@@ -130,6 +130,37 @@ def test_census_counts_one_activation_per_block(monkeypatch):
     # The dense block, the universal FFN and member N+1 run one activation each.
     assert per_expert.acts["round"] == 3 + routed
     assert blocked.acts["round"] == 3 + 2
+    assert blocked.calls == per_expert.calls
+
+
+def test_census_counts_one_activation_per_taped_block(monkeypatch):
+    """A training step's activation and derivative counts in the census
+    fall with blocks while its matmul count stays: each MoE layer of a
+    2-row ``loss_parts`` runs one block, forward and backward, instead of
+    one per routed expert."""
+    monkeypatch.syspath_prepend(TOOLS)
+    import kernel_bench
+
+    model = build_mixed_moe_model(2)
+    g = np.random.default_rng(2)
+    batch = g.standard_normal((2, model.in_width)), g.standard_normal((2, model.out_width))
+    params = {"d": model.in_width, "n_clusters": 2, "out_width": model.out_width}
+    task = train.make_task("cluster_regression", params, 1)
+    censuses = []
+    for cap in (0, moe._BLOCK_PAIRS):  # one expert per block, then the default
+        monkeypatch.setattr(moe, "_BLOCK_PAIRS", cap)
+        with kernel_bench.Census() as census:
+            census.phase = "round"
+            train.loss_parts(model, batch, task, 0.01)
+        censuses.append(census)
+    assert train.act_grad is moe.act_grad
+    per_expert, blocked = censuses
+    _, tape = forward_tape(model, batch[0])
+    routed = sum(int((rec["scores"] != 0.0).any(axis=0).sum()) for rec in tape["blocks"] if rec["kind"] == "moe")
+    assert routed > 2
+    # The dense block, the universal FFN and member N+1 run one of each.
+    assert per_expert.acts == per_expert.grads == {"round": 3 + routed}
+    assert blocked.acts == blocked.grads == {"round": 3 + 2}
     assert blocked.calls == per_expert.calls
 
 

@@ -5,18 +5,20 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
     build_mixed_moe_model,
     fd_worst_relative_error,
+    mixed_model_of_kind,
+    oracle_loss_parts,
     oracle_train,
     rng_mat,
     routing_masks,
     to_float32,
 )
-from ders import train
+from ders import moe, train
 from ders.checkpoint import load_model, save_model
 from ders.cli import main
 from ders.compress import CompressionSpec, ders_compress
@@ -375,6 +377,47 @@ class TestSharedFfnProperty:
         loss2, grads2 = loss_and_grads(model, (x, y), task, 0.01)
         assert loss2 == loss
         assert all(grads[k].tobytes() == grads2[k].tobytes() for k in grads)
+
+
+class TestBlockedBackward:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        kind=st.sampled_from(["dense", "sparse", "lowrank", "quantized"]),
+        dtype=st.sampled_from(["float64", "float32"]),
+        k=st.integers(1, 3),
+        rows=st.integers(1, 40),
+        trainable_base=st.booleans(),
+        aux_loss_coeff=st.sampled_from([0.0, 0.3]),
+    )
+    @example(seed=1, kind="sparse", dtype="float32", k=3, rows=40, trainable_base=True, aux_loss_coeff=0.3)
+    @example(seed=2, kind="lowrank", dtype="float64", k=2, rows=17, trainable_base=True, aux_loss_coeff=0.3)
+    @example(seed=3, kind="quantized", dtype="float32", k=1, rows=1, trainable_base=False, aux_loss_coeff=0.0)
+    @example(seed=4, kind="dense", dtype="float64", k=3, rows=9, trainable_base=False, aux_loss_coeff=0.3)
+    def test_every_block_cap_gives_the_per_expert_loss_and_gradients(
+        self, seed, kind, dtype, k, rows, trainable_base, aux_loss_coeff
+    ):
+        """Whether a taped forward runs one expert per block (cap 0), one
+        pair per block, the default blocks or one block per layer,
+        ``loss_parts`` gives the total, the parts and every gradient's bytes
+        of the per-expert oracle, on a layer beside a universal FFN and an
+        extended one."""
+        model = mixed_model_of_kind(seed, kind, dtype)
+        for block in model.blocks:
+            if isinstance(block, MoELayer):
+                block.router.topk_count, block.trainable_base = k, trainable_base
+        g = np.random.default_rng(seed + 1)
+        batch = 2.0 * g.standard_normal((rows, model.in_width)), g.standard_normal((rows, model.out_width))
+        task = regression_task(seed=1, d=model.in_width, n_clusters=2, out_width=model.out_width)
+        total, parts, expected = oracle_loss_parts(model, batch, task, aux_loss_coeff)
+        for cap in (0, 1, moe._BLOCK_PAIRS, 10**9):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(moe, "_BLOCK_PAIRS", cap)
+                got = loss_parts(model, batch, task, aux_loss_coeff)
+            assert got[:2] == (total, parts)
+            assert list(got[2]) == list(expected)
+            for name, grad in got[2].items():
+                assert grad.dtype == expected[name].dtype and grad.tobytes() == expected[name].tobytes(), name
 
 
 class TestFlatOptimizerOracle:

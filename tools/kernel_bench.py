@@ -14,7 +14,8 @@ set-up and ``prepare``, then one round that is not recorded, as perfbench
 does not trace its warm-up round, then one recorded round. Every
 ``numkern.matmul`` call is recorded by phase (``setup`` or ``round``), shape
 (n × k · k × m) and operand layouts (``C`` for C-contiguous, ``F`` for a
-transposed view), and every ``moe.act_forward`` call by phase. The
+transposed view), and every activation (``moe.act_forward``) and activation
+derivative (``act_grad`` as ``ders.train`` calls it) by phase. The
 workload's own checks run paused and are not counted, so a round's matmul
 count is the ``numkern.matmul.calls`` of a traced perfbench round: a warm
 round, whose served models take their experts from the cache the first
@@ -31,13 +32,15 @@ calls, in microseconds. ``einsum_k_ordered`` is the probe decision
 ``matmul`` took at import.
 
 ``rules`` sums calls × time per workload and phase for each rule "compute
-the product as ``ba`` when m ≤ T < n or m = 1, else ``direct``" (``matmul``
-uses T = 32), for the faster orientation per shape (``best_of_both_us``),
-and for ``matmul`` as it stands, beside the phase's matmul ``calls`` and
-``act_forward_calls``: an untaped MoE forward runs one activation per block
-of routed experts, not one per expert, so fewer activation calls at equal
-matmul calls show what blocks save. ``act_forward`` and ``act_grad`` time each
-activation and its derivative at 16×64, 32×64 and 512×128 float64.
+the product as ``ba`` when m ≤ T ≤ n and m < n, or m = 1, else
+``direct``" (``matmul`` uses T = 32), for the faster orientation per shape
+(``best_of_both_us``), and for ``matmul`` as it stands, beside the phase's
+matmul ``calls``, ``act_forward_calls`` and ``act_grad_calls``: a MoE
+forward, taped or not, runs one activation per block of routed experts, not
+one per expert, and the backward one derivative per block, so fewer
+activation calls at equal matmul calls show what blocks save.
+``act_forward`` and ``act_grad`` time each activation and its derivative at
+16×64, 32×64 and 512×128 float64.
 
 ``forward`` times the serving path on the three models ``compress_serve``
 serves (``sparse``, ``4-bit``, ``lowrank``): ``synthesize`` of
@@ -63,8 +66,10 @@ one block a layer, its 4 MiB activation slows that forward from about 24 to
 ``train_step`` times, per upcycle method, the parts of a training step on
 ``upcycle_train``'s pretrained dense model, upcycled with the workload
 config's ``upcycle`` section and stepped with its ``train`` section as
-``train_loop`` steps it, after the census: ``loss_parts_us`` (forward,
-backward and gradient landing), ``optimizer_us`` (the Adam step on the flat
+``train_loop`` steps it, after the census: ``loss_parts_us`` (the taped
+forward and the backward, each MoE layer's routed experts run as blocks of
+at most ``moe._BLOCK_PAIRS`` pairs with one activation and one derivative
+per block, and gradient landing), ``optimizer_us`` (the Adam step on the flat
 buffers) and ``zero_check_us`` (zero-filling the flat gradient buffers, which
 ``loss_parts`` also does), each the median over ``--repeat`` steps after one
 warm-up step, with the step count and the number of trainable arrays and
@@ -107,7 +112,8 @@ def _layout(x: np.ndarray) -> str:
 
 class Census:
     """Counts ``numkern.matmul`` calls per (phase, n, k, m, layout of a, of b)
-    in ``calls``, and ``moe.act_forward`` calls per phase in ``acts``.
+    in ``calls``, and per phase ``moe.act_forward`` calls in ``acts`` and the
+    backward's ``act_grad`` calls in ``grads``.
 
     It serves as a workload's tracer: ``span`` calls straight through, and
     nothing is recorded inside ``paused()``, where the workload runs its own
@@ -116,27 +122,34 @@ class Census:
     def __init__(self):
         self.calls: collections.Counter = collections.Counter()
         self.acts: collections.Counter = collections.Counter()
+        self.grads: collections.Counter = collections.Counter()
         self.phase = ""
         self.recording = True
 
     def __enter__(self):
-        inner, act = self.inner, self.act = numkern.matmul, moe.act_forward
+        # ``ders.train`` imports ``act_grad`` by name, so its backward calls it there.
+        self.real = numkern.matmul, moe.act_forward, train.act_grad
+        inner, act, grad = self.real
 
         def recording(a, b):
             if self.recording:
                 self.calls[(self.phase, a.shape[0], a.shape[1], b.shape[1], _layout(a), _layout(b))] += 1
             return inner(a, b)
 
-        def counting(*args, **kwargs):
-            if self.recording:
-                self.acts[self.phase] += 1
-            return act(*args, **kwargs)
+        def counting(counter, fn):
+            def counted(*args, **kwargs):
+                if self.recording:
+                    counter[self.phase] += 1
+                return fn(*args, **kwargs)
 
-        numkern.matmul, moe.act_forward = recording, counting
+            return counted
+
+        numkern.matmul, moe.act_forward = recording, counting(self.acts, act)
+        train.act_grad = counting(self.grads, grad)
         return self
 
     def __exit__(self, *exc):
-        numkern.matmul, moe.act_forward = self.inner, self.act
+        numkern.matmul, moe.act_forward, train.act_grad = self.real
 
     @contextlib.contextmanager
     def paused(self):
@@ -215,12 +228,12 @@ def _each_alone_us(fns: dict, repeat: int, before=lambda: None) -> dict:
 
 
 def _rule_us(row: dict, threshold: int) -> float:
-    """One call's time under "``ba`` when m ≤ threshold < n or m = 1, else
-    ``direct``"."""
+    """One call's time under "``ba`` when m ≤ threshold ≤ n and m < n, or
+    m = 1, else ``direct``"."""
     if "k_loop" in row:
         return row["k_loop"]
     n, m = row["n"], row["m"]
-    use_ba = "direct" not in row or m <= threshold < n
+    use_ba = "direct" not in row or m < n and m <= threshold <= n
     return row["ba"] if use_ba else row["direct"]
 
 
@@ -333,6 +346,7 @@ def bench(repeat: int, seed: int) -> dict:
             totals["matmul_us"] = sum(r[col] * r["matmul"] for r in rows)
             totals["calls"] = sum(r[col] for r in rows)
             totals["act_forward_calls"] = census[name].acts[phase]
+            totals["act_grad_calls"] = census[name].grads[phase]
             rules[f"{name}.{phase}"] = {key: round(v, 1) for key, v in totals.items()}
 
     act = {"act_forward_us": {}, "act_grad_us": {}}
